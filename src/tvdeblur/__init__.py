@@ -12,7 +12,6 @@ from . import errors
 from .decomposition import decompose, gradient_residual, tikhonov_energy
 from .grid_ops import (
     KernelSpec,
-    convolve_periodic,
     divergence_adjoint,
     forward_diff,
     make_kernel,
@@ -26,7 +25,6 @@ from .harness import (
     write_trace_csv,
 )
 from .metrics import best_iterate, rel_change, snr_db
-from .oracle import dense_operator, reference_tv_solve
 from .pgm import load_image, read_pgm, write_pgm
 from .phantom import make_phantom
 from .shrinkage import shrink, shrink_aniso, shrink_iso
@@ -49,7 +47,6 @@ __all__ = [
     "KernelSpec",
     "forward_diff",
     "divergence_adjoint",
-    "convolve_periodic",
     "make_kernel",
     "validate_image",
     "SpectralCache",
@@ -73,8 +70,6 @@ __all__ = [
     "snr_db",
     "rel_change",
     "best_iterate",
-    "dense_operator",
-    "reference_tv_solve",
     "make_phantom",
     "write_pgm",
     "read_pgm",

@@ -10,7 +10,7 @@ import csv
 import sys
 from pathlib import Path
 
-from .errors import NoConvergence, SingularSystem, TVDeblurError
+from .errors import SingularSystem, TVDeblurError
 from .grid_ops import KernelSpec, make_kernel, validate_image
 from .harness import ExperimentConfig, degrade, run_experiment
 from .pgm import load_image, write_pgm
@@ -50,22 +50,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_degrade.add_argument("--sigma", type=float, default=0.01)
     p_degrade.add_argument("--seed", type=int, default=0)
 
-    p_deblur = sub.add_parser("deblur", help="degrade a ground truth, solve, export trace and images")
+    # Options left out of the command line are absent from the namespace, so
+    # ExperimentConfig's field defaults are the only defaults.
+    p_deblur = sub.add_parser(
+        "deblur", help="degrade a ground truth, solve, export trace and images", argument_default=argparse.SUPPRESS
+    )
     p_deblur.add_argument("--input-path", required=True, help="ground-truth image (pgm, or png with Pillow)")
     p_deblur.add_argument("--output-dir", required=True)
-    p_deblur.add_argument("--solver", choices=("ftvd3", "ftvd4"), default="ftvd3")
-    p_deblur.add_argument("--kernel", type=KernelSpec.from_string, default=KernelSpec.average(9))
-    p_deblur.add_argument("--sigma", type=float, default=0.01)
-    p_deblur.add_argument("--mu", type=_parse_mu, default="auto", help="fidelity weight, or 'auto' for 0.05/sigma^2")
-    p_deblur.add_argument("--beta-schedule", type=_parse_schedule, default=tuple(2.0**k for k in range(11)),
-                          help="comma-separated ascending betas (ftvd3)")
-    p_deblur.add_argument("--beta-fixed", type=float, default=10.0, help="fixed beta (ftvd4)")
-    p_deblur.add_argument("--seed", type=int, default=0)
-    p_deblur.add_argument("--tv-variant", choices=("iso", "aniso"), default="iso")
+    p_deblur.add_argument("--solver", choices=("ftvd3", "ftvd4"))
+    p_deblur.add_argument("--kernel", type=KernelSpec.from_string)
+    p_deblur.add_argument("--sigma", type=float)
+    p_deblur.add_argument("--mu", type=_parse_mu, help="fidelity weight, or 'auto' for 0.05/sigma^2")
+    p_deblur.add_argument("--beta-schedule", type=_parse_schedule, help="comma-separated ascending betas (ftvd3)")
+    p_deblur.add_argument("--beta-fixed", type=float, help="fixed beta (ftvd4)")
+    p_deblur.add_argument("--seed", type=int)
+    p_deblur.add_argument("--tv-variant", choices=("iso", "aniso"))
     p_deblur.add_argument("--save-intermediates", action="store_true")
-    p_deblur.add_argument("--tol", type=float, default=1e-4)
-    p_deblur.add_argument("--max-inner-iters", type=int, default=100)
-    p_deblur.add_argument("--max-multiplier-updates", type=int, default=100)
+    p_deblur.add_argument("--tol", type=float)
+    p_deblur.add_argument("--max-inner-iters", type=int)
+    p_deblur.add_argument("--max-multiplier-updates", type=int)
 
     p_report = sub.add_parser("report", help="summarize an existing trace.csv")
     p_report.add_argument("--trace", required=True)
@@ -88,22 +91,7 @@ def _cmd_degrade(args) -> int:
 
 
 def _cmd_deblur(args) -> int:
-    cfg = ExperimentConfig(
-        input_path=args.input_path,
-        output_dir=args.output_dir,
-        solver=args.solver,
-        kernel=args.kernel,
-        sigma=args.sigma,
-        mu=args.mu,
-        beta_schedule=args.beta_schedule,
-        beta_fixed=args.beta_fixed,
-        seed=args.seed,
-        tv_variant=args.tv_variant,
-        save_intermediates=args.save_intermediates,
-        tol=args.tol,
-        max_inner_iters=args.max_inner_iters,
-        max_multiplier_updates=args.max_multiplier_updates,
-    )
+    cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k != "command"})
     summary = run_experiment(cfg)
     print(Path(summary.summary_txt).read_text(), end="")
     return 0
@@ -137,7 +125,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SingularSystem, NoConvergence, FloatingPointError) as exc:
+    except (SingularSystem, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (TVDeblurError, ValueError, OSError) as exc:

@@ -27,11 +27,3 @@ class DegenerateReference(TVDeblurError):
 
 class MissingScores(TVDeblurError):
     """Iterate selection requested a score the trace does not carry."""
-
-
-class TooLarge(TVDeblurError):
-    """Dense-oracle construction refused: image too big for explicit matrices."""
-
-
-class NoConvergence(TVDeblurError):
-    """Reference solver hit its iteration cap before reaching tolerance."""

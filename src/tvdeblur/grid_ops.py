@@ -1,4 +1,4 @@
-"""Periodic-boundary difference and convolution operators on square images.
+"""Periodic-boundary difference operators and blur kernels on square images.
 
 Conventions used throughout the package:
 
@@ -7,8 +7,8 @@ Conventions used throughout the package:
   horizontal (column) forward difference dx and [..., 1] the vertical (row)
   forward difference dy;
 - a kernel is an (m, m) float64 array with odd m, anchored at its centre tap;
-- ``convolve_periodic`` is true convolution (kernel flipped) with circular
-  wrap-around.
+  blurring with it (``spectral.apply_kernel``) is true convolution (kernel
+  flipped) with circular wrap-around.
 
 All functions are pure and never mutate their inputs.
 """
@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import BadSpec, KernelTooLarge
+from .errors import BadSpec
 
 DX = 0
 DY = 1
@@ -65,23 +64,6 @@ def divergence_adjoint(g: np.ndarray) -> np.ndarray:
     gx = g[..., DX]
     gy = g[..., DY]
     return (np.roll(gx, 1, axis=1) - gx) + (np.roll(gy, 1, axis=0) - gy)
-
-
-def convolve_periodic(u: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Circular 2-D convolution of ``u`` with an odd-sized centred kernel.
-
-    out(i, j) = sum_{a,b} kernel[c+a, c+b] * u[(i-a) mod n, (j-b) mod n]
-    with c = (m-1)//2, i.e. true convolution, anchor at the centre tap.
-    """
-    kernel = np.asarray(kernel, dtype=np.float64)
-    m = kernel.shape[0]
-    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
-        raise BadSpec(f"kernel must be square, got shape {kernel.shape}")
-    if m % 2 == 0:
-        raise BadSpec(f"kernel side must be odd, got {m}")
-    if m > u.shape[0]:
-        raise KernelTooLarge(f"kernel side {m} exceeds image side {u.shape[0]}")
-    return ndimage.convolve(u, kernel, mode="wrap")
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,19 @@ summary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .decomposition import decompose, gradient_residual
-from .grid_ops import KernelSpec, convolve_periodic, make_kernel, validate_image
+from .errors import BadSpec
+from .grid_ops import KernelSpec, make_kernel, validate_image
 from .metrics import best_iterate
 from .pgm import load_image, write_pgm
-from .solvers import IterateTrace, SolverConfig, ftvd3_solve, ftvd4_solve
-from .spectral import build_cache
+from .solvers import DEFAULT_BETA_SCHEDULE, IterateTrace, SolverConfig, ftvd3_solve, ftvd4_solve
+from .spectral import apply_kernel, build_cache
 
 # Identity of the noise generator, recorded in every summary: counter-based,
 # so degraded images are bit-reproducible from (seed, sigma, shape) alone.
@@ -33,14 +35,6 @@ TRACE_HEADER = "stage_index,inner_iter,beta,snr_db,objective_tv,penalty_objectiv
 U1_EXPORT_OFFSET = 0.5
 
 
-def _default_kernel() -> KernelSpec:
-    return KernelSpec.average(9)
-
-
-def _default_schedule() -> tuple[float, ...]:
-    return tuple(2.0**k for k in range(11))
-
-
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; same config means bit-identical outputs."""
@@ -48,10 +42,10 @@ class ExperimentConfig:
     input_path: str | Path
     output_dir: str | Path
     solver: str = "ftvd3"
-    kernel: KernelSpec = field(default_factory=_default_kernel)
+    kernel: KernelSpec = KernelSpec.average(9)
     sigma: float = 0.01
     mu: float | str = "auto"
-    beta_schedule: tuple[float, ...] = field(default_factory=_default_schedule)
+    beta_schedule: tuple[float, ...] = DEFAULT_BETA_SCHEDULE
     beta_fixed: float = 10.0
     seed: int = 0
     tv_variant: str = "iso"
@@ -62,22 +56,34 @@ class ExperimentConfig:
 
     def resolve_mu(self) -> float:
         if self.mu == "auto":
-            if not self.sigma > 0:
-                raise ValueError("mu='auto' uses 0.05/sigma^2 and needs sigma > 0; pass mu explicitly")
+            if not 0 < self.sigma < math.inf:
+                raise ValueError(
+                    f"mu='auto' uses 0.05/sigma^2 and needs a finite sigma > 0, got {self.sigma}; pass mu explicitly"
+                )
             return 0.05 / (self.sigma * self.sigma)
         return float(self.mu)
 
 
 def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    """Blur and add zero-mean Gaussian noise of std ``sigma``.
+    """Blur with ``kernel`` (periodic true convolution) and add Gaussian noise.
 
-    The noise comes from the counter-based Philox generator keyed by
-    ``seed``, so the same (u0, kernel, sigma, seed) gives the same bytes
-    on every platform.  sigma = 0 returns exactly the blur.
+    The blur goes through the spectral cache, the same operator K the
+    solvers use, so ``u0`` must be a valid square image and the kernel
+    square with an odd side no larger than the image (ValueError /
+    BadSpec / KernelTooLarge otherwise).  The zero-mean noise of std
+    ``sigma`` comes from the counter-based Philox generator keyed by
+    ``seed``, so the same (u0, kernel, sigma, seed) gives the same bytes on
+    every platform.  sigma = 0 returns exactly the blur.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    f = convolve_periodic(u0, kernel)
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    u0 = validate_image(u0)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
+        raise BadSpec(f"kernel must be square, got shape {kernel.shape}")
+    if kernel.shape[0] % 2 == 0:
+        raise BadSpec(f"kernel side must be odd, got {kernel.shape[0]}")
+    f = apply_kernel(build_cache(kernel, u0.shape[0]), u0)
     if sigma == 0:
         return f
     gen = np.random.Generator(np.random.Philox(key=seed))

@@ -56,7 +56,12 @@ def read_pgm(path) -> np.ndarray:
     offset += 2
     if maxval <= 0 or maxval > 65535:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    dtype = ">u2" if maxval > 255 else np.uint8
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    expected = w * h * dtype.itemsize
+    if len(data) - offset < expected:
+        raise ValueError(
+            f"{path}: truncated PGM raster: expected {expected} bytes for {w}x{h}, found {len(data) - offset}"
+        )
     raster = np.frombuffer(data, dtype=dtype, count=w * h, offset=offset)
     return raster.reshape(h, w).astype(np.float64) / maxval
 

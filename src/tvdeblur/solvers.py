@@ -19,18 +19,18 @@ TV limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
+from .decomposition import gradient_residual
 from .grid_ops import forward_diff, validate_image
 from .metrics import rel_change, snr_db
 from .shrinkage import shrink
 
-
-def _default_beta_schedule() -> tuple[float, ...]:
-    return tuple(2.0**k for k in range(11))
+DEFAULT_BETA_SCHEDULE = tuple(2.0**k for k in range(11))
 
 
 @dataclass
@@ -41,26 +41,26 @@ class SolverConfig:
     tv_variant: str = "iso"
     tol: float = 1e-4
     max_inner_iters: int = 100
-    beta_schedule: tuple[float, ...] = field(default_factory=_default_beta_schedule)
+    beta_schedule: tuple[float, ...] = DEFAULT_BETA_SCHEDULE
     beta_fixed: float = 10.0
     max_multiplier_updates: int = 100
     record_inner: bool = False
 
     def validate(self) -> None:
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if not 0 < self.tol < 1:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if self.tv_variant not in ("iso", "aniso"):
             raise ValueError(f"unknown tv_variant {self.tv_variant!r}")
         if len(self.beta_schedule) == 0:
             raise ValueError("beta_schedule must be nonempty")
-        if any(b <= 0 for b in self.beta_schedule):
-            raise ValueError("beta_schedule entries must be positive")
+        if not all(0 < b < math.inf for b in self.beta_schedule):
+            raise ValueError(f"beta_schedule entries must be positive and finite, got {self.beta_schedule}")
         if any(b1 >= b2 for b1, b2 in zip(self.beta_schedule, self.beta_schedule[1:])):
             raise ValueError("beta_schedule must be strictly ascending")
-        if not self.beta_fixed > 0:
-            raise ValueError(f"beta_fixed must be positive, got {self.beta_fixed}")
+        if not 0 < self.beta_fixed < math.inf:
+            raise ValueError(f"beta_fixed must be positive and finite, got {self.beta_fixed}")
         if self.max_inner_iters < 1 or self.max_multiplier_updates < 1:
             raise ValueError("iteration caps must be at least 1")
 
@@ -137,12 +137,6 @@ def eval_penalty_objective(
     return value + 0.5 * mu * float((res * res).sum())
 
 
-def constraint_residual(w: np.ndarray, du: np.ndarray) -> float:
-    """max over pixels of ||w_i - D_i u||_2 (always the 2-norm)."""
-    diff = w - du
-    return float(np.hypot(diff[..., 0], diff[..., 1]).max())
-
-
 @dataclass
 class InnerLoopResult:
     u: np.ndarray
@@ -165,7 +159,8 @@ def penalty_inner_loop(
     w <- shrink(D u, 1/beta), u <- quadratic solve, until the relative
     change of u drops below cfg.tol or cfg.max_inner_iters is reached.
     ``recorder``, when given, is called as recorder(inner_iter, u, w, rc)
-    after every alternation.
+    after every alternation.  Raises FloatingPointError when the relative
+    change is not finite (the iteration diverged).
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -178,6 +173,8 @@ def penalty_inner_loop(
         w = shrink(forward_diff(u), 1.0 / beta, cfg.tv_variant)
         u_new = spectral.solve_u(f, w, None, cfg.mu, beta, cache)
         rc = rel_change(u_new, u)
+        if not math.isfinite(rc):
+            raise FloatingPointError(f"penalty loop diverged at beta {beta}, inner iteration {it}: relative change {rc}")
         u = u_new
         iterations = it
         if recorder is not None:
@@ -202,7 +199,6 @@ def _make_record(
     cfg: SolverConfig,
     ground_truth: np.ndarray | None,
 ) -> IterateRecord:
-    du = forward_diff(u)
     return IterateRecord(
         stage_index=stage_index,
         inner_iter=inner_iter,
@@ -213,7 +209,7 @@ def _make_record(
         snr_db=None if ground_truth is None else snr_db(u, ground_truth),
         objective_tv=eval_tv_objective(u, f, cache, cfg.mu, cfg.tv_variant),
         penalty_objective=eval_penalty_objective(u, w, f, cache, cfg.mu, beta, cfg.tv_variant),
-        constraint_residual=constraint_residual(w, du),
+        constraint_residual=gradient_residual(w, u),
         rel_change=rc,
         kind=kind,
     )
@@ -279,7 +275,8 @@ def ftvd4_solve(
 
     Per cycle: w-step with the current multipliers folded in, exact u-step,
     then lambda <- lambda - beta (w - D u).  Every cycle is recorded; stops
-    once the relative change of u drops below cfg.tol.
+    once the relative change of u drops below cfg.tol.  Raises
+    FloatingPointError when the relative change is not finite.
     """
     f = validate_image(f)
     cfg.validate()
@@ -294,6 +291,8 @@ def ftvd4_solve(
         u_new = spectral.solve_u(f, w, lam, cfg.mu, beta, cache)
         lam = lam - beta * (w - forward_diff(u_new))
         rc = rel_change(u_new, u)
+        if not math.isfinite(rc):
+            raise FloatingPointError(f"ftvd4 diverged at cycle {k}: relative change {rc}")
         u = u_new
         records.append(
             _make_record("stage", k, 1, beta, u, w, lam, rc, f, cache, cfg, ground_truth)

@@ -9,8 +9,9 @@ from tvdeblur import (
     ftvd4_solve,
     make_kernel,
     make_phantom,
-    reference_tv_solve,
 )
+
+from oracle import reference_tv_solve
 
 
 def piecewise_constant_phantom(n):
@@ -39,7 +40,7 @@ def pc16():
 
 @pytest.fixture(scope="session")
 def pc16_oracle_mu500(pc16):
-    # ~30 s of brute-force descent; shared by every test that needs the
+    # dense Newton solve, about a second; shared by every test that needs the
     # mu=500 reference solution
     return reference_tv_solve(pc16["f"], pc16["kernel"], mu=500.0)
 

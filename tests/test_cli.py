@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tvdeblur import cli, read_pgm
+import tvdeblur
+from tvdeblur import ExperimentConfig, cli, read_pgm
 from tvdeblur.errors import SingularSystem
 
 
@@ -96,3 +102,56 @@ def test_report_without_scores_returns_one(tmp_path):
 def test_phantom_rejects_tiny_size(tmp_path):
     rc = cli.main(["phantom", "--size", "2", "--out", str(tmp_path / "p.pgm")])
     assert rc == 1
+
+
+def test_deblur_defaults_are_the_config_defaults(monkeypatch):
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        raise SingularSystem("stop after parsing")
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    assert cli.main(["deblur", "--input-path", "gt.pgm", "--output-dir", "out"]) == 2
+    assert seen == [ExperimentConfig(input_path="gt.pgm", output_dir="out")]
+
+
+@pytest.mark.parametrize(
+    "extra, name",
+    [
+        (["--mu", "inf"], "mu"),
+        (["--beta-fixed", "inf"], "beta_fixed"),
+        (["--beta-schedule", "1,inf"], "beta_schedule"),
+        (["--mu", "500", "--sigma", "nan"], "sigma"),
+    ],
+)
+def test_deblur_rejects_non_finite_parameters(tmp_path, capsys, extra, name):
+    gt = tmp_path / "gt.pgm"
+    cli.main(["phantom", "--size", "16", "--out", str(gt)])
+    capsys.readouterr()
+    rc = cli.main(["deblur", "--input-path", str(gt), "--output-dir", str(tmp_path / "o")] + extra)
+    assert rc == 1
+    assert name in capsys.readouterr().err
+
+
+def test_deblur_divergence_exits_two(tmp_path, capsys):
+    gt = tmp_path / "gt.pgm"
+    cli.main(["phantom", "--size", "16", "--out", str(gt)])
+    with np.errstate(all="ignore"):
+        rc = cli.main(["deblur", "--input-path", str(gt), "--output-dir", str(tmp_path / "o"), "--mu", "1e308"])
+    assert rc == 2
+    assert "diverged" in capsys.readouterr().err
+
+
+def test_deblur_truncated_input_exits_one(tmp_path, capsys):
+    gt = tmp_path / "gt.pgm"
+    gt.write_bytes(b"P5\n16 16\n65535\n" + bytes(100))
+    rc = cli.main(["deblur", "--input-path", str(gt), "--output-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(tvdeblur.__file__).resolve().parents[1])}
+    code = "import sys, tvdeblur; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

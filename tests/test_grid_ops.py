@@ -3,16 +3,17 @@ import pytest
 
 from tvdeblur import (
     KernelSpec,
-    convolve_periodic,
-    dense_operator,
+    apply_kernel,
+    build_cache,
     divergence_adjoint,
     forward_diff,
     make_kernel,
     validate_image,
 )
-from tvdeblur.errors import BadSpec, KernelTooLarge
+from tvdeblur.errors import BadSpec
 
 from conftest import stack_field
+from oracle import convolve_periodic, dense_operator
 
 
 def naive_convolve(u, k):
@@ -80,7 +81,7 @@ def test_flux_one_kernels_preserve_constants():
     rng = np.random.default_rng(15)
     taps = rng.random((5, 5))
     taps /= taps.sum()
-    out = convolve_periodic(np.full((9, 9), 0.37), taps)
+    out = apply_kernel(build_cache(taps, 9), np.full((9, 9), 0.37))
     assert np.allclose(out, 0.37, atol=1e-12)
 
 
@@ -94,18 +95,13 @@ def test_convolve_matches_naive_double_loop():
 def test_operators_commute_with_cyclic_shifts():
     rng = np.random.default_rng(17)
     u = rng.standard_normal((12, 12))
-    k = make_kernel(KernelSpec.gaussian(5, 1.0))
+    cache = build_cache(make_kernel(KernelSpec.gaussian(5, 1.0)), 12)
     for shift in ((1, 0), (0, 3), (5, 7)):
         shifted = np.roll(u, shift, axis=(0, 1))
         assert np.abs(forward_diff(shifted) - np.roll(forward_diff(u), shift, axis=(0, 1))).max() <= 1e-12
         assert np.abs(
-            convolve_periodic(shifted, k) - np.roll(convolve_periodic(u, k), shift, axis=(0, 1))
+            apply_kernel(cache, shifted) - np.roll(apply_kernel(cache, u), shift, axis=(0, 1))
         ).max() <= 1e-12
-
-
-def test_convolve_rejects_oversized_kernel():
-    with pytest.raises(KernelTooLarge):
-        convolve_periodic(np.zeros((4, 4)), np.ones((5, 5)) / 25.0)
 
 
 def test_make_kernel_average_9():

@@ -6,7 +6,6 @@ import pytest
 from tvdeblur import (
     ExperimentConfig,
     KernelSpec,
-    convolve_periodic,
     degrade,
     make_kernel,
     make_phantom,
@@ -14,14 +13,21 @@ from tvdeblur import (
     run_experiment,
     write_pgm,
 )
+from tvdeblur.errors import BadSpec, KernelTooLarge
 from tvdeblur.harness import TRACE_HEADER
 
+from oracle import convolve_periodic, dense_operator
 
-def test_degrade_noiseless_delta_is_identity():
+
+def test_degrade_noiseless_matches_dense_blur():
+    # the spectral blur is exact up to FFT rounding (a few ulp), so even the
+    # delta kernel is checked to a tolerance rather than bit for bit
     rng = np.random.default_rng(91)
     u0 = rng.random((16, 16))
-    f = degrade(u0, make_kernel(KernelSpec.delta()), sigma=0.0, seed=5)
-    assert np.array_equal(f, u0)
+    for spec in (KernelSpec.delta(), KernelSpec.average(3), KernelSpec.gaussian(5, 1.2)):
+        kernel = make_kernel(spec)
+        f = degrade(u0, kernel, sigma=0.0, seed=5)
+        assert np.abs(f.ravel() - dense_operator("K", 16, kernel) @ u0.ravel()).max() <= 1e-14
 
 
 def test_degrade_noise_level_statistics():
@@ -45,8 +51,19 @@ def test_degrade_is_seed_deterministic():
 
 
 def test_degrade_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        degrade(np.zeros((4, 4)), np.ones((1, 1)), -0.1, seed=0)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            degrade(np.zeros((4, 4)), np.ones((1, 1)), sigma, seed=0)
+
+
+def test_degrade_rejects_bad_kernels():
+    u0 = np.zeros((4, 4))
+    with pytest.raises(KernelTooLarge):
+        degrade(u0, np.ones((5, 5)) / 25.0, 0.0, seed=0)
+    with pytest.raises(BadSpec):
+        degrade(u0, np.ones((2, 2)) / 4.0, 0.0, seed=0)
+    with pytest.raises(BadSpec):
+        degrade(u0, np.ones((1, 3)) / 3.0, 0.0, seed=0)
 
 
 @pytest.fixture()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from tvdeblur import KernelSpec, dense_operator, forward_diff, make_kernel, reference_tv_solve
-from tvdeblur.errors import NoConvergence, TooLarge
+from pathlib import Path
+
+from tvdeblur import KernelSpec, forward_diff, make_kernel
 
 from conftest import stack_field
+from oracle import NoConvergence, TooLarge, convolve_periodic, dense_operator, reference_tv_solve
 
 
 def test_dense_d_matrix_n2_pinned():
@@ -43,8 +45,6 @@ def test_dense_d_action_matches_forward_diff():
 
 
 def test_dense_k_action_matches_convolution():
-    from tvdeblur import convolve_periodic
-
     rng = np.random.default_rng(72)
     k = make_kernel(KernelSpec.gaussian(5, 1.3))
     kmat = dense_operator("K", 8, k)
@@ -95,7 +95,7 @@ def test_reference_solver_rejects_bad_args():
 def test_reference_solution_is_the_lowest_objective(pc16, pc16_oracle_mu500):
     # the minimizer's smoothed objective must undercut the objective at f
     # and at both solvers' outputs (up to smoothing bias)
-    from tvdeblur import SolverConfig, convolve_periodic, ftvd3_solve, ftvd4_solve
+    from tvdeblur import SolverConfig, ftvd3_solve, ftvd4_solve
 
     eps2 = 1e-12
     kernel, f = pc16["kernel"], pc16["f"]
@@ -112,3 +112,34 @@ def test_reference_solution_is_the_lowest_objective(pc16, pc16_oracle_mu500):
     u4 = ftvd4_solve(f, kernel, SolverConfig(mu=500.0, tol=1e-8, max_multiplier_updates=2000)).stage_records[-1].u
     assert ref_value <= smoothed_objective(u3) + 1e-6
     assert ref_value <= smoothed_objective(u4) + 1e-6
+
+
+def test_reference_solution_matches_descent_oracle(pc16_oracle_mu500):
+    # the same pc16 problem solved by the Barzilai-Borwein descent oracle
+    # that Newton replaced, on the f the spatial scipy blur produced
+    bb = np.loadtxt(Path(__file__).parent / "data" / "pc16_oracle_mu500_bb.txt")
+    assert np.abs(pc16_oracle_mu500 - bb).max() <= 1e-8
+
+
+def test_reference_solver_tolerates_one_ulp_input_change(pc16, pc16_oracle_mu500):
+    f = pc16["f"].copy()
+    f[3, 5] = np.nextafter(f[3, 5], np.inf)
+    moved = reference_tv_solve(f, pc16["kernel"], mu=500.0)
+    assert np.abs(moved - pc16_oracle_mu500).max() <= 1e-8
+
+
+@pytest.mark.parametrize("mu, tv_variant", [(2000.0, "iso"), (500.0, "aniso")])
+def test_reference_solver_converges_to_a_stationary_point(pc16, mu, tv_variant):
+    # at eps = 1e-6 the returned point's smoothed-objective gradient, computed
+    # here independently of the solver, is below the 1e-8 * n stop
+    kernel, f, n = pc16["kernel"], pc16["f"], pc16["n"]
+    u = reference_tv_solve(f, kernel, mu=mu, tv_variant=tv_variant)
+    g = forward_diff(u)
+    if tv_variant == "iso":
+        s = np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2 + 1e-12)[..., None]
+    else:
+        s = np.sqrt(g**2 + 1e-12)
+    rho = stack_field(g / s)
+    kt = kernel[::-1, ::-1]
+    grad = dense_operator("Dt", n) @ rho + mu * convolve_periodic(convolve_periodic(u, kernel) - f, kt).ravel()
+    assert np.linalg.norm(grad) < 1e-8 * n

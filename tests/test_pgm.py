@@ -50,6 +50,13 @@ def test_rejects_non_p5(tmp_path):
         read_pgm(path)
 
 
+def test_truncated_raster_names_file_and_byte_counts(tmp_path):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(b"P5\n4 4\n65535\n" + bytes(20))
+    with pytest.raises(ValueError, match=r"short\.pgm.*expected 32 bytes.*found 20"):
+        load_image(path)
+
+
 def test_load_image_png_via_pillow(tmp_path):
     PIL = pytest.importorskip("PIL.Image")
     rng = np.random.default_rng(82)

@@ -207,6 +207,16 @@ def test_config_validation():
         SolverConfig(mu=1.0, tv_variant="huber").validate()
     with pytest.raises(ValueError):
         SolverConfig(mu=1.0, beta_fixed=0.0).validate()
+    for bad in ({"mu": np.inf}, {"mu": np.nan}, {"beta_fixed": np.inf}, {"beta_schedule": (1.0, np.inf)}):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**{"mu": 1.0, **bad}).validate()
+
+
+@pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
+def test_divergence_raises_floating_point_error(pc16, solve):
+    # mu = 1e308 is finite, but mu * |K|^2 overflows and the u-step returns NaN
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="diverged"):
+        solve(pc16["f"], pc16["kernel"], SolverConfig(mu=1e308))
 
 
 def test_best_iterate_on_default_run(ftvd3_default_trace):

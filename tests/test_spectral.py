@@ -5,8 +5,6 @@ from tvdeblur import (
     KernelSpec,
     apply_kernel,
     build_cache,
-    convolve_periodic,
-    dense_operator,
     forward_diff,
     make_kernel,
     solve_u,
@@ -14,6 +12,7 @@ from tvdeblur import (
 from tvdeblur.errors import KernelTooLarge, SingularSystem
 
 from conftest import stack_field
+from oracle import convolve_periodic, dense_operator
 
 
 def quadratic_objective(u, f, w, lam, mu, beta, kernel):
