@@ -38,7 +38,7 @@ from .solvers import (
     ftvd4_solve,
     penalty_inner_loop,
 )
-from .spectral import SpectralCache, apply_kernel, build_cache, solve_u
+from .spectral import SpectralCache, USystem, apply_kernel, build_cache, prepare_u, solve_u
 
 __version__ = "0.1.0"
 
@@ -52,6 +52,8 @@ __all__ = [
     "SpectralCache",
     "build_cache",
     "apply_kernel",
+    "USystem",
+    "prepare_u",
     "solve_u",
     "shrink",
     "shrink_iso",

@@ -46,9 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_degrade = sub.add_parser("degrade", help="blur an image and add seeded Gaussian noise")
     p_degrade.add_argument("--input", required=True)
     p_degrade.add_argument("--out", required=True)
-    p_degrade.add_argument("--kernel", type=KernelSpec.from_string, default=KernelSpec.average(9))
-    p_degrade.add_argument("--sigma", type=float, default=0.01)
-    p_degrade.add_argument("--seed", type=int, default=0)
+    p_degrade.add_argument("--kernel", type=KernelSpec.from_string, default=ExperimentConfig.kernel)
+    p_degrade.add_argument("--sigma", type=float, default=ExperimentConfig.sigma)
+    p_degrade.add_argument("--seed", type=int, default=ExperimentConfig.seed)
 
     # Options left out of the command line are absent from the namespace, so
     # ExperimentConfig's field defaults are the only defaults.

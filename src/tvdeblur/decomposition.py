@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid_ops import DX, DY, forward_diff
+from .grid_ops import divergence_adjoint, forward_diff
+from .shrinkage import pixel_norms
 from .spectral import SpectralCache
 
 
@@ -21,25 +22,22 @@ def decompose(u: np.ndarray, w: np.ndarray, cache: SpectralCache) -> tuple[np.nd
 
     u1 is the zero-mean least-squares potential of w: the minimizer of
     sum_i ||D_i x - w_i||^2 over zero-mean images, obtained per frequency
-    as (conj(eigDx) wx + conj(eigDy) wy) / eigDtD with the zero frequency
-    pinned to 0.  u2 = u - u1 carries all of mean(u).
+    as FFT(D^T w) / eigDtD with the zero frequency pinned to 0.
+    u2 = u - u1 carries all of mean(u).
     """
-    wx_hat = np.fft.fft2(w[..., DX])
-    wy_hat = np.fft.fft2(w[..., DY])
-    numer = np.conj(cache.eig_dx) * wx_hat + np.conj(cache.eig_dy) * wy_hat
+    numer = np.fft.rfft2(divergence_adjoint(w))
     denom = cache.eig_dtd.copy()
     denom[0, 0] = 1.0  # zero frequency handled by convention below
     x_hat = numer / denom
     x_hat[0, 0] = 0.0
-    u1 = np.fft.ifft2(x_hat).real
+    u1 = np.fft.irfft2(x_hat, s=u.shape)
     u2 = u - u1
     return u1, u2
 
 
 def gradient_residual(w: np.ndarray, u1: np.ndarray) -> float:
     """max over pixels of ||w_i - D_i u1||_2: how far w is from a gradient field."""
-    diff = w - forward_diff(u1)
-    return float(np.hypot(diff[..., DX], diff[..., DY]).max())
+    return float(pixel_norms(w - forward_diff(u1)).max())
 
 
 def tikhonov_energy(u2: np.ndarray) -> float:

@@ -21,6 +21,15 @@ def _check_threshold(t: float) -> None:
         raise NonpositiveThreshold(f"shrinkage threshold must be > 0, got {t}")
 
 
+def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
+    """Per-pixel norm of an (n, n, 2) field: the 2-norm for 'iso', the 1-norm for 'aniso'."""
+    if tv_variant == "iso":
+        return np.hypot(g[..., 0], g[..., 1])
+    if tv_variant == "aniso":
+        return np.abs(g[..., 0]) + np.abs(g[..., 1])
+    raise ValueError(f"unknown tv_variant {tv_variant!r}")
+
+
 def shrink_iso(v: np.ndarray, t: float) -> np.ndarray:
     """Radial 2-vector shrinkage: scale each pixel vector toward zero by t.
 
@@ -28,7 +37,7 @@ def shrink_iso(v: np.ndarray, t: float) -> np.ndarray:
     ||v_i|| <= t (the 0/0 tie resolves to zero).
     """
     _check_threshold(t)
-    mag = np.hypot(v[..., 0], v[..., 1])
+    mag = pixel_norms(v)
     scale = np.zeros_like(mag)
     np.divide(np.maximum(mag - t, 0.0), mag, out=scale, where=mag > 0)
     return v * scale[..., None]

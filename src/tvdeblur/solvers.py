@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .decomposition import gradient_residual
 from .grid_ops import forward_diff, validate_image
 from .metrics import rel_change, snr_db
-from .shrinkage import shrink
+from .shrinkage import pixel_norms, shrink
 
 DEFAULT_BETA_SCHEDULE = tuple(2.0**k for k in range(11))
 
@@ -101,12 +100,6 @@ class IterateTrace:
         return [r for r in self.records if r.kind == "stage"]
 
 
-def _field_norms(g: np.ndarray, tv_variant: str) -> np.ndarray:
-    if tv_variant == "iso":
-        return np.hypot(g[..., 0], g[..., 1])
-    return np.abs(g[..., 0]) + np.abs(g[..., 1])
-
-
 def eval_tv_objective(
     u: np.ndarray,
     f: np.ndarray,
@@ -115,7 +108,7 @@ def eval_tv_objective(
     tv_variant: str = "iso",
 ) -> float:
     """TV/L2 objective: sum_i ||D_i u|| + mu/2 ||K u - f||^2."""
-    tv = float(_field_norms(forward_diff(u), tv_variant).sum())
+    tv = float(pixel_norms(forward_diff(u), tv_variant).sum())
     res = spectral.apply_kernel(cache, u) - f
     return tv + 0.5 * mu * float((res * res).sum())
 
@@ -131,7 +124,7 @@ def eval_penalty_objective(
 ) -> float:
     """Penalty objective: sum ||w_i|| + beta/2 sum ||w_i - D_i u||^2 + mu/2 ||Ku - f||^2."""
     diff = w - forward_diff(u)
-    value = float(_field_norms(w, tv_variant).sum())
+    value = float(pixel_norms(w, tv_variant).sum())
     value += 0.5 * beta * float((diff * diff).sum())
     res = spectral.apply_kernel(cache, u) - f
     return value + 0.5 * mu * float((res * res).sum())
@@ -140,6 +133,7 @@ def eval_penalty_objective(
 @dataclass
 class InnerLoopResult:
     u: np.ndarray
+    du: np.ndarray
     w: np.ndarray
     iterations: int
     converged: bool
@@ -158,31 +152,33 @@ def penalty_inner_loop(
 
     w <- shrink(D u, 1/beta), u <- quadratic solve, until the relative
     change of u drops below cfg.tol or cfg.max_inner_iters is reached.
-    ``recorder``, when given, is called as recorder(inner_iter, u, w, rc)
-    after every alternation.  Raises FloatingPointError when the relative
-    change is not finite (the iteration diverged).
+    The u-subproblem is prepared once for the whole loop.  ``recorder``,
+    when given, is called as recorder(inner_iter, u, du, w, rc) after every
+    alternation, with du = D u.  Raises FloatingPointError when the
+    relative change is not finite (the iteration diverged).
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    system = spectral.prepare_u(f, cfg.mu, beta, cache)
     u = init_u
+    du = forward_diff(u)
     w = None
     iterations = 0
     converged = False
     rc = np.inf
     for it in range(1, cfg.max_inner_iters + 1):
-        w = shrink(forward_diff(u), 1.0 / beta, cfg.tv_variant)
-        u_new = spectral.solve_u(f, w, None, cfg.mu, beta, cache)
+        w = shrink(du, 1.0 / beta, cfg.tv_variant)
+        u_new = spectral.solve_u(system, w)
         rc = rel_change(u_new, u)
         if not math.isfinite(rc):
             raise FloatingPointError(f"penalty loop diverged at beta {beta}, inner iteration {it}: relative change {rc}")
         u = u_new
+        du = forward_diff(u)
         iterations = it
         if recorder is not None:
-            recorder(it, u, w, rc)
+            recorder(it, u, du, w, rc)
         if rc < cfg.tol:
             converged = True
             break
-    return InnerLoopResult(u=u, w=w, iterations=iterations, converged=converged, last_rel_change=rc)
+    return InnerLoopResult(u=u, du=du, w=w, iterations=iterations, converged=converged, last_rel_change=rc)
 
 
 def _make_record(
@@ -191,6 +187,7 @@ def _make_record(
     inner_iter: int,
     beta: float,
     u: np.ndarray,
+    du: np.ndarray,
     w: np.ndarray,
     lam: np.ndarray | None,
     rc: float,
@@ -199,6 +196,16 @@ def _make_record(
     cfg: SolverConfig,
     ground_truth: np.ndarray | None,
 ) -> IterateRecord:
+    """Score one iterate in one pass.
+
+    K u - f, D u (passed in as ``du``) and w - D u are formed once and
+    shared by the three scores, which equal eval_tv_objective,
+    eval_penalty_objective and gradient_residual on this (u, w).
+    """
+    res = spectral.apply_kernel(cache, u) - f
+    fidelity = 0.5 * cfg.mu * float((res * res).sum())
+    gap = w - du
+    penalty = float(pixel_norms(w, cfg.tv_variant).sum()) + 0.5 * beta * float((gap * gap).sum())
     return IterateRecord(
         stage_index=stage_index,
         inner_iter=inner_iter,
@@ -207,9 +214,9 @@ def _make_record(
         w=w,
         lam=lam,
         snr_db=None if ground_truth is None else snr_db(u, ground_truth),
-        objective_tv=eval_tv_objective(u, f, cache, cfg.mu, cfg.tv_variant),
-        penalty_objective=eval_penalty_objective(u, w, f, cache, cfg.mu, beta, cfg.tv_variant),
-        constraint_residual=gradient_residual(w, u),
+        objective_tv=float(pixel_norms(du, cfg.tv_variant).sum()) + fidelity,
+        penalty_objective=penalty + fidelity,
+        constraint_residual=float(pixel_norms(gap).max()),
         rel_change=rc,
         kind=kind,
     )
@@ -238,9 +245,9 @@ def ftvd3_solve(
     for stage, beta in enumerate(cfg.beta_schedule):
         recorder = None
         if cfg.record_inner:
-            def recorder(it, u_it, w_it, rc_it, _stage=stage, _beta=beta):
+            def recorder(it, u_it, du_it, w_it, rc_it, _stage=stage, _beta=beta):
                 records.append(
-                    _make_record("inner", _stage, it, _beta, u_it, w_it, None, rc_it, f, cache, cfg, ground_truth)
+                    _make_record("inner", _stage, it, _beta, u_it, du_it, w_it, None, rc_it, f, cache, cfg, ground_truth)
                 )
         result = penalty_inner_loop(f, beta, u, cfg, cache, recorder)
         u = result.u
@@ -252,6 +259,7 @@ def ftvd3_solve(
                 result.iterations,
                 beta,
                 u,
+                result.du,
                 result.w,
                 None,
                 rel_change(u, prev_stage_u),
@@ -282,20 +290,23 @@ def ftvd4_solve(
     cfg.validate()
     beta = cfg.beta_fixed
     cache = spectral.build_cache(kernel, f.shape[0])
+    system = spectral.prepare_u(f, cfg.mu, beta, cache)
     records: list[IterateRecord] = []
     u = f
+    du = forward_diff(u)
     lam = np.zeros(f.shape + (2,), dtype=np.float64)
     converged = False
     for k in range(cfg.max_multiplier_updates):
-        w = shrink(forward_diff(u) + lam / beta, 1.0 / beta, cfg.tv_variant)
-        u_new = spectral.solve_u(f, w, lam, cfg.mu, beta, cache)
-        lam = lam - beta * (w - forward_diff(u_new))
+        w = shrink(du + lam / beta, 1.0 / beta, cfg.tv_variant)
+        u_new = spectral.solve_u(system, w, lam)
+        du = forward_diff(u_new)
+        lam = lam - beta * (w - du)
         rc = rel_change(u_new, u)
         if not math.isfinite(rc):
             raise FloatingPointError(f"ftvd4 diverged at cycle {k}: relative change {rc}")
         u = u_new
         records.append(
-            _make_record("stage", k, 1, beta, u, w, lam, rc, f, cache, cfg, ground_truth)
+            _make_record("stage", k, 1, beta, u, du, w, lam, rc, f, cache, cfg, ground_truth)
         )
         if rc < cfg.tol:
             converged = True

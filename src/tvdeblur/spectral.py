@@ -1,9 +1,12 @@
 """Frequency-domain diagonalization of the blur and difference operators.
 
 Under periodic boundaries both the convolution K and the forward differences
-Dx, Dy are circulant, so the 2-D DFT diagonalizes them.  The cache built here
-holds their per-frequency eigenvalues and powers the closed-form u-subproblem
-solve shared by both solvers.
+Dx, Dy are circulant, so the 2-D DFT diagonalizes them.  Images are real, so
+only the half spectrum of ``numpy.fft.rfft2`` is kept: every per-frequency
+array here has shape (n, n//2 + 1), and ``irfft2(..., s=(n, n))`` maps back
+(the ``s`` is needed for odd n).  The cache built here holds the
+eigenvalues; ``prepare_u`` and ``solve_u`` turn them into the closed-form
+u-subproblem solve shared by both solvers.
 """
 
 from __future__ import annotations
@@ -13,18 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelTooLarge, SingularSystem
-from .grid_ops import DX, DY
+from .grid_ops import divergence_adjoint
 
 SINGULAR_FLOOR = 1e-14
 
 
 def stencil_transfer(taps: np.ndarray, n: int) -> np.ndarray:
-    """Transfer function of a centre-anchored convolution stencil.
+    """Half-spectrum transfer function of a centre-anchored convolution stencil.
 
     Embeds the stencil into an n x n circulant: the tap at offset (a, b)
     from the anchor (the (h//2, w//2) entry) lands at index (a mod n,
-    b mod n), accumulating where offsets wrap onto each other.  The 2-D
-    DFT of that embedding diagonalizes the periodic convolution.
+    b mod n), accumulating where offsets wrap onto each other.  The real
+    2-D DFT of that embedding diagonalizes the periodic convolution.
     """
     taps = np.asarray(taps, dtype=np.float64)
     h, w = taps.shape
@@ -32,63 +35,62 @@ def stencil_transfer(taps: np.ndarray, n: int) -> np.ndarray:
     cols = (np.arange(w) - w // 2) % n
     pad = np.zeros((n, n), dtype=np.float64)
     np.add.at(pad, (rows[:, None], cols[None, :]), taps)
-    return np.fft.fft2(pad)
-
-
-# Forward differences as true-convolution stencils: dx(i,j) = u(i,j+1) - u(i,j)
-# puts tap +1 at column offset -1 and -1 at the anchor.
-_DX_STENCIL = np.array([[1.0, -1.0, 0.0]])
-_DY_STENCIL = _DX_STENCIL.T
+    return np.fft.rfft2(pad)
 
 
 @dataclass(frozen=True)
 class SpectralCache:
-    """Eigenvalues of K, Dx, Dy on an n x n periodic grid.
+    """Half-spectrum eigenvalues of K and of D^T D on an n x n periodic grid.
 
-    Valid only for the (n, kernel) pair it was built from.  Arrays are never
-    written after construction; the cache may be shared across threads.
+    ``eig_k`` and ``eig_dtd`` have shape (n, n//2 + 1).  Valid only for the
+    (n, kernel) pair it was built from.  Arrays are never written after
+    construction; the cache may be shared across threads.
     """
 
     n: int
     eig_k: np.ndarray
-    eig_dx: np.ndarray
-    eig_dy: np.ndarray
     eig_dtd: np.ndarray
 
 
 def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
-    """Diagonalize the kernel and the difference stencils on an n x n grid."""
+    """Diagonalize the kernel and D^T D on an n x n grid.
+
+    D^T D = Dx^T Dx + Dy^T Dy has eigenvalue 4 sin^2(pi p/n) + 4 sin^2(pi q/n)
+    at frequency (p, q).
+    """
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.shape[0] > n or kernel.shape[1] > n:
         raise KernelTooLarge(f"kernel {kernel.shape} exceeds grid side {n}")
-    eig_k = stencil_transfer(kernel, n)
-    eig_dx = stencil_transfer(_DX_STENCIL, n)
-    eig_dy = stencil_transfer(_DY_STENCIL, n)
-    eig_dtd = np.abs(eig_dx) ** 2 + np.abs(eig_dy) ** 2
-    return SpectralCache(n=n, eig_k=eig_k, eig_dx=eig_dx, eig_dy=eig_dy, eig_dtd=eig_dtd)
+    rows = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
+    cols = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+    return SpectralCache(n=n, eig_k=stencil_transfer(kernel, n), eig_dtd=rows[:, None] + cols[None, :])
 
 
 def apply_kernel(cache: SpectralCache, u: np.ndarray) -> np.ndarray:
     """Apply the blur K through the cache (spectral multiplication)."""
-    return np.fft.ifft2(cache.eig_k * np.fft.fft2(u)).real
+    return np.fft.irfft2(cache.eig_k * np.fft.rfft2(u), s=u.shape)
 
 
-def solve_u(
-    f: np.ndarray,
-    w: np.ndarray,
-    lam: np.ndarray | None,
-    mu: float,
-    beta: float,
-    cache: SpectralCache,
-) -> np.ndarray:
-    """Exact minimizer of the quadratic u-subproblem.
+@dataclass(frozen=True)
+class USystem:
+    """The u-subproblem at one (f, mu, beta), ready for repeated solves.
 
-    Solves (mu K^T K + beta D^T D) u = mu K^T f + D^T (beta w - lam) by
-    per-frequency division.  ``lam`` may be None for the penalty solver,
-    which carries no multipliers.
+    Holds what does not change between iterations at fixed beta: the data
+    term mu conj(K^) f^ of the right-hand side and the per-frequency
+    denominator mu |K^|^2 + beta |D^|^2.  Build it with ``prepare_u``.
+    """
 
-    Raises SingularSystem if the per-frequency denominator falls below
-    1e-14 anywhere (possible only for zero-flux kernels).
+    beta: float
+    data_hat: np.ndarray
+    denom: np.ndarray
+
+
+def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> USystem:
+    """Set up the u-subproblem (mu K^T K + beta D^T D) u = mu K^T f + ... .
+
+    Raises ValueError unless mu and beta are positive, and SingularSystem if
+    the per-frequency denominator falls below 1e-14 anywhere (possible only
+    for zero-flux kernels).
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -100,15 +102,20 @@ def solve_u(
             f"frequency-domain denominator reaches {denom.min():.3e}; "
             "the kernel has (near-)zero flux"
         )
-    if lam is None:
-        rx = beta * w[..., DX]
-        ry = beta * w[..., DY]
-    else:
-        rx = beta * w[..., DX] - lam[..., DX]
-        ry = beta * w[..., DY] - lam[..., DY]
-    rhs_hat = (
-        mu * np.conj(cache.eig_k) * np.fft.fft2(f)
-        + np.conj(cache.eig_dx) * np.fft.fft2(rx)
-        + np.conj(cache.eig_dy) * np.fft.fft2(ry)
-    )
-    return np.fft.ifft2(rhs_hat / denom).real
+    data_hat = mu * np.conj(cache.eig_k) * np.fft.rfft2(f)
+    return USystem(beta=beta, data_hat=data_hat, denom=denom)
+
+
+def solve_u(system: USystem, w: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
+    """Exact minimizer of the quadratic u-subproblem.
+
+    Solves (mu K^T K + beta D^T D) u = mu K^T f + D^T (beta w - lam) by
+    per-frequency division, with D^T applied in space.  ``lam`` may be None
+    for the penalty solver, which carries no multipliers.
+    """
+    field = system.beta * w if lam is None else system.beta * w - lam
+    rhs_hat = np.fft.rfft2(divergence_adjoint(field))
+    rhs_hat += system.data_hat
+    rhs_hat /= system.denom
+    n = system.denom.shape[0]
+    return np.fft.irfft2(rhs_hat, s=(n, n))

@@ -25,6 +25,7 @@ from tvdeblur import (
     make_kernel,
     make_phantom,
     penalty_inner_loop,
+    prepare_u,
     run_experiment,
     shrink_aniso,
     shrink_iso,
@@ -101,7 +102,7 @@ def test_c03_u_subproblem_exactness():
             f = rng.standard_normal((n, n))
             w = rng.standard_normal((n, n, 2))
             lam = rng.standard_normal((n, n, 2))
-            u = solve_u(f, w, lam, mu, beta, cache)
+            u = solve_u(prepare_u(f, mu, beta, cache), w, lam)
             a = mu * kmat.T @ kmat + beta * dmat.T @ dmat
             rhs = mu * kmat.T @ f.ravel() + dmat.T @ (beta * stack_field(w) - stack_field(lam))
             u_dense = np.linalg.solve(a, rhs)
@@ -149,7 +150,7 @@ def test_c05_penalty_descent():
             cfg = SolverConfig(mu=mu, tol=1e-10, max_inner_iters=150)
             values = []
 
-            def recorder(it, u, w, rc):
+            def recorder(it, u, du, w, rc):
                 values.append(eval_penalty_objective(u, w, f, cache, mu, beta))
 
             penalty_inner_loop(f, beta, f, cfg, cache, recorder)

@@ -116,6 +116,19 @@ def test_deblur_defaults_are_the_config_defaults(monkeypatch):
     assert seen == [ExperimentConfig(input_path="gt.pgm", output_dir="out")]
 
 
+def test_degrade_defaults_are_the_deblur_defaults(monkeypatch):
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        raise SingularSystem("stop after parsing")
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    cli.main(["deblur", "--input-path", "gt.pgm", "--output-dir", "out"])
+    args = cli.build_parser().parse_args(["degrade", "--input", "gt.pgm", "--out", "f.pgm"])
+    assert (args.kernel, args.sigma, args.seed) == (seen[0].kernel, seen[0].sigma, seen[0].seed)
+
+
 @pytest.mark.parametrize(
     "extra, name",
     [

@@ -11,6 +11,7 @@ from tvdeblur import (
     eval_tv_objective,
     ftvd3_solve,
     ftvd4_solve,
+    gradient_residual,
     make_kernel,
     penalty_inner_loop,
 )
@@ -42,7 +43,7 @@ def test_penalty_objective_nonincreasing():
     cfg = SolverConfig(mu=mu, tol=1e-8, max_inner_iters=200)
     values = []
 
-    def recorder(it, u, w, rc):
+    def recorder(it, u, du, w, rc):
         values.append(eval_penalty_objective(u, w, f, cache, mu, beta))
 
     penalty_inner_loop(f, beta, f, cfg, cache, recorder)
@@ -161,6 +162,23 @@ def test_record_inner_keeps_stage_records(pc16):
     stage_indices = [r.stage_index for r in trace.records]
     assert stage_indices == sorted(stage_indices)
     assert len(trace.records) > len(trace.stage_records)
+
+
+@pytest.mark.parametrize("tv_variant", ["iso", "aniso"])
+def test_record_scores_equal_the_reference_definitions(pc16, tv_variant):
+    f, kernel, mu = pc16["f"], pc16["kernel"], 500.0
+    cache = build_cache(kernel, pc16["n"])
+    tr3 = ftvd3_solve(f, kernel, SolverConfig(mu=mu, tv_variant=tv_variant, record_inner=True))
+    tr4 = ftvd4_solve(f, kernel, SolverConfig(mu=mu, tv_variant=tv_variant))
+    assert len(tr3.records) > len(tr3.stage_records)
+    for r in tr3.records + tr4.records:
+        expected = (
+            eval_tv_objective(r.u, f, cache, mu, tv_variant),
+            eval_penalty_objective(r.u, r.w, f, cache, mu, r.beta, tv_variant),
+            gradient_residual(r.w, r.u),
+        )
+        for got, want in zip((r.objective_tv, r.penalty_objective, r.constraint_residual), expected):
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_eval_tv_objective_values(pc16):

@@ -7,6 +7,7 @@ from tvdeblur import (
     build_cache,
     forward_diff,
     make_kernel,
+    prepare_u,
     solve_u,
 )
 from tvdeblur.errors import KernelTooLarge, SingularSystem
@@ -44,8 +45,9 @@ def test_difference_eigenvalues_closed_form():
     cache = build_cache(make_kernel(KernelSpec.delta()), n)
     assert cache.eig_dtd[0, 0] == 0.0
     assert abs(cache.eig_dtd[n // 2, n // 2] - 8.0) < 1e-12
-    p, q = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    p, q = np.meshgrid(np.arange(n), np.arange(n // 2 + 1), indexing="ij")
     closed = 4 * np.sin(np.pi * p / n) ** 2 + 4 * np.sin(np.pi * q / n) ** 2
+    assert cache.eig_dtd.shape == (n, n // 2 + 1)
     assert np.abs(cache.eig_dtd - closed).max() < 1e-12
 
 
@@ -69,7 +71,7 @@ def test_solve_u_recovers_consistent_data():
     cache = build_cache(k, n)
     f = convolve_periodic(u_star, k)
     w = forward_diff(u_star)
-    u = solve_u(f, w, None, 3.0, 7.0, cache)
+    u = solve_u(prepare_u(f, 3.0, 7.0, cache), w)
     assert np.linalg.norm(u - u_star) / np.linalg.norm(u_star) < 1e-8
 
 
@@ -86,7 +88,7 @@ def test_solve_u_matches_dense_solve():
         f = rng.standard_normal((n, n))
         w = rng.standard_normal((n, n, 2))
         lam = rng.standard_normal((n, n, 2))
-        u = solve_u(f, w, lam, mu, beta, cache)
+        u = solve_u(prepare_u(f, mu, beta, cache), w, lam)
         a = mu * kmat.T @ kmat + beta * dmat.T @ dmat
         rhs = mu * kmat.T @ f.ravel() + dmat.T @ (beta * stack_field(w) - stack_field(lam))
         u_dense = np.linalg.solve(a, rhs)
@@ -99,7 +101,7 @@ def test_solve_u_identity_kernel_special_case():
     n = 8
     cache = build_cache(make_kernel(KernelSpec.delta()), n)
     f = rng.standard_normal((n, n))
-    u = solve_u(f, np.zeros((n, n, 2)), None, 1.0, 1.0, cache)
+    u = solve_u(prepare_u(f, 1.0, 1.0, cache), np.zeros((n, n, 2)))
     dmat = dense_operator("D", n)
     u_dense = np.linalg.solve(np.eye(n * n) + dmat.T @ dmat, f.ravel())
     assert np.linalg.norm(u.ravel() - u_dense) / np.linalg.norm(u_dense) < 1e-8
@@ -114,7 +116,7 @@ def test_solve_u_normal_equation_residual():
     f = rng.random((n, n))
     w = rng.standard_normal((n, n, 2))
     lam = rng.standard_normal((n, n, 2))
-    u = solve_u(f, w, lam, mu, beta, cache)
+    u = solve_u(prepare_u(f, mu, beta, cache), w, lam)
     # apply (mu K^T K + beta D^T D) through the spatial operators
     from tvdeblur import divergence_adjoint
 
@@ -133,7 +135,7 @@ def test_solve_u_output_is_the_minimizer():
     f = rng.random((n, n))
     w = rng.standard_normal((n, n, 2))
     lam = rng.standard_normal((n, n, 2))
-    u = solve_u(f, w, lam, mu, beta, cache)
+    u = solve_u(prepare_u(f, mu, beta, cache), w, lam)
     base = quadratic_objective(u, f, w, lam, mu, beta, k)
     wins = 0
     for _ in range(100):
@@ -149,7 +151,7 @@ def test_solve_u_mean_consistency():
     n = 16
     cache = build_cache(make_kernel(KernelSpec.average(5)), n)
     f = rng.random((n, n))
-    u = solve_u(f, rng.standard_normal((n, n, 2)), rng.standard_normal((n, n, 2)), 9.0, 4.0, cache)
+    u = solve_u(prepare_u(f, 9.0, 4.0, cache), rng.standard_normal((n, n, 2)), rng.standard_normal((n, n, 2)))
     assert abs(u.mean() - f.mean()) < 1e-10
 
 
@@ -158,14 +160,13 @@ def test_solve_u_singular_for_zero_flux_kernel():
     taps[1, 0], taps[1, 1] = 1.0, -1.0  # flux 0
     cache = build_cache(taps, 8)
     with pytest.raises(SingularSystem):
-        solve_u(np.zeros((8, 8)), np.zeros((8, 8, 2)), None, 1.0, 1.0, cache)
+        prepare_u(np.zeros((8, 8)), 1.0, 1.0, cache)
 
 
 def test_solve_u_rejects_nonpositive_weights():
     cache = build_cache(make_kernel(KernelSpec.delta()), 4)
     z = np.zeros((4, 4))
-    zf = np.zeros((4, 4, 2))
     with pytest.raises(ValueError):
-        solve_u(z, zf, None, 0.0, 1.0, cache)
+        prepare_u(z, 0.0, 1.0, cache)
     with pytest.raises(ValueError):
-        solve_u(z, zf, None, 1.0, -2.0, cache)
+        prepare_u(z, 1.0, -2.0, cache)
