@@ -48,10 +48,15 @@ def forward_diff(u: np.ndarray) -> np.ndarray:
     dy(i, j) = u((i+1) mod n, j) - u(i, j)
 
     Returns an (n, n, 2) gradient field; [..., 0] is dx, [..., 1] is dy.
+    Each plane is written in place: the interior, then the wrap column/row.
     """
     g = np.empty(u.shape + (2,), dtype=np.float64)
-    g[..., DX] = np.roll(u, -1, axis=1) - u
-    g[..., DY] = np.roll(u, -1, axis=0) - u
+    dx = g[..., DX]
+    dy = g[..., DY]
+    np.subtract(u[:, 1:], u[:, :-1], out=dx[:, :-1])
+    np.subtract(u[:, :1], u[:, -1:], out=dx[:, -1:])
+    np.subtract(u[1:], u[:-1], out=dy[:-1])
+    np.subtract(u[:1], u[-1:], out=dy[-1:])
     return g
 
 
@@ -59,11 +64,20 @@ def divergence_adjoint(g: np.ndarray) -> np.ndarray:
     """Exact adjoint D^T of ``forward_diff``.
 
     Satisfies <forward_diff(u), g> == <u, divergence_adjoint(g)> for all
-    u, g (this is the negative discrete divergence of the field).
+    u, g (this is the negative discrete divergence of the field):
+
+        (gx(i, j-1) - gx(i, j)) + (gy(i-1, j) - gy(i, j)), indices mod n.
     """
     gx = g[..., DX]
     gy = g[..., DY]
-    return (np.roll(gx, 1, axis=1) - gx) + (np.roll(gy, 1, axis=0) - gy)
+    out = np.empty(gx.shape, dtype=np.float64)
+    np.subtract(gx[:, :-1], gx[:, 1:], out=out[:, 1:])
+    np.subtract(gx[:, -1:], gx[:, :1], out=out[:, :1])
+    ydiff = np.empty_like(out)
+    np.subtract(gy[:-1], gy[1:], out=ydiff[1:])
+    np.subtract(gy[-1:], gy[:1], out=ydiff[:1])
+    out += ydiff
+    return out
 
 
 @dataclass(frozen=True)

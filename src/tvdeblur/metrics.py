@@ -2,11 +2,37 @@
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
+
 import numpy as np
 
 from .errors import DegenerateReference, MissingScores
 
 SNR_CAP_DB = 300.0
+
+
+def snr_scorer(reference: np.ndarray) -> Callable[[np.ndarray], float]:
+    """Return ``u -> snr_db(u, reference)`` with the reference's energy computed once.
+
+    A solve scores every record against the same ground truth, so the
+    centred reference and its energy are formed here, not per record.
+    Raises DegenerateReference for a constant reference.
+    """
+    reference = np.asarray(reference, dtype=np.float64)
+    signal = reference - reference.mean()
+    signal_energy = float((signal * signal).sum())
+    if signal_energy == 0.0:
+        raise DegenerateReference("reference image is constant")
+
+    def score(u: np.ndarray) -> float:
+        err = np.asarray(u, dtype=np.float64) - reference
+        err_energy = float((err * err).sum())
+        if err_energy == 0.0:
+            return SNR_CAP_DB
+        return min(10.0 * np.log10(signal_energy / err_energy), SNR_CAP_DB)
+
+    return score
 
 
 def snr_db(u: np.ndarray, reference: np.ndarray) -> float:
@@ -15,23 +41,18 @@ def snr_db(u: np.ndarray, reference: np.ndarray) -> float:
     10*log10(||reference - mean(reference)||^2 / ||u - reference||^2),
     capped at 300 dB; exact equality returns the 300 dB sentinel.
     """
-    reference = np.asarray(reference, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    signal = reference - reference.mean()
-    signal_energy = float((signal * signal).sum())
-    if signal_energy == 0.0:
-        raise DegenerateReference("reference image is constant")
-    err = u - reference
-    err_energy = float((err * err).sum())
-    if err_energy == 0.0:
-        return SNR_CAP_DB
-    return min(10.0 * np.log10(signal_energy / err_energy), SNR_CAP_DB)
+    return snr_scorer(reference)(u)
 
 
 def rel_change(u_new: np.ndarray, u_old: np.ndarray) -> float:
-    """||u_new - u_old||_2 / max(||u_old||_2, 1e-12)."""
+    """||u_new - u_old||_2 / max(||u_old||_2, 1e-12).
+
+    NaN when ||u_old|| overflows: the ratio would read 0 and mean nothing.
+    """
     num = float(np.linalg.norm(u_new - u_old))
     den = max(float(np.linalg.norm(u_old)), 1e-12)
+    if not math.isfinite(den):
+        return math.nan
     return num / den
 
 

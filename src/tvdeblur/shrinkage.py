@@ -22,9 +22,18 @@ def _check_threshold(t: float) -> None:
 
 
 def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
-    """Per-pixel norm of an (n, n, 2) field: the 2-norm for 'iso', the 1-norm for 'aniso'."""
+    """Per-pixel norm of an (n, n, 2) field: the 2-norm for 'iso', the 1-norm for 'aniso'.
+
+    The 2-norm is sqrt(dx*dx + dy*dy), formed in one buffer.  It agrees with
+    np.hypot to about one ulp and is several times cheaper, but overflows to
+    inf once a pixel's norm passes about 1.3e154.
+    """
     if tv_variant == "iso":
-        return np.hypot(g[..., 0], g[..., 1])
+        dx = g[..., 0]
+        dy = g[..., 1]
+        out = np.multiply(dx, dx)
+        out += dy * dy
+        return np.sqrt(out, out=out)
     if tv_variant == "aniso":
         return np.abs(g[..., 0]) + np.abs(g[..., 1])
     raise ValueError(f"unknown tv_variant {tv_variant!r}")
@@ -33,20 +42,28 @@ def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
 def shrink_iso(v: np.ndarray, t: float) -> np.ndarray:
     """Radial 2-vector shrinkage: scale each pixel vector toward zero by t.
 
-    out_i = max(||v_i|| - t, 0) * v_i / ||v_i||, with out_i = 0 whenever
-    ||v_i|| <= t (the 0/0 tie resolves to zero).
+    out_i = v_i * max(||v_i|| - t, 0) / max(||v_i||, t): the usual radial
+    factor where ||v_i|| > t, and exactly 0 where ||v_i|| <= t (t > 0, so
+    the 0/0 tie never arises).  A NaN pixel stays NaN.
     """
     _check_threshold(t)
-    mag = pixel_norms(v)
-    scale = np.zeros_like(mag)
-    np.divide(np.maximum(mag - t, 0.0), mag, out=scale, where=mag > 0)
+    scale = pixel_norms(v)
+    denom = np.maximum(scale, t)
+    scale -= t
+    np.maximum(scale, 0.0, out=scale)
+    scale /= denom
     return v * scale[..., None]
 
 
 def shrink_aniso(v: np.ndarray, t: float) -> np.ndarray:
-    """Componentwise soft threshold: sign(c) * max(|c| - t, 0) on dx and dy."""
+    """Componentwise soft threshold: sign(c) * max(|c| - t, 0) on dx and dy.
+
+    Computed as c - clip(c, -t, t), which has the same values (a component
+    at or below the threshold becomes +0.0).
+    """
     _check_threshold(t)
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    out = np.clip(v, -t, t)
+    return np.subtract(v, out, out=out)
 
 
 def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> np.ndarray:

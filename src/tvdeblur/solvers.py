@@ -20,13 +20,14 @@ TV limit.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
 from .grid_ops import forward_diff, validate_image
-from .metrics import rel_change, snr_db
+from .metrics import rel_change, snr_scorer
 from .shrinkage import pixel_norms, shrink
 
 DEFAULT_BETA_SCHEDULE = tuple(2.0**k for k in range(11))
@@ -189,36 +190,40 @@ def _make_record(
     u: np.ndarray,
     du: np.ndarray,
     w: np.ndarray,
+    gap: np.ndarray,
     lam: np.ndarray | None,
     rc: float,
     f: np.ndarray,
     cache: spectral.SpectralCache,
     cfg: SolverConfig,
-    ground_truth: np.ndarray | None,
+    snr: Callable[[np.ndarray], float] | None,
 ) -> IterateRecord:
     """Score one iterate in one pass.
 
-    K u - f, D u (passed in as ``du``) and w - D u are formed once and
-    shared by the three scores, which equal eval_tv_objective,
-    eval_penalty_objective and gradient_residual on this (u, w).
+    K u - f is formed once and shared, with D u and gap = w - D u (passed
+    in), by the three scores, which equal eval_tv_objective,
+    eval_penalty_objective and gradient_residual on this (u, w).  ``snr``
+    is a ``metrics.snr_scorer`` or None.  Raises FloatingPointError when a
+    score is not finite.
     """
     res = spectral.apply_kernel(cache, u) - f
     fidelity = 0.5 * cfg.mu * float((res * res).sum())
-    gap = w - du
     penalty = float(pixel_norms(w, cfg.tv_variant).sum()) + 0.5 * beta * float((gap * gap).sum())
+    scores = {
+        "snr_db": None if snr is None else snr(u),
+        "objective_tv": float(pixel_norms(du, cfg.tv_variant).sum()) + fidelity,
+        "penalty_objective": penalty + fidelity,
+        "constraint_residual": float(pixel_norms(gap).max()),
+        "rel_change": rc,
+    }
+    bad = [f"{name} {value}" for name, value in scores.items() if value is not None and not math.isfinite(value)]
+    if bad:
+        raise FloatingPointError(
+            f"non-finite scores at stage {stage_index}, inner iteration {inner_iter} ({', '.join(bad)}): "
+            "the solve diverged or overflowed"
+        )
     return IterateRecord(
-        stage_index=stage_index,
-        inner_iter=inner_iter,
-        beta=beta,
-        u=u,
-        w=w,
-        lam=lam,
-        snr_db=None if ground_truth is None else snr_db(u, ground_truth),
-        objective_tv=float(pixel_norms(du, cfg.tv_variant).sum()) + fidelity,
-        penalty_objective=penalty + fidelity,
-        constraint_residual=float(pixel_norms(gap).max()),
-        rel_change=rc,
-        kind=kind,
+        stage_index=stage_index, inner_iter=inner_iter, beta=beta, u=u, w=w, lam=lam, kind=kind, **scores
     )
 
 
@@ -238,6 +243,7 @@ def ftvd3_solve(
     f = validate_image(f)
     cfg.validate()
     cache = spectral.build_cache(kernel, f.shape[0])
+    snr = None if ground_truth is None else snr_scorer(ground_truth)
     records: list[IterateRecord] = []
     u = f
     prev_stage_u = f
@@ -247,7 +253,9 @@ def ftvd3_solve(
         if cfg.record_inner:
             def recorder(it, u_it, du_it, w_it, rc_it, _stage=stage, _beta=beta):
                 records.append(
-                    _make_record("inner", _stage, it, _beta, u_it, du_it, w_it, None, rc_it, f, cache, cfg, ground_truth)
+                    _make_record(
+                        "inner", _stage, it, _beta, u_it, du_it, w_it, w_it - du_it, None, rc_it, f, cache, cfg, snr
+                    )
                 )
         result = penalty_inner_loop(f, beta, u, cfg, cache, recorder)
         u = result.u
@@ -261,12 +269,13 @@ def ftvd3_solve(
                 u,
                 result.du,
                 result.w,
+                result.w - result.du,
                 None,
                 rel_change(u, prev_stage_u),
                 f,
                 cache,
                 cfg,
-                ground_truth,
+                snr,
             )
         )
         prev_stage_u = u
@@ -291,6 +300,7 @@ def ftvd4_solve(
     beta = cfg.beta_fixed
     cache = spectral.build_cache(kernel, f.shape[0])
     system = spectral.prepare_u(f, cfg.mu, beta, cache)
+    snr = None if ground_truth is None else snr_scorer(ground_truth)
     records: list[IterateRecord] = []
     u = f
     du = forward_diff(u)
@@ -300,14 +310,13 @@ def ftvd4_solve(
         w = shrink(du + lam / beta, 1.0 / beta, cfg.tv_variant)
         u_new = spectral.solve_u(system, w, lam)
         du = forward_diff(u_new)
-        lam = lam - beta * (w - du)
+        gap = w - du
+        lam = lam - beta * gap
         rc = rel_change(u_new, u)
         if not math.isfinite(rc):
             raise FloatingPointError(f"ftvd4 diverged at cycle {k}: relative change {rc}")
         u = u_new
-        records.append(
-            _make_record("stage", k, 1, beta, u, du, w, lam, rc, f, cache, cfg, ground_truth)
-        )
+        records.append(_make_record("stage", k, 1, beta, u, du, w, gap, lam, rc, f, cache, cfg, snr))
         if rc < cfg.tol:
             converged = True
             break

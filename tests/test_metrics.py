@@ -62,6 +62,13 @@ def test_rel_change_values():
     assert rel_change(v, z) == np.linalg.norm(v) / 1e-12
 
 
+def test_rel_change_is_nan_when_the_norm_overflows():
+    # ||u_old||^2 overflows, so num / inf would read 0.0 and stop a solve as converged
+    big = np.full((4, 4), 1e160)
+    with np.errstate(over="ignore"):
+        assert np.isnan(rel_change(1.5 * big, big))
+
+
 def _fake_trace(snrs, objectives=None):
     n = 2
     records = []

@@ -13,7 +13,9 @@ from tvdeblur import (
     ftvd4_solve,
     gradient_residual,
     make_kernel,
+    make_phantom,
     penalty_inner_loop,
+    snr_db,
 )
 
 
@@ -181,6 +183,15 @@ def test_record_scores_equal_the_reference_definitions(pc16, tv_variant):
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
+def test_record_snr_equals_snr_db(pc16, solve):
+    # the solve centres the ground truth once; every record must still equal snr_db bit for bit
+    trace = solve(pc16["f"], pc16["kernel"], SolverConfig(mu=500.0, record_inner=True), ground_truth=pc16["u0"])
+    assert len(trace.records) > 5
+    for r in trace.records:
+        assert r.snr_db == snr_db(r.u, pc16["u0"])
+
+
 def test_eval_tv_objective_values(pc16):
     n = 8
     kernel = make_kernel(KernelSpec.average(3))
@@ -235,6 +246,37 @@ def test_divergence_raises_floating_point_error(pc16, solve):
     # mu = 1e308 is finite, but mu * |K|^2 overflows and the u-step returns NaN
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="diverged"):
         solve(pc16["f"], pc16["kernel"], SolverConfig(mu=1e308))
+
+
+def phantom32_average3():
+    u0 = make_phantom(32)
+    kernel = make_kernel(KernelSpec.average(3))
+    return u0, kernel, degrade(u0, kernel, 0.01, seed=0)
+
+
+@pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
+@pytest.mark.parametrize("scale", [1e153, 1.3e154])
+def test_overflowing_scores_raise_floating_point_error(solve, scale):
+    # at n = 32 an input this large overflows ||u|| in rel_change; near 1.3e154 the
+    # per-pixel sqrt(dx^2 + dy^2) overflows too.  Neither may end as "converged".
+    u0, kernel, f = phantom32_average3()
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="nan"):
+        solve(scale * f, kernel, SolverConfig(mu=500.0), ground_truth=scale * u0)
+
+
+@pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
+def test_large_finite_input_keeps_finite_scores(solve):
+    # one decade below the overflow every norm is finite and the solve completes
+    u0, kernel, f = phantom32_average3()
+    trace = solve(1e152 * f, kernel, SolverConfig(mu=500.0, max_multiplier_updates=5), ground_truth=1e152 * u0)
+    assert all(np.isfinite([r.snr_db, r.objective_tv, r.rel_change]).all() for r in trace.records)
+
+
+@pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
+def test_non_finite_snr_raises_floating_point_error(pc16, solve):
+    # the iterates stay finite, but the ground truth's energy overflows: the record check catches it
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="snr_db nan"):
+        solve(pc16["f"], pc16["kernel"], SolverConfig(mu=500.0), ground_truth=1e155 * pc16["u0"])
 
 
 def test_best_iterate_on_default_run(ftvd3_default_trace):
