@@ -1,15 +1,15 @@
-"""TV/L2 image deconvolution with full iterate recording.
+"""TV/L2 image deconvolution with every stage recorded and scored.
 
 Two solvers for the total-variation deblurring model (quadratic-penalty
 continuation and fixed-beta augmented-Lagrangian alternating direction),
 built on FFT-diagonalized periodic operators and closed-form shrinkage.
-Every intermediate solution is recorded, scored, and decomposable into a
-piecewise-constant plus smooth part, so the best mixed-regularization
-iterate can be selected instead of the pure-TV limit.
+Every intermediate solution is scored when it is recorded and can be
+decomposed into a piecewise-constant plus smooth part, so the best
+mixed-regularization iterate can be selected instead of the pure-TV limit.
 """
 
 from . import errors
-from .decomposition import decompose, gradient_residual, tikhonov_energy
+from .decomposition import decompose, gradient_residual
 from .grid_ops import (
     KernelSpec,
     divergence_adjoint,
@@ -32,11 +32,8 @@ from .solvers import (
     IterateRecord,
     IterateTrace,
     SolverConfig,
-    eval_penalty_objective,
-    eval_tv_objective,
     ftvd3_solve,
     ftvd4_solve,
-    penalty_inner_loop,
 )
 from .spectral import SpectralCache, USystem, apply_kernel, build_cache, prepare_u, solve_u
 
@@ -61,14 +58,10 @@ __all__ = [
     "SolverConfig",
     "IterateRecord",
     "IterateTrace",
-    "penalty_inner_loop",
     "ftvd3_solve",
     "ftvd4_solve",
-    "eval_tv_objective",
-    "eval_penalty_objective",
     "decompose",
     "gradient_residual",
-    "tikhonov_energy",
     "snr_db",
     "rel_change",
     "best_iterate",

@@ -13,6 +13,7 @@ from pathlib import Path
 from .errors import SingularSystem, TVDeblurError
 from .grid_ops import KernelSpec, make_kernel, validate_image
 from .harness import ExperimentConfig, degrade, run_experiment
+from .metrics import best_index
 from .pgm import load_image, write_pgm
 from .phantom import make_phantom
 
@@ -104,7 +105,7 @@ def _cmd_report(args) -> int:
         print("trace carries no snr scores", file=sys.stderr)
         return 1
     snrs = [float(row["snr_db"]) for row in rows]
-    best = max(range(len(snrs)), key=lambda i: (snrs[i], -i))
+    best = best_index(snrs)
     final = len(rows) - 1
     print(f"records with snr: {len(rows)}")
     print(f"best record: stage {rows[best]['stage_index']} snr {snrs[best]:.4f} dB")

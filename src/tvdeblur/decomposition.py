@@ -39,8 +39,3 @@ def gradient_residual(w: np.ndarray, u1: np.ndarray) -> float:
     """max over pixels of ||w_i - D_i u1||_2: how far w is from a gradient field."""
     return float(pixel_norms(w - forward_diff(u1)).max())
 
-
-def tikhonov_energy(u2: np.ndarray) -> float:
-    """sum_i ||D_i u2||_2^2; zero exactly for constant images."""
-    g = forward_diff(u2)
-    return float((g * g).sum())

@@ -2,10 +2,9 @@
 
 Reproduces the standard evaluation protocol at configurable scale: blur a
 [0, 1] grey-scale image with a flux-preserving kernel, add seeded Gaussian
-noise, run one of the two solvers with full iterate recording, then write
-the SNR/objective trace as CSV, the best and final reconstructions (plus
-their piecewise-constant/smooth splits) as 16-bit PGM, and a plain-text
-summary.
+noise, run one of the two solvers, scoring every stage, then write the
+SNR/objective trace as CSV, the best and final reconstructions (plus their
+piecewise-constant/smooth splits) as 16-bit PGM, and a plain-text summary.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .errors import BadSpec
 from .grid_ops import KernelSpec, make_kernel, validate_image
 from .metrics import best_iterate
 from .pgm import load_image, write_pgm
-from .solvers import DEFAULT_BETA_SCHEDULE, IterateTrace, SolverConfig, ftvd3_solve, ftvd4_solve
+from .solvers import DEFAULT_BETA_SCHEDULE, IterateTrace, SolverConfig, solve
 from .spectral import apply_kernel, build_cache
 
 # Identity of the noise generator, recorded in every summary: counter-based,
@@ -131,7 +130,12 @@ class ExperimentSummary:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
-    """Run the full degrade/solve/score/export pipeline for one config."""
+    """Run the full degrade/solve/score/export pipeline for one config.
+
+    With ``save_intermediates``, each stage's ``iter_NNNN.pgm`` is written
+    as soon as the stage is recorded, so a solve that fails part-way leaves
+    the stages it finished.
+    """
     u0 = validate_image(load_image(cfg.input_path))
     kernel = make_kernel(cfg.kernel)
     mu = cfg.resolve_mu()
@@ -146,30 +150,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         beta_fixed=cfg.beta_fixed,
         max_multiplier_updates=cfg.max_multiplier_updates,
     )
-    if cfg.solver == "ftvd3":
-        trace = ftvd3_solve(f, kernel, solver_cfg, ground_truth=u0)
-    elif cfg.solver == "ftvd4":
-        trace = ftvd4_solve(f, kernel, solver_cfg, ground_truth=u0)
-    else:
-        raise ValueError(f"unknown solver {cfg.solver!r} (expected 'ftvd3' or 'ftvd4')")
-
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    on_record = None
+    if cfg.save_intermediates:
+        def on_record(rec):
+            write_pgm(out / f"iter_{rec.stage_index:04}.pgm", rec.u)
+    cache = build_cache(kernel, u0.shape[0])
+    trace = solve(cfg.solver, f, cache, solver_cfg, ground_truth=u0, on_record=on_record)
+
     trace_csv = out / "trace.csv"
     write_trace_csv(trace_csv, trace)
 
-    stages = trace.stage_records
     best = best_iterate(trace, "snr")
-    final = len(stages) - 1
-    best_rec, final_rec = stages[best], stages[final]
-
-    if cfg.save_intermediates:
-        for rec in stages:
-            write_pgm(out / f"iter_{rec.stage_index:04}.pgm", rec.u)
+    final = len(trace.records) - 1
+    best_rec, final_rec = trace.records[best], trace.records[final]
     write_pgm(out / "best.pgm", best_rec.u)
     write_pgm(out / "final.pgm", final_rec.u)
 
-    cache = build_cache(kernel, u0.shape[0])
     residuals = {}
     for tag, rec in (("best", best_rec), ("final", final_rec)):
         u1, u2 = decompose(rec.u, rec.w, cache)
@@ -190,7 +188,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         f"tv variant: {cfg.tv_variant}",
         f"tol: {cfg.tol!r}",
         f"converged: {trace.converged}",
-        f"stage records: {len(stages)}",
+        f"stage records: {len(trace.records)}",
         f"best stage by snr: {best_rec.stage_index}",
         f"best snr (dB): {_fmt(best_rec.snr_db)}",
         f"final stage: {final_rec.stage_index}",

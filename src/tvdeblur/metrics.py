@@ -56,20 +56,29 @@ def rel_change(u_new: np.ndarray, u_old: np.ndarray) -> float:
     return num / den
 
 
+def best_index(scores) -> int:
+    """Index of the highest score; ties break toward the earliest index.
+
+    The one best-iterate rule, shared by ``best_iterate``, the solvers'
+    choice of which record keeps its arrays, and ``tvdeblur report``.
+    """
+    return int(np.argmax(scores))
+
+
 def best_iterate(trace, criterion: str = "snr") -> int:
-    """Index of the best stage record: max snr_db or min objective_tv.
+    """Index of the best record: max snr_db or min objective_tv.
 
     Ties break toward the earliest index.  Raises MissingScores when the
     snr criterion is requested but some record carries no score.
     """
-    records = trace.stage_records
+    records = trace.records
     if not records:
-        raise ValueError("trace has no stage records")
+        raise ValueError("trace has no records")
     if criterion == "snr":
         scores = [r.snr_db for r in records]
         if any(s is None for s in scores):
             raise MissingScores("trace records carry no snr_db; run with ground truth")
-        return int(np.argmax(scores))
+        return best_index(scores)
     if criterion == "objective_tv":
         return int(np.argmin([r.objective_tv for r in records]))
     raise ValueError(f"unknown criterion {criterion!r}")

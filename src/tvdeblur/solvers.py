@@ -1,33 +1,34 @@
-"""The two deconvolution iteration schemes and their iterate traces.
+"""The FTVd iteration engine and the two solvers built on it.
 
 Both solvers attack the TV/L2 model
 
     min_u  sum_i ||D_i u|| + mu/2 ||K u - f||^2
 
-through the split variable w_i = D_i u:
+through the split variable w_i = D_i u, with one loop (``_iterate``) whose
+stage policy is the only difference between them:
 
-- ``ftvd3_solve`` replaces the constraint by a beta-weighted quadratic
-  penalty and runs an alternating w/u minimization for each beta of an
-  ascending continuation schedule, warm-starting every stage;
-- ``ftvd4_solve`` keeps beta fixed, adds multipliers lambda, and performs
-  one w-step, one u-step, and one multiplier update per cycle.
+- ``ftvd3_solve`` (beta continuation) replaces the constraint by a
+  beta-weighted quadratic penalty and alternates w/u steps to cfg.tol for
+  each beta of an ascending schedule, warm-starting every stage;
+- ``ftvd4_solve`` (multipliers) keeps beta fixed; each stage is one
+  alternation followed by lambda <- lambda - beta (w - D u), and the solve
+  stops at the first stage whose relative change is below cfg.tol.
 
-Every stage (or multiplier update) is recorded with its scores, so the
-best intermediate solution can be selected afterwards instead of the pure
-TV limit.
+Every stage is recorded and scored when it ends, so the best intermediate
+solution can be selected afterwards instead of the pure TV limit.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
 from .grid_ops import forward_diff, validate_image
-from .metrics import rel_change, snr_scorer
+from .metrics import best_index, rel_change, snr_scorer
 from .shrinkage import pixel_norms, shrink
 
 DEFAULT_BETA_SCHEDULE = tuple(2.0**k for k in range(11))
@@ -44,7 +45,6 @@ class SolverConfig:
     beta_schedule: tuple[float, ...] = DEFAULT_BETA_SCHEDULE
     beta_fixed: float = 10.0
     max_multiplier_updates: int = 100
-    record_inner: bool = False
 
     def validate(self) -> None:
         if not 0 < self.mu < math.inf:
@@ -67,30 +67,30 @@ class SolverConfig:
 
 @dataclass
 class IterateRecord:
-    """One recorded solution with its scores and stage metadata.
+    """One recorded stage: its scores, its metadata and, while kept, its arrays.
 
-    ``kind`` is "stage" for the per-continuation-step / per-multiplier-update
-    records that are always kept, "inner" for the optional verbose records of
-    every inner alternation.
+    ``u``, ``w`` and ``lam`` (None for ftvd3) are set when the record is
+    passed to ``on_record``.  A returned trace keeps them only on its best
+    record by SNR (earliest on ties) and its last record; elsewhere they
+    are None.
     """
 
     stage_index: int
     inner_iter: int
     beta: float
-    u: np.ndarray
-    w: np.ndarray
+    u: np.ndarray | None
+    w: np.ndarray | None
     lam: np.ndarray | None
     snr_db: float | None
     objective_tv: float
     penalty_objective: float
     constraint_residual: float
     rel_change: float
-    kind: str = "stage"
 
 
 @dataclass
 class IterateTrace:
-    """Ordered record of a solver run; immutable once returned."""
+    """Ordered stage records of a solver run; immutable once returned."""
 
     records: list[IterateRecord]
     config: SolverConfig
@@ -98,92 +98,10 @@ class IterateTrace:
 
     @property
     def stage_records(self) -> list[IterateRecord]:
-        return [r for r in self.records if r.kind == "stage"]
-
-
-def eval_tv_objective(
-    u: np.ndarray,
-    f: np.ndarray,
-    cache: spectral.SpectralCache,
-    mu: float,
-    tv_variant: str = "iso",
-) -> float:
-    """TV/L2 objective: sum_i ||D_i u|| + mu/2 ||K u - f||^2."""
-    tv = float(pixel_norms(forward_diff(u), tv_variant).sum())
-    res = spectral.apply_kernel(cache, u) - f
-    return tv + 0.5 * mu * float((res * res).sum())
-
-
-def eval_penalty_objective(
-    u: np.ndarray,
-    w: np.ndarray,
-    f: np.ndarray,
-    cache: spectral.SpectralCache,
-    mu: float,
-    beta: float,
-    tv_variant: str = "iso",
-) -> float:
-    """Penalty objective: sum ||w_i|| + beta/2 sum ||w_i - D_i u||^2 + mu/2 ||Ku - f||^2."""
-    diff = w - forward_diff(u)
-    value = float(pixel_norms(w, tv_variant).sum())
-    value += 0.5 * beta * float((diff * diff).sum())
-    res = spectral.apply_kernel(cache, u) - f
-    return value + 0.5 * mu * float((res * res).sum())
-
-
-@dataclass
-class InnerLoopResult:
-    u: np.ndarray
-    du: np.ndarray
-    w: np.ndarray
-    iterations: int
-    converged: bool
-    last_rel_change: float
-
-
-def penalty_inner_loop(
-    f: np.ndarray,
-    beta: float,
-    init_u: np.ndarray,
-    cfg: SolverConfig,
-    cache: spectral.SpectralCache,
-    recorder=None,
-) -> InnerLoopResult:
-    """Alternating w/u minimization of the penalty objective at fixed beta.
-
-    w <- shrink(D u, 1/beta), u <- quadratic solve, until the relative
-    change of u drops below cfg.tol or cfg.max_inner_iters is reached.
-    The u-subproblem is prepared once for the whole loop.  ``recorder``,
-    when given, is called as recorder(inner_iter, u, du, w, rc) after every
-    alternation, with du = D u.  Raises FloatingPointError when the
-    relative change is not finite (the iteration diverged).
-    """
-    system = spectral.prepare_u(f, cfg.mu, beta, cache)
-    u = init_u
-    du = forward_diff(u)
-    w = None
-    iterations = 0
-    converged = False
-    rc = np.inf
-    for it in range(1, cfg.max_inner_iters + 1):
-        w = shrink(du, 1.0 / beta, cfg.tv_variant)
-        u_new = spectral.solve_u(system, w)
-        rc = rel_change(u_new, u)
-        if not math.isfinite(rc):
-            raise FloatingPointError(f"penalty loop diverged at beta {beta}, inner iteration {it}: relative change {rc}")
-        u = u_new
-        du = forward_diff(u)
-        iterations = it
-        if recorder is not None:
-            recorder(it, u, du, w, rc)
-        if rc < cfg.tol:
-            converged = True
-            break
-    return InnerLoopResult(u=u, du=du, w=w, iterations=iterations, converged=converged, last_rel_change=rc)
+        return self.records
 
 
 def _make_record(
-    kind: str,
     stage_index: int,
     inner_iter: int,
     beta: float,
@@ -201,10 +119,11 @@ def _make_record(
     """Score one iterate in one pass.
 
     K u - f is formed once and shared, with D u and gap = w - D u (passed
-    in), by the three scores, which equal eval_tv_objective,
-    eval_penalty_objective and gradient_residual on this (u, w).  ``snr``
-    is a ``metrics.snr_scorer`` or None.  Raises FloatingPointError when a
-    score is not finite.
+    in), by the three scores: the TV objective, the penalty objective
+    sum ||w_i|| + beta/2 ||w - D u||^2 + mu/2 ||K u - f||^2, and the
+    largest per-pixel ||w_i - D_i u||.  ``snr`` is a
+    ``metrics.snr_scorer`` or None.  Raises FloatingPointError when a score
+    is not finite.
     """
     res = spectral.apply_kernel(cache, u) - f
     fidelity = 0.5 * cfg.mu * float((res * res).sum())
@@ -222,9 +141,96 @@ def _make_record(
             f"non-finite scores at stage {stage_index}, inner iteration {inner_iter} ({', '.join(bad)}): "
             "the solve diverged or overflowed"
         )
-    return IterateRecord(
-        stage_index=stage_index, inner_iter=inner_iter, beta=beta, u=u, w=w, lam=lam, kind=kind, **scores
-    )
+    return IterateRecord(stage_index=stage_index, inner_iter=inner_iter, beta=beta, u=u, w=w, lam=lam, **scores)
+
+
+def _iterate(
+    method: str,
+    f: np.ndarray,
+    cache: spectral.SpectralCache,
+    cfg: SolverConfig,
+    ground_truth: np.ndarray | None = None,
+    on_record: Callable[[IterateRecord], None] | None = None,
+) -> Generator[tuple[np.ndarray, np.ndarray], None, IterateTrace]:
+    """The FTVd loop: yields (u, w) after every alternation, returns the trace.
+
+    Starts from u = f.  Stage k runs at betas[k] until the relative change
+    of u drops below cfg.tol or max_inner alternations are done; with
+    multipliers, a stage that ends below cfg.tol ends the solve.  The
+    u-subproblem is prepared once per distinct beta.  Each stage record
+    carries the relative change over the whole stage and goes to
+    ``on_record`` as soon as it is scored; afterwards only the best record
+    by SNR and the last one keep their arrays.  Raises FloatingPointError
+    when the relative change is not finite (the iteration diverged).
+    """
+    f = validate_image(f)
+    cfg.validate()
+    if method == "ftvd3":
+        betas, max_inner, multipliers = cfg.beta_schedule, cfg.max_inner_iters, False
+    elif method == "ftvd4":
+        betas, max_inner, multipliers = (cfg.beta_fixed,) * cfg.max_multiplier_updates, 1, True
+    else:
+        raise ValueError(f"unknown solver {method!r} (expected 'ftvd3' or 'ftvd4')")
+    snr = None if ground_truth is None else snr_scorer(ground_truth)
+    records: list[IterateRecord] = []
+    kept: list[IterateRecord] = []
+    best = None
+    u, du = f, forward_diff(f)
+    lam = np.zeros(f.shape + (2,), dtype=np.float64) if multipliers else None
+    system = None
+    converged = True
+    for stage, beta in enumerate(betas):
+        if system is None or system.beta != beta:
+            system = spectral.prepare_u(f, cfg.mu, beta, cache)
+        stage_start = u
+        for it in range(1, max_inner + 1):
+            w = shrink(du if lam is None else du + lam / beta, 1.0 / beta, cfg.tv_variant)
+            u_new = spectral.solve_u(system, w, lam)
+            rc = rel_change(u_new, u)
+            if not math.isfinite(rc):
+                raise FloatingPointError(
+                    f"the solve diverged at stage {stage} (beta {beta}), inner iteration {it}: relative change {rc}"
+                )
+            u, du = u_new, forward_diff(u_new)
+            yield u, w
+            if rc < cfg.tol:
+                break
+        stage_converged = rc < cfg.tol
+        converged = stage_converged and (converged or multipliers)
+        gap = w - du
+        if multipliers:
+            lam = lam - beta * gap
+        stage_rc = rc if it == 1 else rel_change(u, stage_start)  # after one alternation they are equal
+        record = _make_record(stage, it, beta, u, du, w, gap, lam, stage_rc, f, cache, cfg, snr)
+        records.append(record)
+        if on_record is not None:
+            on_record(record)
+        if best is None or (snr is not None and best_index((best.snr_db, record.snr_db)) == 1):
+            best = record
+        for old in kept:
+            if old is not best and old is not record:
+                old.u = old.w = old.lam = None
+        kept = [best, record]
+        if multipliers and stage_converged:
+            break
+    return IterateTrace(records=records, config=cfg, converged=converged)
+
+
+def solve(
+    method: str,
+    f: np.ndarray,
+    cache: spectral.SpectralCache,
+    cfg: SolverConfig,
+    ground_truth: np.ndarray | None = None,
+    on_record: Callable[[IterateRecord], None] | None = None,
+) -> IterateTrace:
+    """Run solver ``method`` ("ftvd3" or "ftvd4") on a prebuilt spectral cache."""
+    alternations = _iterate(method, f, cache, cfg, ground_truth, on_record)
+    while True:
+        try:
+            next(alternations)
+        except StopIteration as end:
+            return end.value
 
 
 def ftvd3_solve(
@@ -232,54 +238,17 @@ def ftvd3_solve(
     kernel: np.ndarray,
     cfg: SolverConfig,
     ground_truth: np.ndarray | None = None,
+    on_record: Callable[[IterateRecord], None] | None = None,
 ) -> IterateTrace:
     """Quadratic-penalty solver with beta continuation.
 
-    Runs the inner alternation to the same tolerance for every beta of
-    cfg.beta_schedule, warm-starting each stage from the previous solution
-    (initial guess: the observation f), and records the converged iterate
-    of every stage.
+    Runs the alternation to cfg.tol (at most cfg.max_inner_iters times) for
+    every beta of cfg.beta_schedule, warm-starting each stage from the
+    previous solution (initial guess: the observation f), and records the
+    last iterate of every stage.
     """
     f = validate_image(f)
-    cfg.validate()
-    cache = spectral.build_cache(kernel, f.shape[0])
-    snr = None if ground_truth is None else snr_scorer(ground_truth)
-    records: list[IterateRecord] = []
-    u = f
-    prev_stage_u = f
-    all_converged = True
-    for stage, beta in enumerate(cfg.beta_schedule):
-        recorder = None
-        if cfg.record_inner:
-            def recorder(it, u_it, du_it, w_it, rc_it, _stage=stage, _beta=beta):
-                records.append(
-                    _make_record(
-                        "inner", _stage, it, _beta, u_it, du_it, w_it, w_it - du_it, None, rc_it, f, cache, cfg, snr
-                    )
-                )
-        result = penalty_inner_loop(f, beta, u, cfg, cache, recorder)
-        u = result.u
-        all_converged = all_converged and result.converged
-        records.append(
-            _make_record(
-                "stage",
-                stage,
-                result.iterations,
-                beta,
-                u,
-                result.du,
-                result.w,
-                result.w - result.du,
-                None,
-                rel_change(u, prev_stage_u),
-                f,
-                cache,
-                cfg,
-                snr,
-            )
-        )
-        prev_stage_u = u
-    return IterateTrace(records=records, config=cfg, converged=all_converged)
+    return solve("ftvd3", f, spectral.build_cache(kernel, f.shape[0]), cfg, ground_truth, on_record)
 
 
 def ftvd4_solve(
@@ -287,37 +256,14 @@ def ftvd4_solve(
     kernel: np.ndarray,
     cfg: SolverConfig,
     ground_truth: np.ndarray | None = None,
+    on_record: Callable[[IterateRecord], None] | None = None,
 ) -> IterateTrace:
     """Augmented-Lagrangian solver: fixed beta, alternating direction updates.
 
     Per cycle: w-step with the current multipliers folded in, exact u-step,
     then lambda <- lambda - beta (w - D u).  Every cycle is recorded; stops
-    once the relative change of u drops below cfg.tol.  Raises
-    FloatingPointError when the relative change is not finite.
+    once the relative change of u drops below cfg.tol, or after
+    cfg.max_multiplier_updates cycles.
     """
     f = validate_image(f)
-    cfg.validate()
-    beta = cfg.beta_fixed
-    cache = spectral.build_cache(kernel, f.shape[0])
-    system = spectral.prepare_u(f, cfg.mu, beta, cache)
-    snr = None if ground_truth is None else snr_scorer(ground_truth)
-    records: list[IterateRecord] = []
-    u = f
-    du = forward_diff(u)
-    lam = np.zeros(f.shape + (2,), dtype=np.float64)
-    converged = False
-    for k in range(cfg.max_multiplier_updates):
-        w = shrink(du + lam / beta, 1.0 / beta, cfg.tv_variant)
-        u_new = spectral.solve_u(system, w, lam)
-        du = forward_diff(u_new)
-        gap = w - du
-        lam = lam - beta * gap
-        rc = rel_change(u_new, u)
-        if not math.isfinite(rc):
-            raise FloatingPointError(f"ftvd4 diverged at cycle {k}: relative change {rc}")
-        u = u_new
-        records.append(_make_record("stage", k, 1, beta, u, du, w, gap, lam, rc, f, cache, cfg, snr))
-        if rc < cfg.tol:
-            converged = True
-            break
-    return IterateTrace(records=records, config=cfg, converged=converged)
+    return solve("ftvd4", f, spectral.build_cache(kernel, f.shape[0]), cfg, ground_truth, on_record)

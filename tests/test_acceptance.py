@@ -18,13 +18,11 @@ from tvdeblur import (
     decompose,
     degrade,
     divergence_adjoint,
-    eval_penalty_objective,
     forward_diff,
     ftvd3_solve,
     ftvd4_solve,
     make_kernel,
     make_phantom,
-    penalty_inner_loop,
     prepare_u,
     run_experiment,
     shrink_aniso,
@@ -32,8 +30,10 @@ from tvdeblur import (
     solve_u,
     write_pgm,
 )
+from tvdeblur.solvers import _iterate
 
 from conftest import piecewise_constant_phantom, stack_field
+from objectives import eval_penalty_objective
 from oracle import dense_operator, reference_tv_solve
 
 
@@ -147,13 +147,10 @@ def test_c05_penalty_descent():
             f = rng.random((n, n))
             mu = float(rng.uniform(10, 1000))
             beta = float(rng.uniform(0.5, 64))
-            cfg = SolverConfig(mu=mu, tol=1e-10, max_inner_iters=150)
-            values = []
-
-            def recorder(it, u, du, w, rc):
-                values.append(eval_penalty_objective(u, w, f, cache, mu, beta))
-
-            penalty_inner_loop(f, beta, f, cfg, cache, recorder)
+            cfg = SolverConfig(mu=mu, tol=1e-10, max_inner_iters=150, beta_schedule=(beta,))
+            # one continuation stage at this beta, cold-started from f; the
+            # engine yields (u, w) after every inner alternation
+            values = [eval_penalty_objective(u, w, f, cache, mu, beta) for u, w in _iterate("ftvd3", f, cache, cfg)]
             assert len(values) >= 2
             for prev, cur in zip(values, values[1:]):
                 assert cur <= prev + 1e-10 * max(1.0, abs(prev))
@@ -174,8 +171,8 @@ def test_c06_tv_solution_agreement():
         tr4 = ftvd4_solve(f, kernel, SolverConfig(mu=mu, tol=1e-8, max_multiplier_updates=2000))
         u_ref = reference_tv_solve(f, kernel, mu)
 
-        u3 = tr3.stage_records[-1].u
-        u4 = tr4.stage_records[-1].u
+        u3 = tr3.records[-1].u
+        u4 = tr4.records[-1].u
         rel = lambda a, b: np.linalg.norm(a - b) / np.linalg.norm(b)
         assert rel(u3, u_ref) <= 5e-3
         assert rel(u4, u_ref) <= 5e-3
@@ -194,9 +191,9 @@ def test_c07_constraint_feasibility(ftvd3_default_trace):
         tol = 1e-3
         tr4 = ftvd4_solve(f, kernel, SolverConfig(mu=mu, tol=tol), ground_truth=u0)
         assert tr4.converged
-        assert tr4.stage_records[-1].constraint_residual <= 10 * tol
+        assert tr4.records[-1].constraint_residual <= 10 * tol
 
-        res3 = [r.constraint_residual for r in ftvd3_default_trace.stage_records]
+        res3 = [r.constraint_residual for r in ftvd3_default_trace.records]
         assert all(b < a for a, b in zip(res3, res3[1:]))
         assert res3[-1] <= res3[0] / 10.0
         rep.passed()
@@ -213,7 +210,7 @@ def test_c08_snr_peak_before_final():
 
         for solver in (ftvd3_solve, ftvd4_solve):
             trace = solver(f, kernel, SolverConfig(mu=mu), ground_truth=u0)
-            snrs = [r.snr_db for r in trace.stage_records]
+            snrs = [r.snr_db for r in trace.records]
             best = best_iterate(trace, "snr")
             last = len(snrs) - 1
             assert best < last

@@ -9,6 +9,7 @@ import pytest
 import tvdeblur
 from tvdeblur import ExperimentConfig, cli, read_pgm
 from tvdeblur.errors import SingularSystem
+from tvdeblur.harness import TRACE_HEADER
 
 
 def test_full_pipeline(tmp_path, capsys):
@@ -97,6 +98,14 @@ def test_report_without_scores_returns_one(tmp_path):
     trace = tmp_path / "trace.csv"
     trace.write_text("stage_index,inner_iter,beta,snr_db,objective_tv,penalty_objective,constraint_residual,rel_change\n")
     assert cli.main(["report", "--trace", str(trace)]) == 1
+
+
+def test_report_picks_the_earliest_best_record(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    rows = [f"{i},1,1.0,{snr},1.0,1.0,0.0,0.1" for i, snr in enumerate((3.0, 7.0, 7.0, 5.0))]
+    trace.write_text("\n".join([TRACE_HEADER, *rows]) + "\n")
+    assert cli.main(["report", "--trace", str(trace)]) == 0
+    assert "best record: stage 1 snr 7.0000 dB" in capsys.readouterr().out
 
 
 def test_phantom_rejects_tiny_size(tmp_path):

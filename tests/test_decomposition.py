@@ -7,8 +7,9 @@ from tvdeblur import (
     forward_diff,
     gradient_residual,
     make_kernel,
-    tikhonov_energy,
 )
+
+from objectives import tikhonov_energy
 
 
 def _cache(n):

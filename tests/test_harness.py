@@ -13,6 +13,7 @@ from tvdeblur import (
     run_experiment,
     write_pgm,
 )
+from tvdeblur import harness, spectral
 from tvdeblur.errors import BadSpec, KernelTooLarge
 from tvdeblur.harness import TRACE_HEADER
 
@@ -112,6 +113,40 @@ def test_run_experiment_outputs(ground_truth_file, tmp_path):
     for rec in summary.trace.stage_records:
         assert (out / f"iter_{rec.stage_index:04}.pgm").exists()
     assert "noise generator" in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("solver,tv_variant", [("ftvd3", "iso"), ("ftvd4", "aniso")])
+def test_streamed_intermediates_match_best_and_final(tmp_path, solver, tv_variant):
+    # at 64x64 with the default protocol the best stage is the first one, the final one the last
+    gt = tmp_path / "gt.pgm"
+    write_pgm(gt, make_phantom(64))
+    out = tmp_path / "run"
+    cfg = ExperimentConfig(
+        input_path=gt, output_dir=out, solver=solver, tv_variant=tv_variant, save_intermediates=True
+    )
+    summary = run_experiment(cfg)
+    assert summary.best_stage < summary.final_stage
+    iters = sorted(out.glob("iter_*.pgm"))
+    assert len(iters) == len(summary.trace.records)
+    assert (out / f"iter_{summary.best_stage:04}.pgm").read_bytes() == (out / "best.pgm").read_bytes()
+    assert iters[-1].read_bytes() == (out / "final.pgm").read_bytes()
+
+
+def test_run_experiment_builds_two_spectral_caches(ground_truth_file, tmp_path, monkeypatch):
+    # one cache for degrade, one shared by the solve and the decomposition
+    built = []
+    original = spectral.build_cache
+
+    def counting(kernel, n):
+        built.append(n)
+        return original(kernel, n)
+
+    monkeypatch.setattr(spectral, "build_cache", counting)
+    monkeypatch.setattr(harness, "build_cache", counting)
+    for solver in ("ftvd3", "ftvd4"):
+        built.clear()
+        run_experiment(ExperimentConfig(input_path=ground_truth_file, output_dir=tmp_path / solver, solver=solver))
+        assert built == [32, 32]
 
 
 def test_trace_csv_floats_round_trip(ground_truth_file, tmp_path):

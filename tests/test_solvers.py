@@ -7,16 +7,16 @@ from tvdeblur import (
     best_iterate,
     build_cache,
     degrade,
-    eval_penalty_objective,
-    eval_tv_objective,
     ftvd3_solve,
     ftvd4_solve,
     gradient_residual,
     make_kernel,
     make_phantom,
-    penalty_inner_loop,
     snr_db,
 )
+from tvdeblur.solvers import _iterate
+
+from objectives import eval_penalty_objective, eval_tv_objective
 
 
 def rel(a, b):
@@ -27,12 +27,10 @@ def test_penalty_loop_constant_fixed_point():
     n = 8
     f = np.full((n, n), 0.42)
     kernel = make_kernel(KernelSpec.delta())
-    cache = build_cache(kernel, n)
-    cfg = SolverConfig(mu=5.0)
-    res = penalty_inner_loop(f, 3.0, f, cfg, cache)
-    assert res.converged
-    assert res.iterations <= 2
-    assert np.allclose(res.u, f, atol=1e-12)
+    trace = ftvd3_solve(f, kernel, SolverConfig(mu=5.0, beta_schedule=(3.0,)))
+    assert trace.converged
+    assert trace.records[0].inner_iter <= 2
+    assert np.allclose(trace.records[0].u, f, atol=1e-12)
 
 
 def test_penalty_objective_nonincreasing():
@@ -42,49 +40,46 @@ def test_penalty_objective_nonincreasing():
     cache = build_cache(kernel, n)
     f = rng.random((n, n))
     mu, beta = 300.0, 8.0
-    cfg = SolverConfig(mu=mu, tol=1e-8, max_inner_iters=200)
-    values = []
-
-    def recorder(it, u, du, w, rc):
-        values.append(eval_penalty_objective(u, w, f, cache, mu, beta))
-
-    penalty_inner_loop(f, beta, f, cfg, cache, recorder)
+    cfg = SolverConfig(mu=mu, tol=1e-8, max_inner_iters=200, beta_schedule=(beta,))
+    values = [eval_penalty_objective(u, w, f, cache, mu, beta) for u, w in _iterate("ftvd3", f, cache, cfg)]
     assert len(values) > 3
     for prev, cur in zip(values, values[1:]):
         assert cur <= prev + 1e-10 * max(1.0, abs(prev))
 
 
 def test_penalty_loop_cold_start_matches_oracle(pc16, pc16_oracle_mu500):
-    cache = build_cache(pc16["kernel"], pc16["n"])
-    cfg = SolverConfig(mu=500.0, tol=1e-7, max_inner_iters=6000)
-    res = penalty_inner_loop(pc16["f"], 2.0**10, pc16["f"], cfg, cache)
-    assert res.converged
-    assert rel(res.u, pc16_oracle_mu500) < 5e-3
+    cfg = SolverConfig(mu=500.0, tol=1e-7, max_inner_iters=6000, beta_schedule=(2.0**10,))
+    trace = ftvd3_solve(pc16["f"], pc16["kernel"], cfg)
+    assert trace.converged
+    assert rel(trace.records[0].u, pc16_oracle_mu500) < 5e-3
 
 
 def test_ftvd3_single_stage_equals_inner_loop(pc16):
+    # the stage record holds the last alternation of the engine at that beta
     cfg = SolverConfig(mu=500.0, beta_schedule=(8.0,))
     trace = ftvd3_solve(pc16["f"], pc16["kernel"], cfg)
     cache = build_cache(pc16["kernel"], pc16["n"])
-    res = penalty_inner_loop(pc16["f"], 8.0, pc16["f"], cfg, cache)
-    assert np.array_equal(trace.records[-1].u, res.u)
-    assert np.array_equal(trace.records[-1].w, res.w)
+    alternations = list(_iterate("ftvd3", pc16["f"], cache, cfg))
+    assert trace.records[-1].inner_iter == len(alternations)
+    u, w = alternations[-1]
+    assert np.array_equal(trace.records[-1].u, u)
+    assert np.array_equal(trace.records[-1].w, w)
 
 
 def test_ftvd3_final_matches_oracle(pc16, pc16_oracle_mu500):
     cfg = SolverConfig(mu=500.0, tol=1e-6, max_inner_iters=500)
     trace = ftvd3_solve(pc16["f"], pc16["kernel"], cfg, ground_truth=pc16["u0"])
-    assert rel(trace.stage_records[-1].u, pc16_oracle_mu500) < 5e-3
+    assert rel(trace.records[-1].u, pc16_oracle_mu500) < 5e-3
 
 
 def test_ftvd4_final_matches_oracle_and_ftvd3(pc16, pc16_oracle_mu500):
     cfg4 = SolverConfig(mu=500.0, tol=1e-8, max_multiplier_updates=2000)
     tr4 = ftvd4_solve(pc16["f"], pc16["kernel"], cfg4, ground_truth=pc16["u0"])
-    u4 = tr4.stage_records[-1].u
+    u4 = tr4.records[-1].u
     assert rel(u4, pc16_oracle_mu500) < 5e-3
     cfg3 = SolverConfig(mu=500.0, tol=1e-6, max_inner_iters=500)
     tr3 = ftvd3_solve(pc16["f"], pc16["kernel"], cfg3)
-    assert rel(tr3.stage_records[-1].u, u4) < 1e-2
+    assert rel(tr3.records[-1].u, u4) < 1e-2
 
 
 def test_solver_agreement_on_random_block_images():
@@ -96,30 +91,30 @@ def test_solver_agreement_on_random_block_images():
         u0[n // 2 :, : n // 2] = rng.uniform(0.0, 0.2)
         f = degrade(u0, kernel, 0.005, seed=int(rng.integers(1 << 31)))
         mu = 0.05 / 0.005**2
-        u3 = ftvd3_solve(f, kernel, SolverConfig(mu=mu, tol=1e-6, max_inner_iters=500)).stage_records[-1].u
-        u4 = ftvd4_solve(f, kernel, SolverConfig(mu=mu, tol=1e-8, max_multiplier_updates=3000)).stage_records[-1].u
+        u3 = ftvd3_solve(f, kernel, SolverConfig(mu=mu, tol=1e-6, max_inner_iters=500)).records[-1].u
+        u4 = ftvd4_solve(f, kernel, SolverConfig(mu=mu, tol=1e-8, max_multiplier_updates=3000)).records[-1].u
         assert rel(u3, u4) <= 1e-2
 
 
 def test_ftvd3_residuals_shrink_with_beta(ftvd3_default_trace):
-    res = [r.constraint_residual for r in ftvd3_default_trace.stage_records]
+    res = [r.constraint_residual for r in ftvd3_default_trace.records]
     assert all(b < a for a, b in zip(res, res[1:]))
     assert res[-1] <= res[0] / 10.0
 
 
 def test_ftvd3_snr_peaks_before_final_stage(ftvd3_default_trace):
     best = best_iterate(ftvd3_default_trace, "snr")
-    last = len(ftvd3_default_trace.stage_records) - 1
+    last = len(ftvd3_default_trace.records) - 1
     assert best < last
-    snrs = [r.snr_db for r in ftvd3_default_trace.stage_records]
+    snrs = [r.snr_db for r in ftvd3_default_trace.records]
     assert snrs[best] >= snrs[last]
 
 
 def test_ftvd4_snr_peaks_before_final_iteration(ftvd4_default_trace):
     best = best_iterate(ftvd4_default_trace, "snr")
-    last = len(ftvd4_default_trace.stage_records) - 1
+    last = len(ftvd4_default_trace.records) - 1
     assert best < last
-    snrs = [r.snr_db for r in ftvd4_default_trace.stage_records]
+    snrs = [r.snr_db for r in ftvd4_default_trace.records]
     assert snrs[best] >= snrs[last]
 
 
@@ -139,7 +134,7 @@ def test_ftvd4_constant_image_is_fixed_point():
 def test_ftvd4_feasibility_trend(ftvd4_default_trace):
     # ADMM primal residuals are not monotone step to step; require the
     # 5-apart comparison up to small bounces plus a strong overall decay
-    res = [r.constraint_residual for r in ftvd4_default_trace.stage_records]
+    res = [r.constraint_residual for r in ftvd4_default_trace.records]
     assert len(res) > 20
     for k in range(len(res) - 5):
         assert res[k + 5] < 1.15 * res[k]
@@ -149,35 +144,25 @@ def test_ftvd4_feasibility_trend(ftvd4_default_trace):
 def test_trace_completeness(pc16):
     cfg3 = SolverConfig(mu=500.0)
     tr3 = ftvd3_solve(pc16["f"], pc16["kernel"], cfg3)
-    assert len(tr3.stage_records) == len(cfg3.beta_schedule)
+    assert len(tr3.records) == len(cfg3.beta_schedule)
     cfg4 = SolverConfig(mu=500.0, max_multiplier_updates=7, tol=1e-14)
     tr4 = ftvd4_solve(pc16["f"], pc16["kernel"], cfg4)
-    assert len(tr4.stage_records) == 7  # ran to the cap, one record per update
-
-
-def test_record_inner_keeps_stage_records(pc16):
-    cfg = SolverConfig(mu=500.0, beta_schedule=(1.0, 4.0, 16.0), record_inner=True)
-    trace = ftvd3_solve(pc16["f"], pc16["kernel"], cfg, ground_truth=pc16["u0"])
-    kinds = {r.kind for r in trace.records}
-    assert kinds == {"stage", "inner"}
-    assert len(trace.stage_records) == 3
-    stage_indices = [r.stage_index for r in trace.records]
-    assert stage_indices == sorted(stage_indices)
-    assert len(trace.records) > len(trace.stage_records)
+    assert len(tr4.records) == 7  # ran to the cap, one record per update
 
 
 @pytest.mark.parametrize("tv_variant", ["iso", "aniso"])
 def test_record_scores_equal_the_reference_definitions(pc16, tv_variant):
     f, kernel, mu = pc16["f"], pc16["kernel"], 500.0
     cache = build_cache(kernel, pc16["n"])
-    tr3 = ftvd3_solve(f, kernel, SolverConfig(mu=mu, tv_variant=tv_variant, record_inner=True))
-    tr4 = ftvd4_solve(f, kernel, SolverConfig(mu=mu, tv_variant=tv_variant))
-    assert len(tr3.records) > len(tr3.stage_records)
-    for r in tr3.records + tr4.records:
+    seen = []  # (record, u, w): a trace keeps arrays only on its best and last records
+    for solve in (ftvd3_solve, ftvd4_solve):
+        solve(f, kernel, SolverConfig(mu=mu, tv_variant=tv_variant), on_record=lambda r: seen.append((r, r.u, r.w)))
+    assert len(seen) > 20
+    for r, u, w in seen:
         expected = (
-            eval_tv_objective(r.u, f, cache, mu, tv_variant),
-            eval_penalty_objective(r.u, r.w, f, cache, mu, r.beta, tv_variant),
-            gradient_residual(r.w, r.u),
+            eval_tv_objective(u, f, cache, mu, tv_variant),
+            eval_penalty_objective(u, w, f, cache, mu, r.beta, tv_variant),
+            gradient_residual(w, u),
         )
         for got, want in zip((r.objective_tv, r.penalty_objective, r.constraint_residual), expected):
             assert abs(got - want) <= 1e-12 * abs(want)
@@ -186,10 +171,12 @@ def test_record_scores_equal_the_reference_definitions(pc16, tv_variant):
 @pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
 def test_record_snr_equals_snr_db(pc16, solve):
     # the solve centres the ground truth once; every record must still equal snr_db bit for bit
-    trace = solve(pc16["f"], pc16["kernel"], SolverConfig(mu=500.0, record_inner=True), ground_truth=pc16["u0"])
-    assert len(trace.records) > 5
-    for r in trace.records:
-        assert r.snr_db == snr_db(r.u, pc16["u0"])
+    seen = []
+    on_record = lambda r: seen.append((r.snr_db, r.u))
+    solve(pc16["f"], pc16["kernel"], SolverConfig(mu=500.0), ground_truth=pc16["u0"], on_record=on_record)
+    assert len(seen) > 5
+    for snr, u in seen:
+        assert snr == snr_db(u, pc16["u0"])
 
 
 def test_eval_tv_objective_values(pc16):
@@ -279,7 +266,19 @@ def test_non_finite_snr_raises_floating_point_error(pc16, solve):
         solve(pc16["f"], pc16["kernel"], SolverConfig(mu=500.0), ground_truth=1e155 * pc16["u0"])
 
 
+@pytest.mark.parametrize("name", ["ftvd3_default_trace", "ftvd4_default_trace"])
+def test_trace_keeps_arrays_on_best_and_final_only(request, name):
+    # the c08 setup, where the best record comes strictly before the last one
+    trace = request.getfixturevalue(name)
+    best = best_iterate(trace, "snr")
+    assert best < len(trace.records) - 1
+    for i, r in enumerate(trace.records):
+        kept = i in (best, len(trace.records) - 1)
+        assert (r.u is not None, r.w is not None) == (kept, kept)
+        assert (r.lam is not None) == (kept and name.startswith("ftvd4"))
+
+
 def test_best_iterate_on_default_run(ftvd3_default_trace):
     idx = best_iterate(ftvd3_default_trace, "snr")
-    assert 0 <= idx < len(ftvd3_default_trace.stage_records)
-    assert idx < len(ftvd3_default_trace.stage_records) - 1
+    assert 0 <= idx < len(ftvd3_default_trace.records)
+    assert idx < len(ftvd3_default_trace.records) - 1
