@@ -20,7 +20,7 @@ from .errors import BadSpec
 from .grid_ops import KernelSpec, make_kernel, validate_image
 from .metrics import best_iterate
 from .pgm import load_image, write_pgm
-from .solvers import DEFAULT_BETA_SCHEDULE, IterateTrace, SolverConfig, solve
+from .solvers import DEFAULT_BETA_SCHEDULE, IterateTrace, SolverConfig, solve, stage_policy
 from .spectral import apply_kernel, build_cache
 
 # Identity of the noise generator, recorded in every summary: counter-based,
@@ -139,8 +139,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     u0 = validate_image(load_image(cfg.input_path))
     kernel = make_kernel(cfg.kernel)
     mu = cfg.resolve_mu()
-    f = degrade(u0, kernel, cfg.sigma, cfg.seed)
-
     solver_cfg = SolverConfig(
         mu=mu,
         tv_variant=cfg.tv_variant,
@@ -150,6 +148,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         beta_fixed=cfg.beta_fixed,
         max_multiplier_updates=cfg.max_multiplier_updates,
     )
+    stage_policy(cfg.solver, solver_cfg)  # rejects a bad config before any work or output
+    f = degrade(u0, kernel, cfg.sigma, cfg.seed)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     on_record = None

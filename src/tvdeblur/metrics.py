@@ -27,7 +27,8 @@ def snr_scorer(reference: np.ndarray) -> Callable[[np.ndarray], float]:
 
     def score(u: np.ndarray) -> float:
         err = np.asarray(u, dtype=np.float64) - reference
-        err_energy = float((err * err).sum())
+        err *= err
+        err_energy = float(err.sum())
         if err_energy == 0.0:
             return SNR_CAP_DB
         return min(10.0 * np.log10(signal_energy / err_energy), SNR_CAP_DB)

@@ -101,38 +101,69 @@ class IterateTrace:
         return self.records
 
 
+def stage_policy(method: str, cfg: SolverConfig) -> tuple[tuple[float, ...], int, bool]:
+    """Validate ``cfg`` and pick the stage policy of solver ``method``.
+
+    Returns the beta of every stage, the cap on alternations per stage, and
+    whether multipliers are carried.  Raises ValueError for an invalid
+    config or an unknown method.
+    """
+    cfg.validate()
+    if method == "ftvd3":
+        return cfg.beta_schedule, cfg.max_inner_iters, False
+    if method == "ftvd4":
+        return (cfg.beta_fixed,) * cfg.max_multiplier_updates, 1, True
+    raise ValueError(f"unknown solver {method!r} (expected 'ftvd3' or 'ftvd4')")
+
+
 def _make_record(
     stage_index: int,
     inner_iter: int,
-    beta: float,
     u: np.ndarray,
+    u_hat: np.ndarray,
     du: np.ndarray,
     w: np.ndarray,
     gap: np.ndarray,
     lam: np.ndarray | None,
     rc: float,
-    f: np.ndarray,
-    cache: spectral.SpectralCache,
+    system: spectral.USystem,
     cfg: SolverConfig,
     snr: Callable[[np.ndarray], float] | None,
+    kept: list[IterateRecord],
 ) -> IterateRecord:
     """Score one iterate in one pass.
 
-    K u - f is formed once and shared, with D u and gap = w - D u (passed
-    in), by the three scores: the TV objective, the penalty objective
-    sum ||w_i|| + beta/2 ||w - D u||^2 + mu/2 ||K u - f||^2, and the
-    largest per-pixel ||w_i - D_i u||.  ``snr`` is a
-    ``metrics.snr_scorer`` or None.  Raises FloatingPointError when a score
-    is not finite.
+    ``u_hat`` is u's half spectrum from ``solve_u``; the fidelity
+    mu/2 ||K u - f||^2 is taken from it by Parseval and shared, with D u
+    and gap = w - D u (passed in), by the three scores: the TV objective,
+    the penalty objective sum ||w_i|| + beta/2 ||w - D u||^2 +
+    mu/2 ||K u - f||^2, and the largest per-pixel ||w_i - D_i u||.  The
+    squares of gap serve the last two.  ``u_hat`` and ``gap`` are
+    overwritten.  ``snr`` is a ``metrics.snr_scorer`` or None.
+
+    ``kept`` holds the best record so far by SNR (earliest on ties) and the
+    last one, and is updated in place to the best and the new record.  As
+    soon as the SNR is known, records that drop out of it lose their arrays,
+    so their memory is free before the other scores are formed.  Raises
+    FloatingPointError when a score is not finite.
     """
-    res = spectral.apply_kernel(cache, u) - f
-    fidelity = 0.5 * cfg.mu * float((res * res).sum())
-    penalty = float(pixel_norms(w, cfg.tv_variant).sum()) + 0.5 * beta * float((gap * gap).sum())
+    snr_db = None if snr is None else snr(u)
+    best = kept[0] if kept else None
+    is_best = best is None or (snr_db is not None and best_index((best.snr_db, snr_db)) == 1)
+    for old in kept:
+        if is_best or old is not best:
+            old.u = old.w = old.lam = None
+    beta = system.beta
+    fidelity = 0.5 * cfg.mu * spectral.residual_sq(system, u_hat)
+    gap_sq = np.multiply(gap, gap, out=gap)
+    # the largest iso norm: sqrt is monotone, so it is the root of the largest dx^2 + dy^2
+    constraint = math.sqrt((gap_sq[..., 0] + gap_sq[..., 1]).max())
+    penalty = float(pixel_norms(w, cfg.tv_variant).sum()) + 0.5 * beta * float(gap_sq.sum())
     scores = {
-        "snr_db": None if snr is None else snr(u),
+        "snr_db": snr_db,
         "objective_tv": float(pixel_norms(du, cfg.tv_variant).sum()) + fidelity,
         "penalty_objective": penalty + fidelity,
-        "constraint_residual": float(pixel_norms(gap).max()),
+        "constraint_residual": constraint,
         "rel_change": rc,
     }
     bad = [f"{name} {value}" for name, value in scores.items() if value is not None and not math.isfinite(value)]
@@ -141,7 +172,9 @@ def _make_record(
             f"non-finite scores at stage {stage_index}, inner iteration {inner_iter} ({', '.join(bad)}): "
             "the solve diverged or overflowed"
         )
-    return IterateRecord(stage_index=stage_index, inner_iter=inner_iter, beta=beta, u=u, w=w, lam=lam, **scores)
+    record = IterateRecord(stage_index=stage_index, inner_iter=inner_iter, beta=beta, u=u, w=w, lam=lam, **scores)
+    kept[:] = [record if is_best else best, record]
+    return record
 
 
 def _iterate(
@@ -164,17 +197,10 @@ def _iterate(
     when the relative change is not finite (the iteration diverged).
     """
     f = validate_image(f)
-    cfg.validate()
-    if method == "ftvd3":
-        betas, max_inner, multipliers = cfg.beta_schedule, cfg.max_inner_iters, False
-    elif method == "ftvd4":
-        betas, max_inner, multipliers = (cfg.beta_fixed,) * cfg.max_multiplier_updates, 1, True
-    else:
-        raise ValueError(f"unknown solver {method!r} (expected 'ftvd3' or 'ftvd4')")
+    betas, max_inner, multipliers = stage_policy(method, cfg)
     snr = None if ground_truth is None else snr_scorer(ground_truth)
     records: list[IterateRecord] = []
     kept: list[IterateRecord] = []
-    best = None
     u, du = f, forward_diff(f)
     lam = np.zeros(f.shape + (2,), dtype=np.float64) if multipliers else None
     system = None
@@ -184,8 +210,15 @@ def _iterate(
             system = spectral.prepare_u(f, cfg.mu, beta, cache)
         stage_start = u
         for it in range(1, max_inner + 1):
-            w = shrink(du if lam is None else du + lam / beta, 1.0 / beta, cfg.tv_variant)
-            u_new = spectral.solve_u(system, w, lam)
+            if lam is None:
+                w = shrink(du, 1.0 / beta, cfg.tv_variant)
+            else:
+                v = lam / beta
+                v += du
+                w = shrink(v, 1.0 / beta, cfg.tv_variant)
+                del v
+            u_hat = None  # free the last spectrum before the solve forms the next
+            u_new, u_hat = spectral.solve_u(system, w, lam)
             rc = rel_change(u_new, u)
             if not math.isfinite(rc):
                 raise FloatingPointError(
@@ -199,18 +232,14 @@ def _iterate(
         converged = stage_converged and (converged or multipliers)
         gap = w - du
         if multipliers:
-            lam = lam - beta * gap
+            step = np.multiply(beta, gap)
+            lam = np.subtract(lam, step, out=step)  # a new array: the last record holds the old lam
         stage_rc = rc if it == 1 else rel_change(u, stage_start)  # after one alternation they are equal
-        record = _make_record(stage, it, beta, u, du, w, gap, lam, stage_rc, f, cache, cfg, snr)
+        record = _make_record(stage, it, u, u_hat, du, w, gap, lam, stage_rc, system, cfg, snr, kept)
+        u_hat = gap = None  # neither is needed again; free them before the next stage
         records.append(record)
         if on_record is not None:
             on_record(record)
-        if best is None or (snr is not None and best_index((best.snr_db, record.snr_db)) == 1):
-            best = record
-        for old in kept:
-            if old is not best and old is not record:
-                old.u = old.w = old.lam = None
-        kept = [best, record]
         if multipliers and stage_converged:
             break
     return IterateTrace(records=records, config=cfg, converged=converged)

@@ -77,10 +77,13 @@ class USystem:
 
     Holds what does not change between iterations at fixed beta: the data
     term mu conj(K^) f^ of the right-hand side and the per-frequency
-    denominator mu |K^|^2 + beta |D^|^2.  Build it with ``prepare_u``.
+    denominator mu |K^|^2 + beta |D^|^2, plus K^ and f^ themselves for
+    ``residual_sq``.  Build it with ``prepare_u``.
     """
 
     beta: float
+    eig_k: np.ndarray
+    f_hat: np.ndarray
     data_hat: np.ndarray
     denom: np.ndarray
 
@@ -102,20 +105,48 @@ def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> US
             f"frequency-domain denominator reaches {denom.min():.3e}; "
             "the kernel has (near-)zero flux"
         )
-    data_hat = mu * np.conj(cache.eig_k) * np.fft.rfft2(f)
-    return USystem(beta=beta, data_hat=data_hat, denom=denom)
+    f_hat = np.fft.rfft2(f)
+    data_hat = mu * np.conj(cache.eig_k) * f_hat
+    return USystem(beta=beta, eig_k=cache.eig_k, f_hat=f_hat, data_hat=data_hat, denom=denom)
 
 
-def solve_u(system: USystem, w: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
-    """Exact minimizer of the quadratic u-subproblem.
+def solve_u(system: USystem, w: np.ndarray, lam: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimizer of the quadratic u-subproblem, and its half spectrum.
 
     Solves (mu K^T K + beta D^T D) u = mu K^T f + D^T (beta w - lam) by
     per-frequency division, with D^T applied in space.  ``lam`` may be None
-    for the penalty solver, which carries no multipliers.
+    for the penalty solver, which carries no multipliers.  Returns (u, u^):
+    the caller may hand u^ to ``residual_sq``, which overwrites it.
     """
-    field = system.beta * w if lam is None else system.beta * w - lam
-    rhs_hat = np.fft.rfft2(divergence_adjoint(field))
-    rhs_hat += system.data_hat
-    rhs_hat /= system.denom
+    field = system.beta * w
+    if lam is not None:
+        field -= lam
+    rhs = divergence_adjoint(field)
+    del field  # each buffer is freed as soon as it is consumed, so the FFTs reuse the memory
+    u_hat = np.fft.rfft2(rhs)
+    del rhs
+    u_hat += system.data_hat
+    u_hat /= system.denom
     n = system.denom.shape[0]
-    return np.fft.irfft2(rhs_hat, s=(n, n))
+    return np.fft.irfft2(u_hat, s=(n, n)), u_hat
+
+
+def residual_sq(system: USystem, u_hat: np.ndarray) -> float:
+    """||K u - f||^2 from the half spectrum u^ = rfft2(u), by Parseval.
+
+    Works in u^'s buffer, which it overwrites: r^ = K^ u^ - f^, then the
+    squares of its real and imaginary parts.  Over the full spectrum
+    ||r||^2 = sum |r^|^2 / n^2.  The half spectrum stands for every column
+    twice (itself and its conjugate mirror) except column 0 and, for even
+    n, column n/2, which are their own mirrors and count once.
+    """
+    r = u_hat
+    r *= system.eig_k
+    r -= system.f_hat
+    n = r.shape[0]
+    sq = r.view(np.float64)  # (re, im) pairs: column c of r is sq[:, 2c : 2c + 2]
+    np.multiply(sq, sq, out=sq)
+    total = 2.0 * float(sq.sum()) - float(sq[:, :2].sum())
+    if n % 2 == 0:
+        total -= float(sq[:, n : n + 2].sum())
+    return total / (n * n)

@@ -102,7 +102,7 @@ def test_c03_u_subproblem_exactness():
             f = rng.standard_normal((n, n))
             w = rng.standard_normal((n, n, 2))
             lam = rng.standard_normal((n, n, 2))
-            u = solve_u(prepare_u(f, mu, beta, cache), w, lam)
+            u, _ = solve_u(prepare_u(f, mu, beta, cache), w, lam)
             a = mu * kmat.T @ kmat + beta * dmat.T @ dmat
             rhs = mu * kmat.T @ f.ravel() + dmat.T @ (beta * stack_field(w) - stack_field(lam))
             u_dense = np.linalg.solve(a, rhs)

@@ -156,6 +156,16 @@ def test_deblur_rejects_non_finite_parameters(tmp_path, capsys, extra, name):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [["--tol", "0"], ["--beta-schedule", "4,2"]])
+def test_deblur_rejected_config_writes_no_output_dir(tmp_path, capsys, extra):
+    gt = tmp_path / "gt.pgm"
+    cli.main(["phantom", "--size", "16", "--out", str(gt)])
+    out = tmp_path / "o"
+    assert cli.main(["deblur", "--input-path", str(gt), "--output-dir", str(out)] + extra) == 1
+    assert not out.exists()
+    capsys.readouterr()
+
+
 def test_deblur_divergence_exits_two(tmp_path, capsys):
     gt = tmp_path / "gt.pgm"
     cli.main(["phantom", "--size", "16", "--out", str(gt)])

@@ -208,3 +208,4 @@ def test_unknown_solver_rejected(ground_truth_file, tmp_path):
     cfg = ExperimentConfig(input_path=ground_truth_file, output_dir=tmp_path / "y", solver="ftvd5")
     with pytest.raises(ValueError):
         run_experiment(cfg)
+    assert not (tmp_path / "y").exists()

@@ -7,6 +7,8 @@ from tvdeblur import (
     best_iterate,
     build_cache,
     degrade,
+    divergence_adjoint,
+    forward_diff,
     ftvd3_solve,
     ftvd4_solve,
     gradient_residual,
@@ -14,9 +16,12 @@ from tvdeblur import (
     make_phantom,
     snr_db,
 )
+from tvdeblur import spectral
+from tvdeblur.shrinkage import shrink
 from tvdeblur.solvers import _iterate
 
 from objectives import eval_penalty_objective, eval_tv_objective
+from oracle import convolve_periodic
 
 
 def rel(a, b):
@@ -166,6 +171,44 @@ def test_record_scores_equal_the_reference_definitions(pc16, tv_variant):
         )
         for got, want in zip((r.objective_tv, r.penalty_objective, r.constraint_residual), expected):
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_solves_never_blur_in_space(pc16, monkeypatch):
+    # records take ||K u - f||^2 from the u-step's spectrum, so no solve calls apply_kernel
+    calls = []
+    original = spectral.apply_kernel
+
+    def counting(cache, u):
+        calls.append(u.shape)
+        return original(cache, u)
+
+    monkeypatch.setattr(spectral, "apply_kernel", counting)
+    for solve in (ftvd3_solve, ftvd4_solve):
+        for tv_variant in ("iso", "aniso"):
+            trace = solve(pc16["f"], pc16["kernel"], SolverConfig(mu=500.0, tv_variant=tv_variant), ground_truth=pc16["u0"])
+            assert trace.records
+    assert calls == []
+
+
+def test_ftvd3_stages_are_stationary_for_their_huber_models():
+    # Eliminating w leaves sum_i phi_beta(D_i u) + mu/2 ||K u - f||^2 with phi_beta the Huber
+    # function, whose gradient is beta (t - shrink(t, 1/beta)).  Every stage that reached tol
+    # must (nearly) zero the gradient of its model: the combined Tikhonov + TV claim.
+    n, mu = 32, 500.0
+    u0 = make_phantom(n)
+    kernel = make_kernel(KernelSpec.average(9))
+    f = degrade(u0, kernel, 0.01, seed=0)
+    cfg = SolverConfig(mu=mu, tol=1e-8, max_inner_iters=300)
+    seen = []
+    ftvd3_solve(f, kernel, cfg, on_record=lambda r: seen.append((r, r.u)))
+    converged = [(r, u) for r, u in seen if r.inner_iter < cfg.max_inner_iters]
+    assert len(converged) >= 5
+    for r, u in converged:
+        du = forward_diff(u)
+        tv_term = divergence_adjoint(r.beta * (du - shrink(du, 1.0 / r.beta)))
+        fidelity_term = mu * convolve_periodic(convolve_periodic(u, kernel) - f, kernel[::-1, ::-1])
+        gap = np.linalg.norm(tv_term + fidelity_term) / np.linalg.norm(fidelity_term)
+        assert gap <= 1e-3, (r.stage_index, r.beta, gap)
 
 
 @pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])

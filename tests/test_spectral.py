@@ -71,7 +71,7 @@ def test_solve_u_recovers_consistent_data():
     cache = build_cache(k, n)
     f = convolve_periodic(u_star, k)
     w = forward_diff(u_star)
-    u = solve_u(prepare_u(f, 3.0, 7.0, cache), w)
+    u, _ = solve_u(prepare_u(f, 3.0, 7.0, cache), w)
     assert np.linalg.norm(u - u_star) / np.linalg.norm(u_star) < 1e-8
 
 
@@ -88,7 +88,7 @@ def test_solve_u_matches_dense_solve():
         f = rng.standard_normal((n, n))
         w = rng.standard_normal((n, n, 2))
         lam = rng.standard_normal((n, n, 2))
-        u = solve_u(prepare_u(f, mu, beta, cache), w, lam)
+        u, _ = solve_u(prepare_u(f, mu, beta, cache), w, lam)
         a = mu * kmat.T @ kmat + beta * dmat.T @ dmat
         rhs = mu * kmat.T @ f.ravel() + dmat.T @ (beta * stack_field(w) - stack_field(lam))
         u_dense = np.linalg.solve(a, rhs)
@@ -101,7 +101,7 @@ def test_solve_u_identity_kernel_special_case():
     n = 8
     cache = build_cache(make_kernel(KernelSpec.delta()), n)
     f = rng.standard_normal((n, n))
-    u = solve_u(prepare_u(f, 1.0, 1.0, cache), np.zeros((n, n, 2)))
+    u, _ = solve_u(prepare_u(f, 1.0, 1.0, cache), np.zeros((n, n, 2)))
     dmat = dense_operator("D", n)
     u_dense = np.linalg.solve(np.eye(n * n) + dmat.T @ dmat, f.ravel())
     assert np.linalg.norm(u.ravel() - u_dense) / np.linalg.norm(u_dense) < 1e-8
@@ -116,7 +116,7 @@ def test_solve_u_normal_equation_residual():
     f = rng.random((n, n))
     w = rng.standard_normal((n, n, 2))
     lam = rng.standard_normal((n, n, 2))
-    u = solve_u(prepare_u(f, mu, beta, cache), w, lam)
+    u, _ = solve_u(prepare_u(f, mu, beta, cache), w, lam)
     # apply (mu K^T K + beta D^T D) through the spatial operators
     from tvdeblur import divergence_adjoint
 
@@ -135,7 +135,7 @@ def test_solve_u_output_is_the_minimizer():
     f = rng.random((n, n))
     w = rng.standard_normal((n, n, 2))
     lam = rng.standard_normal((n, n, 2))
-    u = solve_u(prepare_u(f, mu, beta, cache), w, lam)
+    u, _ = solve_u(prepare_u(f, mu, beta, cache), w, lam)
     base = quadratic_objective(u, f, w, lam, mu, beta, k)
     wins = 0
     for _ in range(100):
@@ -151,7 +151,7 @@ def test_solve_u_mean_consistency():
     n = 16
     cache = build_cache(make_kernel(KernelSpec.average(5)), n)
     f = rng.random((n, n))
-    u = solve_u(prepare_u(f, 9.0, 4.0, cache), rng.standard_normal((n, n, 2)), rng.standard_normal((n, n, 2)))
+    u, _ = solve_u(prepare_u(f, 9.0, 4.0, cache), rng.standard_normal((n, n, 2)), rng.standard_normal((n, n, 2)))
     assert abs(u.mean() - f.mean()) < 1e-10
 
 

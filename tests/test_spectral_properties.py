@@ -20,9 +20,10 @@ from tvdeblur import (
     prepare_u,
     solve_u,
 )
+from tvdeblur.spectral import residual_sq
 
 from conftest import stack_field
-from oracle import dense_operator
+from oracle import convolve_periodic, dense_operator
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -63,13 +64,26 @@ def test_solve_u_satisfies_dense_normal_equations(problem, mu, beta, with_lam):
     f = rng.standard_normal((n, n))
     w = rng.standard_normal((n, n, 2))
     lam = rng.standard_normal((n, n, 2)) if with_lam else None
-    u = solve_u(prepare_u(f, mu, beta, build_cache(kernel, n)), w, lam)
+    u, _ = solve_u(prepare_u(f, mu, beta, build_cache(kernel, n)), w, lam)
     kmat = dense_operator("K", n, kernel)
     dmat = dense_operator("D", n)
     field = beta * stack_field(w) - (0.0 if lam is None else stack_field(lam))
     lhs = (mu * kmat.T @ kmat + beta * dmat.T @ dmat) @ u.ravel()
     rhs = mu * kmat.T @ f.ravel() + dmat.T @ field
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.floats(0.1, 1000.0), st.floats(0.1, 1000.0))
+def test_residual_sq_is_the_spatial_fidelity(problem, mu, beta):
+    # Parseval over the half spectrum: columns 0 and (even n only) n/2 count once, the rest twice
+    n, kernel, seed = problem
+    rng = np.random.default_rng(seed)
+    u, f = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    system = prepare_u(f, mu, beta, build_cache(kernel, n))
+    res = convolve_periodic(u, kernel) - f
+    expected = float((res * res).sum())
+    assert abs(residual_sq(system, np.fft.rfft2(u)) - expected) <= 1e-12 * expected
 
 
 @PROPERTY_SETTINGS
