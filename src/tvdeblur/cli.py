@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import SingularSystem, TVDeblurError
@@ -16,6 +17,7 @@ from .harness import ExperimentConfig, degrade, run_experiment
 from .metrics import best_index
 from .pgm import load_image, write_pgm
 from .phantom import make_phantom
+from .solvers import SolverConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_degrade.add_argument("--seed", type=int, default=ExperimentConfig.seed)
 
     # Options left out of the command line are absent from the namespace, so
-    # ExperimentConfig's field defaults are the only defaults.
+    # the ExperimentConfig and SolverConfig field defaults are the only ones,
+    # except --mu: SolverConfig has no default mu, and run_experiment
+    # resolves "auto".
     p_deblur = sub.add_parser(
         "deblur", help="degrade a ground truth, solve, export trace and images", argument_default=argparse.SUPPRESS
     )
@@ -61,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deblur.add_argument("--solver", choices=("ftvd3", "ftvd4"))
     p_deblur.add_argument("--kernel", type=KernelSpec.from_string)
     p_deblur.add_argument("--sigma", type=float)
-    p_deblur.add_argument("--mu", type=_parse_mu, help="fidelity weight, or 'auto' for 0.05/sigma^2")
+    p_deblur.add_argument("--mu", type=_parse_mu, default="auto", help="fidelity weight, or 'auto' for 0.05/sigma^2")
     p_deblur.add_argument("--beta-schedule", type=_parse_schedule, help="comma-separated ascending betas (ftvd3)")
     p_deblur.add_argument("--beta-fixed", type=float, help="fixed beta (ftvd4)")
     p_deblur.add_argument("--seed", type=int)
@@ -92,7 +96,9 @@ def _cmd_degrade(args) -> int:
 
 
 def _cmd_deblur(args) -> int:
-    cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k != "command"})
+    opts = {k: v for k, v in vars(args).items() if k != "command"}
+    solver_opts = {f.name: opts.pop(f.name) for f in fields(SolverConfig) if f.name in opts}
+    cfg = ExperimentConfig(**opts, solver_cfg=SolverConfig(**solver_opts))
     summary = run_experiment(cfg)
     print(Path(summary.summary_txt).read_text(), end="")
     return 0

@@ -10,7 +10,7 @@ piecewise-constant/smooth splits) as 16-bit PGM, and a plain-text summary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .errors import BadSpec
 from .grid_ops import KernelSpec, make_kernel, validate_image
 from .metrics import best_iterate
 from .pgm import load_image, write_pgm
-from .solvers import DEFAULT_BETA_SCHEDULE, IterateTrace, SolverConfig, solve, stage_policy
+from .solvers import IterateTrace, SolverConfig, solve, stage_policy
 from .spectral import apply_kernel, build_cache
 
 # Identity of the noise generator, recorded in every summary: counter-based,
@@ -36,31 +36,20 @@ U1_EXPORT_OFFSET = 0.5
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs; same config means bit-identical outputs."""
+    """Everything a run needs; same config means bit-identical outputs.
+
+    ``solver_cfg.mu`` may be "auto" here, and only here: ``run_experiment``
+    replaces it by 0.05/sigma^2 before the solve.
+    """
 
     input_path: str | Path
     output_dir: str | Path
     solver: str = "ftvd3"
     kernel: KernelSpec = KernelSpec.average(9)
     sigma: float = 0.01
-    mu: float | str = "auto"
-    beta_schedule: tuple[float, ...] = DEFAULT_BETA_SCHEDULE
-    beta_fixed: float = 10.0
     seed: int = 0
-    tv_variant: str = "iso"
     save_intermediates: bool = False
-    tol: float = 1e-4
-    max_inner_iters: int = 100
-    max_multiplier_updates: int = 100
-
-    def resolve_mu(self) -> float:
-        if self.mu == "auto":
-            if not 0 < self.sigma < math.inf:
-                raise ValueError(
-                    f"mu='auto' uses 0.05/sigma^2 and needs a finite sigma > 0, got {self.sigma}; pass mu explicitly"
-                )
-            return 0.05 / (self.sigma * self.sigma)
-        return float(self.mu)
+    solver_cfg: SolverConfig = field(default_factory=lambda: SolverConfig(mu="auto"))
 
 
 def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.ndarray:
@@ -138,16 +127,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """
     u0 = validate_image(load_image(cfg.input_path))
     kernel = make_kernel(cfg.kernel)
-    mu = cfg.resolve_mu()
-    solver_cfg = SolverConfig(
-        mu=mu,
-        tv_variant=cfg.tv_variant,
-        tol=cfg.tol,
-        max_inner_iters=cfg.max_inner_iters,
-        beta_schedule=tuple(cfg.beta_schedule),
-        beta_fixed=cfg.beta_fixed,
-        max_multiplier_updates=cfg.max_multiplier_updates,
-    )
+    solver_cfg = cfg.solver_cfg
+    if solver_cfg.mu == "auto":
+        if not 0 < cfg.sigma < math.inf:
+            raise ValueError(
+                f"mu='auto' uses 0.05/sigma^2 and needs a finite sigma > 0, got {cfg.sigma}; pass mu explicitly"
+            )
+        solver_cfg = replace(solver_cfg, mu=0.05 / (cfg.sigma * cfg.sigma))
     stage_policy(cfg.solver, solver_cfg)  # rejects a bad config before any work or output
     f = degrade(u0, kernel, cfg.sigma, cfg.seed)
     out = Path(cfg.output_dir)
@@ -162,7 +148,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     trace_csv = out / "trace.csv"
     write_trace_csv(trace_csv, trace)
 
-    best = best_iterate(trace, "snr")
+    best = best_iterate(trace)
     final = len(trace.records) - 1
     best_rec, final_rec = trace.records[best], trace.records[final]
     write_pgm(out / "best.pgm", best_rec.u)
@@ -182,11 +168,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         f"image size: {u0.shape[0]}x{u0.shape[1]}",
         f"kernel: {cfg.kernel}",
         f"sigma: {cfg.sigma!r}",
-        f"mu: {mu!r}",
+        f"mu: {float(solver_cfg.mu)!r}",
         f"seed: {cfg.seed}",
         f"noise generator: {NOISE_GENERATOR}",
-        f"tv variant: {cfg.tv_variant}",
-        f"tol: {cfg.tol!r}",
+        f"tv variant: {solver_cfg.tv_variant}",
+        f"tol: {solver_cfg.tol!r}",
         f"converged: {trace.converged}",
         f"stage records: {len(trace.records)}",
         f"best stage by snr: {best_rec.stage_index}",

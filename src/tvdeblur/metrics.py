@@ -66,20 +66,16 @@ def best_index(scores) -> int:
     return int(np.argmax(scores))
 
 
-def best_iterate(trace, criterion: str = "snr") -> int:
-    """Index of the best record: max snr_db or min objective_tv.
+def best_iterate(trace) -> int:
+    """Index of the record with the highest snr_db (``best_index``'s rule).
 
-    Ties break toward the earliest index.  Raises MissingScores when the
-    snr criterion is requested but some record carries no score.
+    Raises ValueError for a trace with no records and MissingScores when
+    some record carries no score.
     """
     records = trace.records
     if not records:
         raise ValueError("trace has no records")
-    if criterion == "snr":
-        scores = [r.snr_db for r in records]
-        if any(s is None for s in scores):
-            raise MissingScores("trace records carry no snr_db; run with ground truth")
-        return best_index(scores)
-    if criterion == "objective_tv":
-        return int(np.argmin([r.objective_tv for r in records]))
-    raise ValueError(f"unknown criterion {criterion!r}")
+    scores = [r.snr_db for r in records]
+    if any(s is None for s in scores):
+        raise MissingScores("trace records carry no snr_db; run with ground truth")
+    return best_index(scores)

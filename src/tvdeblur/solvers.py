@@ -93,7 +93,6 @@ class IterateTrace:
     """Ordered stage records of a solver run; immutable once returned."""
 
     records: list[IterateRecord]
-    config: SolverConfig
     converged: bool
 
     @property
@@ -242,7 +241,7 @@ def _iterate(
             on_record(record)
         if multipliers and stage_converged:
             break
-    return IterateTrace(records=records, config=cfg, converged=converged)
+    return IterateTrace(records=records, converged=converged)
 
 
 def solve(

@@ -211,7 +211,7 @@ def test_c08_snr_peak_before_final():
         for solver in (ftvd3_solve, ftvd4_solve):
             trace = solver(f, kernel, SolverConfig(mu=mu), ground_truth=u0)
             snrs = [r.snr_db for r in trace.records]
-            best = best_iterate(trace, "snr")
+            best = best_iterate(trace)
             last = len(snrs) - 1
             assert best < last
             assert snrs[best] >= snrs[last]

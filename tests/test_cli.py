@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tvdeblur
-from tvdeblur import ExperimentConfig, cli, read_pgm
+from tvdeblur import ExperimentConfig, SolverConfig, cli, read_pgm
 from tvdeblur.errors import SingularSystem
 from tvdeblur.harness import TRACE_HEADER
 
@@ -123,6 +123,31 @@ def test_deblur_defaults_are_the_config_defaults(monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", capture)
     assert cli.main(["deblur", "--input-path", "gt.pgm", "--output-dir", "out"]) == 2
     assert seen == [ExperimentConfig(input_path="gt.pgm", output_dir="out")]
+
+
+def test_deblur_solver_flags_go_to_the_solver_config(monkeypatch):
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        raise SingularSystem("stop after parsing")
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    argv = [
+        "deblur", "--input-path", "gt.pgm", "--output-dir", "out",
+        "--mu", "300", "--tv-variant", "aniso", "--tol", "1e-6", "--max-inner-iters", "7",
+        "--beta-schedule", "1,8,64", "--beta-fixed", "5", "--max-multiplier-updates", "30",
+    ]
+    assert cli.main(argv) == 2
+    assert seen[0].solver_cfg == SolverConfig(
+        mu=300.0,
+        tv_variant="aniso",
+        tol=1e-6,
+        max_inner_iters=7,
+        beta_schedule=(1.0, 8.0, 64.0),
+        beta_fixed=5.0,
+        max_multiplier_updates=30,
+    )
 
 
 def test_degrade_defaults_are_the_deblur_defaults(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from tvdeblur import (
     ExperimentConfig,
     KernelSpec,
+    SolverConfig,
     degrade,
     make_kernel,
     make_phantom,
@@ -81,8 +82,7 @@ def test_identity_pipeline_hits_snr_cap(ground_truth_file, tmp_path):
         solver="ftvd3",
         kernel=KernelSpec.delta(),
         sigma=0.0,
-        mu=1e18,
-        beta_schedule=(1.0,),
+        solver_cfg=SolverConfig(mu=1e18, beta_schedule=(1.0,)),
     )
     summary = run_experiment(cfg)
     assert summary.final_snr_db == 300.0
@@ -97,9 +97,9 @@ def test_run_experiment_outputs(ground_truth_file, tmp_path):
         solver="ftvd3",
         kernel=KernelSpec.average(3),
         sigma=0.01,
-        beta_schedule=(1.0, 4.0, 16.0, 64.0),
         save_intermediates=True,
         seed=2,
+        solver_cfg=SolverConfig(mu="auto", beta_schedule=(1.0, 4.0, 16.0, 64.0)),
     )
     summary = run_experiment(cfg)
 
@@ -122,7 +122,11 @@ def test_streamed_intermediates_match_best_and_final(tmp_path, solver, tv_varian
     write_pgm(gt, make_phantom(64))
     out = tmp_path / "run"
     cfg = ExperimentConfig(
-        input_path=gt, output_dir=out, solver=solver, tv_variant=tv_variant, save_intermediates=True
+        input_path=gt,
+        output_dir=out,
+        solver=solver,
+        save_intermediates=True,
+        solver_cfg=SolverConfig(mu="auto", tv_variant=tv_variant),
     )
     summary = run_experiment(cfg)
     assert summary.best_stage < summary.final_stage
@@ -156,8 +160,7 @@ def test_trace_csv_floats_round_trip(ground_truth_file, tmp_path):
         solver="ftvd4",
         kernel=KernelSpec.average(3),
         sigma=0.01,
-        max_multiplier_updates=5,
-        tol=1e-12,
+        solver_cfg=SolverConfig(mu="auto", max_multiplier_updates=5, tol=1e-12),
     )
     summary = run_experiment(cfg)
     with open(summary.trace_csv, newline="") as fh:
@@ -179,7 +182,7 @@ def test_run_experiment_is_deterministic(ground_truth_file, tmp_path):
             kernel=KernelSpec.average(5),
             sigma=0.01,
             seed=11,
-            max_multiplier_updates=40,
+            solver_cfg=SolverConfig(mu="auto", max_multiplier_updates=40),
         )
         return run_experiment(cfg)
 

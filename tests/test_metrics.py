@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tvdeblur import IterateRecord, IterateTrace, SolverConfig, best_iterate, rel_change, snr_db
+from tvdeblur import IterateRecord, IterateTrace, best_iterate, rel_change, snr_db
 from tvdeblur.errors import DegenerateReference, MissingScores
 
 
@@ -69,7 +69,7 @@ def test_rel_change_is_nan_when_the_norm_overflows():
         assert np.isnan(rel_change(1.5 * big, big))
 
 
-def _fake_trace(snrs, objectives=None):
+def _fake_trace(snrs):
     n = 2
     records = []
     for i, s in enumerate(snrs):
@@ -82,39 +82,32 @@ def _fake_trace(snrs, objectives=None):
                 w=np.zeros((n, n, 2)),
                 lam=None,
                 snr_db=s,
-                objective_tv=objectives[i] if objectives else 1.0,
+                objective_tv=1.0,
                 penalty_objective=1.0,
                 constraint_residual=0.0,
                 rel_change=0.0,
             )
         )
-    return IterateTrace(records=records, config=SolverConfig(mu=1.0), converged=True)
+    return IterateTrace(records=records, converged=True)
 
 
 def test_best_iterate_single_record():
-    assert best_iterate(_fake_trace([5.0]), "snr") == 0
+    assert best_iterate(_fake_trace([5.0])) == 0
 
 
 def test_best_iterate_earliest_tie():
-    assert best_iterate(_fake_trace([3.0, 7.0, 7.0, 5.0]), "snr") == 1
-
-
-def test_best_iterate_objective_criterion():
-    trace = _fake_trace([1.0, 1.0, 1.0], objectives=[9.0, 2.0, 4.0])
-    assert best_iterate(trace, "objective_tv") == 1
+    assert best_iterate(_fake_trace([3.0, 7.0, 7.0, 5.0])) == 1
 
 
 def test_best_iterate_stable_under_appending_worse():
     trace = _fake_trace([3.0, 7.0, 5.0])
-    idx = best_iterate(trace, "snr")
+    idx = best_iterate(trace)
     longer = _fake_trace([3.0, 7.0, 5.0, 4.0, 2.0])
-    assert best_iterate(longer, "snr") == idx
+    assert best_iterate(longer) == idx
 
 
 def test_best_iterate_missing_scores():
     with pytest.raises(MissingScores):
-        best_iterate(_fake_trace([3.0, None, 5.0]), "snr")
+        best_iterate(_fake_trace([3.0, None, 5.0]))
     with pytest.raises(ValueError):
-        best_iterate(_fake_trace([]), "snr")
-    with pytest.raises(ValueError):
-        best_iterate(_fake_trace([1.0]), "psnr")
+        best_iterate(_fake_trace([]))

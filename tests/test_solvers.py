@@ -108,7 +108,7 @@ def test_ftvd3_residuals_shrink_with_beta(ftvd3_default_trace):
 
 
 def test_ftvd3_snr_peaks_before_final_stage(ftvd3_default_trace):
-    best = best_iterate(ftvd3_default_trace, "snr")
+    best = best_iterate(ftvd3_default_trace)
     last = len(ftvd3_default_trace.records) - 1
     assert best < last
     snrs = [r.snr_db for r in ftvd3_default_trace.records]
@@ -116,7 +116,7 @@ def test_ftvd3_snr_peaks_before_final_stage(ftvd3_default_trace):
 
 
 def test_ftvd4_snr_peaks_before_final_iteration(ftvd4_default_trace):
-    best = best_iterate(ftvd4_default_trace, "snr")
+    best = best_iterate(ftvd4_default_trace)
     last = len(ftvd4_default_trace.records) - 1
     assert best < last
     snrs = [r.snr_db for r in ftvd4_default_trace.records]
@@ -190,13 +190,15 @@ def test_solves_never_blur_in_space(pc16, monkeypatch):
     assert calls == []
 
 
-def test_ftvd3_stages_are_stationary_for_their_huber_models():
+@pytest.mark.parametrize("n, spec", [(32, "average:9"), (31, "gaussian:7:1.5")])
+def test_ftvd3_stages_are_stationary_for_their_huber_models(n, spec):
     # Eliminating w leaves sum_i phi_beta(D_i u) + mu/2 ||K u - f||^2 with phi_beta the Huber
     # function, whose gradient is beta (t - shrink(t, 1/beta)).  Every stage that reached tol
-    # must (nearly) zero the gradient of its model: the combined Tikhonov + TV claim.
-    n, mu = 32, 500.0
+    # must (nearly) zero the gradient of its model: the combined Tikhonov + TV claim.  The
+    # odd side and the Gaussian kernel cover the other half-spectrum layout and kernel family.
+    mu = 500.0
     u0 = make_phantom(n)
-    kernel = make_kernel(KernelSpec.average(9))
+    kernel = make_kernel(KernelSpec.from_string(spec))
     f = degrade(u0, kernel, 0.01, seed=0)
     cfg = SolverConfig(mu=mu, tol=1e-8, max_inner_iters=300)
     seen = []
@@ -313,7 +315,7 @@ def test_non_finite_snr_raises_floating_point_error(pc16, solve):
 def test_trace_keeps_arrays_on_best_and_final_only(request, name):
     # the c08 setup, where the best record comes strictly before the last one
     trace = request.getfixturevalue(name)
-    best = best_iterate(trace, "snr")
+    best = best_iterate(trace)
     assert best < len(trace.records) - 1
     for i, r in enumerate(trace.records):
         kept = i in (best, len(trace.records) - 1)
@@ -322,6 +324,6 @@ def test_trace_keeps_arrays_on_best_and_final_only(request, name):
 
 
 def test_best_iterate_on_default_run(ftvd3_default_trace):
-    idx = best_iterate(ftvd3_default_trace, "snr")
+    idx = best_iterate(ftvd3_default_trace)
     assert 0 <= idx < len(ftvd3_default_trace.records)
     assert idx < len(ftvd3_default_trace.records) - 1
