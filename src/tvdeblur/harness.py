@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .decomposition import decompose, gradient_residual
-from .errors import BadSpec
 from .grid_ops import KernelSpec, make_kernel, validate_image
 from .metrics import best_iterate
 from .pgm import load_image, write_pgm
@@ -27,7 +26,9 @@ from .spectral import apply_kernel, build_cache
 # so degraded images are bit-reproducible from (seed, sigma, shape) alone.
 NOISE_GENERATOR = "numpy.random.Philox (philox4x64-10) standard_normal"
 
-TRACE_HEADER = "stage_index,inner_iter,beta,snr_db,objective_tv,penalty_objective,constraint_residual,rel_change"
+# trace.csv columns after stage_index and inner_iter; snr_db is empty when no ground truth was given
+TRACE_FLOAT_COLUMNS = ("beta", "snr_db", "objective_tv", "penalty_objective", "constraint_residual", "rel_change")
+TRACE_HEADER = ",".join(("stage_index", "inner_iter") + TRACE_FLOAT_COLUMNS)
 
 # Signed detail images (the piecewise-constant component is zero-mean) are
 # exported around mid-grey so both signs survive the [0, 1] clamp.
@@ -56,21 +57,16 @@ def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.n
     """Blur with ``kernel`` (periodic true convolution) and add Gaussian noise.
 
     The blur goes through the spectral cache, the same operator K the
-    solvers use, so ``u0`` must be a valid square image and the kernel
-    square with an odd side no larger than the image (ValueError /
-    BadSpec / KernelTooLarge otherwise).  The zero-mean noise of std
-    ``sigma`` comes from the counter-based Philox generator keyed by
-    ``seed``, so the same (u0, kernel, sigma, seed) gives the same bytes on
-    every platform.  sigma = 0 returns exactly the blur.
+    solvers use, so ``u0`` must be a valid square image (ValueError) and
+    the kernel must pass ``build_cache`` (BadSpec / KernelTooLarge).  The
+    zero-mean noise of std ``sigma`` comes from the counter-based Philox
+    generator keyed by ``seed``, so the same (u0, kernel, sigma, seed)
+    gives the same bytes on every platform.  sigma = 0 returns exactly the
+    blur.
     """
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     u0 = validate_image(u0)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
-        raise BadSpec(f"kernel must be square, got shape {kernel.shape}")
-    if kernel.shape[0] % 2 == 0:
-        raise BadSpec(f"kernel side must be odd, got {kernel.shape[0]}")
     f = apply_kernel(build_cache(kernel, u0.shape[0]), u0)
     if sigma == 0:
         return f
@@ -86,29 +82,15 @@ def write_trace_csv(path, trace: IterateTrace) -> None:
     """One row per record, floats as shortest round-trip decimals."""
     lines = [TRACE_HEADER]
     for r in trace.records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.stage_index),
-                    str(r.inner_iter),
-                    _fmt(r.beta),
-                    "" if r.snr_db is None else _fmt(r.snr_db),
-                    _fmt(r.objective_tv),
-                    _fmt(r.penalty_objective),
-                    _fmt(r.constraint_residual),
-                    _fmt(r.rel_change),
-                ]
-            )
-        )
+        values = (getattr(r, name) for name in TRACE_FLOAT_COLUMNS)
+        cells = ["" if v is None else _fmt(v) for v in values]
+        lines.append(",".join([str(r.stage_index), str(r.inner_iter), *cells]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @dataclass
 class ExperimentSummary:
-    solver: str
-    converged: bool
     best_stage: int
-    best_snr_db: float
     final_stage: int
     final_snr_db: float
     snr_gain_db: float
@@ -187,10 +169,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     summary_txt.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     return ExperimentSummary(
-        solver=cfg.solver,
-        converged=trace.converged,
         best_stage=best,
-        best_snr_db=best_rec.snr_db,
         final_stage=final,
         final_snr_db=final_rec.snr_db,
         snr_gain_db=best_rec.snr_db - final_rec.snr_db,

@@ -4,7 +4,7 @@ Both solvers attack the TV/L2 model
 
     min_u  sum_i ||D_i u|| + mu/2 ||K u - f||^2
 
-through the split variable w_i = D_i u, with one loop (``_iterate``) whose
+through the split variable w_i = D_i u, with one loop (``solve``) whose
 stage policy is the only difference between them:
 
 - ``ftvd3_solve`` (beta continuation) replaces the constraint by a
@@ -21,7 +21,8 @@ solution can be selected afterwards instead of the pure TV limit.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Generator
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,15 @@ class SolverConfig:
     max_multiplier_updates: int = 100
 
     def validate(self) -> None:
+        """Raise ValueError, naming the field, for a value no solver can run with."""
+        for name in ("mu", "tol", "beta_fixed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        for name in ("max_inner_iters", "max_multiplier_updates"):
+            cap = getattr(self, name)
+            if not isinstance(cap, numbers.Integral) or cap < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if not 0 < self.tol < 1:
@@ -55,14 +65,14 @@ class SolverConfig:
             raise ValueError(f"unknown tv_variant {self.tv_variant!r}")
         if len(self.beta_schedule) == 0:
             raise ValueError("beta_schedule must be nonempty")
+        if not all(isinstance(b, numbers.Real) for b in self.beta_schedule):
+            raise ValueError(f"beta_schedule entries must be real numbers, got {self.beta_schedule!r}")
         if not all(0 < b < math.inf for b in self.beta_schedule):
             raise ValueError(f"beta_schedule entries must be positive and finite, got {self.beta_schedule}")
         if any(b1 >= b2 for b1, b2 in zip(self.beta_schedule, self.beta_schedule[1:])):
             raise ValueError("beta_schedule must be strictly ascending")
         if not 0 < self.beta_fixed < math.inf:
             raise ValueError(f"beta_fixed must be positive and finite, got {self.beta_fixed}")
-        if self.max_inner_iters < 1 or self.max_multiplier_updates < 1:
-            raise ValueError("iteration caps must be at least 1")
 
 
 @dataclass
@@ -176,15 +186,15 @@ def _make_record(
     return record
 
 
-def _iterate(
+def solve(
     method: str,
     f: np.ndarray,
     cache: spectral.SpectralCache,
     cfg: SolverConfig,
     ground_truth: np.ndarray | None = None,
     on_record: Callable[[IterateRecord], None] | None = None,
-) -> Generator[tuple[np.ndarray, np.ndarray], None, IterateTrace]:
-    """The FTVd loop: yields (u, w) after every alternation, returns the trace.
+) -> IterateTrace:
+    """The FTVd loop: run solver ``method`` ("ftvd3" or "ftvd4") on a prebuilt spectral cache.
 
     Starts from u = f.  Stage k runs at betas[k] until the relative change
     of u drops below cfg.tol or max_inner alternations are done; with
@@ -224,7 +234,6 @@ def _iterate(
                     f"the solve diverged at stage {stage} (beta {beta}), inner iteration {it}: relative change {rc}"
                 )
             u, du = u_new, forward_diff(u_new)
-            yield u, w
             if rc < cfg.tol:
                 break
         stage_converged = rc < cfg.tol
@@ -244,23 +253,6 @@ def _iterate(
     return IterateTrace(records=records, converged=converged)
 
 
-def solve(
-    method: str,
-    f: np.ndarray,
-    cache: spectral.SpectralCache,
-    cfg: SolverConfig,
-    ground_truth: np.ndarray | None = None,
-    on_record: Callable[[IterateRecord], None] | None = None,
-) -> IterateTrace:
-    """Run solver ``method`` ("ftvd3" or "ftvd4") on a prebuilt spectral cache."""
-    alternations = _iterate(method, f, cache, cfg, ground_truth, on_record)
-    while True:
-        try:
-            next(alternations)
-        except StopIteration as end:
-            return end.value
-
-
 def ftvd3_solve(
     f: np.ndarray,
     kernel: np.ndarray,
@@ -273,7 +265,8 @@ def ftvd3_solve(
     Runs the alternation to cfg.tol (at most cfg.max_inner_iters times) for
     every beta of cfg.beta_schedule, warm-starting each stage from the
     previous solution (initial guess: the observation f), and records the
-    last iterate of every stage.
+    last iterate of every stage.  The kernel must pass
+    ``spectral.build_cache`` (BadSpec / KernelTooLarge).
     """
     f = validate_image(f)
     return solve("ftvd3", f, spectral.build_cache(kernel, f.shape[0]), cfg, ground_truth, on_record)
@@ -291,7 +284,8 @@ def ftvd4_solve(
     Per cycle: w-step with the current multipliers folded in, exact u-step,
     then lambda <- lambda - beta (w - D u).  Every cycle is recorded; stops
     once the relative change of u drops below cfg.tol, or after
-    cfg.max_multiplier_updates cycles.
+    cfg.max_multiplier_updates cycles.  The kernel must pass
+    ``spectral.build_cache`` (BadSpec / KernelTooLarge).
     """
     f = validate_image(f)
     return solve("ftvd4", f, spectral.build_cache(kernel, f.shape[0]), cfg, ground_truth, on_record)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KernelTooLarge, SingularSystem
+from .errors import BadSpec, KernelTooLarge, SingularSystem
 from .grid_ops import divergence_adjoint
 
 SINGULAR_FLOOR = 1e-14
@@ -55,11 +55,17 @@ class SpectralCache:
 def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
     """Diagonalize the kernel and D^T D on an n x n grid.
 
-    D^T D = Dx^T Dx + Dy^T Dy has eigenvalue 4 sin^2(pi p/n) + 4 sin^2(pi q/n)
-    at frequency (p, q).
+    Every kernel the package uses passes here, so these are its rules: a
+    2-D square array with an odd side (BadSpec otherwise) no larger than n
+    (KernelTooLarge).  D^T D = Dx^T Dx + Dy^T Dy has eigenvalue
+    4 sin^2(pi p/n) + 4 sin^2(pi q/n) at frequency (p, q).
     """
     kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.shape[0] > n or kernel.shape[1] > n:
+    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
+        raise BadSpec(f"kernel must be a square 2-D array, got shape {kernel.shape}")
+    if kernel.shape[0] % 2 == 0:
+        raise BadSpec(f"kernel side must be odd, got {kernel.shape[0]}")
+    if kernel.shape[0] > n:
         raise KernelTooLarge(f"kernel {kernel.shape} exceeds grid side {n}")
     rows = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
     cols = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2

@@ -10,6 +10,7 @@ from tvdeblur import (
     make_kernel,
     make_phantom,
 )
+from tvdeblur import spectral
 
 from oracle import reference_tv_solve
 
@@ -26,6 +27,26 @@ def piecewise_constant_phantom(n):
 def stack_field(g):
     """Vectorize a gradient field the way the dense operators expect: dx block, dy block."""
     return np.concatenate([g[..., 0].ravel(), g[..., 1].ravel()])
+
+
+@pytest.fixture()
+def alternations(monkeypatch):
+    """The (u, w) pair of every alternation of the solves run in the test, in order.
+
+    Each alternation makes exactly one u-step, so wrapping ``spectral.solve_u``
+    sees them all: w is the shrunk field it is handed and u the iterate it
+    returns.
+    """
+    seen = []
+    original = spectral.solve_u
+
+    def recording(system, w, lam=None):
+        u, u_hat = original(system, w, lam)
+        seen.append((u, w))
+        return u, u_hat
+
+    monkeypatch.setattr(spectral, "solve_u", recording)
+    return seen
 
 
 @pytest.fixture(scope="session")

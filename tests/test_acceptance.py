@@ -30,7 +30,6 @@ from tvdeblur import (
     solve_u,
     write_pgm,
 )
-from tvdeblur.solvers import _iterate
 
 from conftest import piecewise_constant_phantom, stack_field
 from objectives import eval_penalty_objective
@@ -136,7 +135,7 @@ def test_c04_shrinkage_optimality():
         rep.passed()
 
 
-def test_c05_penalty_descent():
+def test_c05_penalty_descent(alternations):
     with _report(5, "penalty objective nonincreasing on 10 random instances") as rep:
         rng = np.random.default_rng(105)
         n = 16
@@ -149,8 +148,10 @@ def test_c05_penalty_descent():
             beta = float(rng.uniform(0.5, 64))
             cfg = SolverConfig(mu=mu, tol=1e-10, max_inner_iters=150, beta_schedule=(beta,))
             # one continuation stage at this beta, cold-started from f; the
-            # engine yields (u, w) after every inner alternation
-            values = [eval_penalty_objective(u, w, f, cache, mu, beta) for u, w in _iterate("ftvd3", f, cache, cfg)]
+            # fixture records (u, w) after every inner alternation
+            alternations.clear()
+            ftvd3_solve(f, kernel, cfg)
+            values = [eval_penalty_objective(u, w, f, cache, mu, beta) for u, w in alternations]
             assert len(values) >= 2
             for prev, cur in zip(values, values[1:]):
                 assert cur <= prev + 1e-10 * max(1.0, abs(prev))

@@ -7,7 +7,10 @@ from tvdeblur import (
     ExperimentConfig,
     KernelSpec,
     SolverConfig,
+    build_cache,
     degrade,
+    ftvd3_solve,
+    ftvd4_solve,
     make_kernel,
     make_phantom,
     read_pgm,
@@ -58,14 +61,23 @@ def test_degrade_rejects_negative_sigma():
             degrade(np.zeros((4, 4)), np.ones((1, 1)), sigma, seed=0)
 
 
-def test_degrade_rejects_bad_kernels():
-    u0 = np.zeros((4, 4))
+ENTRY_POINTS = {
+    "degrade": lambda u0, kernel: degrade(u0, kernel, 0.0, seed=0),
+    "ftvd3_solve": lambda u0, kernel: ftvd3_solve(u0, kernel, SolverConfig(mu=1.0)),
+    "ftvd4_solve": lambda u0, kernel: ftvd4_solve(u0, kernel, SolverConfig(mu=1.0)),
+    "build_cache": lambda u0, kernel: build_cache(kernel, u0.shape[0]),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_degrade_rejects_bad_kernels(entry):
+    # every kernel passes build_cache, so each entry point enforces the same rules
+    run, u0 = ENTRY_POINTS[entry], np.zeros((4, 4))
     with pytest.raises(KernelTooLarge):
-        degrade(u0, np.ones((5, 5)) / 25.0, 0.0, seed=0)
-    with pytest.raises(BadSpec):
-        degrade(u0, np.ones((2, 2)) / 4.0, 0.0, seed=0)
-    with pytest.raises(BadSpec):
-        degrade(u0, np.ones((1, 3)) / 3.0, 0.0, seed=0)
+        run(u0, np.ones((5, 5)) / 25.0)
+    for bad in (np.ones((2, 2)) / 4.0, np.ones((1, 3)) / 3.0, np.ones(3) / 3.0):
+        with pytest.raises(BadSpec):
+            run(u0, bad)
 
 
 @pytest.fixture()

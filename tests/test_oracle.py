@@ -3,10 +3,18 @@ import pytest
 
 from pathlib import Path
 
-from tvdeblur import KernelSpec, forward_diff, make_kernel
+from tvdeblur import KernelSpec, divergence_adjoint, forward_diff, make_kernel
+from tvdeblur.shrinkage import shrink
 
 from conftest import stack_field
-from oracle import NoConvergence, TooLarge, convolve_periodic, dense_operator, reference_tv_solve
+from oracle import (
+    NoConvergence,
+    TooLarge,
+    convolve_periodic,
+    dense_operator,
+    huber_newton_solve,
+    reference_tv_solve,
+)
 
 
 def test_dense_d_matrix_n2_pinned():
@@ -143,3 +151,18 @@ def test_reference_solver_converges_to_a_stationary_point(pc16, mu, tv_variant):
     kt = kernel[::-1, ::-1]
     grad = dense_operator("Dt", n) @ rho + mu * convolve_periodic(convolve_periodic(u, kernel) - f, kt).ravel()
     assert np.linalg.norm(grad) < 1e-8 * n
+
+
+@pytest.mark.parametrize("tv_variant", ["iso", "aniso"])
+def test_huber_newton_finds_the_unique_stationary_point(pc16, tv_variant):
+    # from f and from zero it reaches the same point, whose Huber-model gradient,
+    # formed here through the package's shrink, is at the solver's stop
+    kernel, f, mu, beta = pc16["kernel"], pc16["f"], 500.0, 16.0
+    u = huber_newton_solve(f, kernel, mu, beta, f, tv_variant)
+    from_zero = huber_newton_solve(f, kernel, mu, beta, np.zeros_like(f), tv_variant)
+    assert np.linalg.norm(u - from_zero) <= 1e-9 * np.linalg.norm(u)
+    du = forward_diff(u)
+    tv_term = divergence_adjoint(beta * (du - shrink(du, 1.0 / beta, tv_variant)))
+    fidelity_term = mu * convolve_periodic(convolve_periodic(u, kernel) - f, kernel[::-1, ::-1])
+    data = mu * convolve_periodic(f, kernel[::-1, ::-1])
+    assert np.linalg.norm(tv_term + fidelity_term) <= 1e-10 * np.linalg.norm(data)

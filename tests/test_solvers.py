@@ -18,10 +18,9 @@ from tvdeblur import (
 )
 from tvdeblur import spectral
 from tvdeblur.shrinkage import shrink
-from tvdeblur.solvers import _iterate
 
 from objectives import eval_penalty_objective, eval_tv_objective
-from oracle import convolve_periodic
+from oracle import convolve_periodic, huber_newton_solve
 
 
 def rel(a, b):
@@ -38,7 +37,7 @@ def test_penalty_loop_constant_fixed_point():
     assert np.allclose(trace.records[0].u, f, atol=1e-12)
 
 
-def test_penalty_objective_nonincreasing():
+def test_penalty_objective_nonincreasing(alternations):
     rng = np.random.default_rng(41)
     n = 16
     kernel = make_kernel(KernelSpec.gaussian(5, 1.0))
@@ -46,7 +45,8 @@ def test_penalty_objective_nonincreasing():
     f = rng.random((n, n))
     mu, beta = 300.0, 8.0
     cfg = SolverConfig(mu=mu, tol=1e-8, max_inner_iters=200, beta_schedule=(beta,))
-    values = [eval_penalty_objective(u, w, f, cache, mu, beta) for u, w in _iterate("ftvd3", f, cache, cfg)]
+    ftvd3_solve(f, kernel, cfg)
+    values = [eval_penalty_objective(u, w, f, cache, mu, beta) for u, w in alternations]
     assert len(values) > 3
     for prev, cur in zip(values, values[1:]):
         assert cur <= prev + 1e-10 * max(1.0, abs(prev))
@@ -59,12 +59,10 @@ def test_penalty_loop_cold_start_matches_oracle(pc16, pc16_oracle_mu500):
     assert rel(trace.records[0].u, pc16_oracle_mu500) < 5e-3
 
 
-def test_ftvd3_single_stage_equals_inner_loop(pc16):
+def test_ftvd3_single_stage_equals_inner_loop(pc16, alternations):
     # the stage record holds the last alternation of the engine at that beta
     cfg = SolverConfig(mu=500.0, beta_schedule=(8.0,))
     trace = ftvd3_solve(pc16["f"], pc16["kernel"], cfg)
-    cache = build_cache(pc16["kernel"], pc16["n"])
-    alternations = list(_iterate("ftvd3", pc16["f"], cache, cfg))
     assert trace.records[-1].inner_iter == len(alternations)
     u, w = alternations[-1]
     assert np.array_equal(trace.records[-1].u, u)
@@ -190,27 +188,39 @@ def test_solves_never_blur_in_space(pc16, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("n, spec", [(32, "average:9"), (31, "gaussian:7:1.5")])
-def test_ftvd3_stages_are_stationary_for_their_huber_models(n, spec):
+@pytest.mark.parametrize(
+    "n, spec, tv_variant",
+    [
+        pytest.param(32, "average:9", "iso", id="32-average:9"),
+        pytest.param(31, "gaussian:7:1.5", "iso", id="31-gaussian:7:1.5"),
+        pytest.param(32, "average:9", "aniso", id="32-average:9-aniso"),
+    ],
+)
+def test_ftvd3_stages_are_stationary_for_their_huber_models(n, spec, tv_variant):
     # Eliminating w leaves sum_i phi_beta(D_i u) + mu/2 ||K u - f||^2 with phi_beta the Huber
     # function, whose gradient is beta (t - shrink(t, 1/beta)).  Every stage that reached tol
-    # must (nearly) zero the gradient of its model: the combined Tikhonov + TV claim.  The
-    # odd side and the Gaussian kernel cover the other half-spectrum layout and kernel family.
+    # must (nearly) zero the gradient of its model and lie next to the model's minimizer: the
+    # combined Tikhonov + TV claim.  The odd side and the Gaussian kernel cover the other
+    # half-spectrum layout and kernel family.  Gaussian aniso is left out: too few of its
+    # stages reach tol.
     mu = 500.0
     u0 = make_phantom(n)
     kernel = make_kernel(KernelSpec.from_string(spec))
     f = degrade(u0, kernel, 0.01, seed=0)
-    cfg = SolverConfig(mu=mu, tol=1e-8, max_inner_iters=300)
+    cfg = SolverConfig(mu=mu, tv_variant=tv_variant, tol=1e-8, max_inner_iters=300)
     seen = []
     ftvd3_solve(f, kernel, cfg, on_record=lambda r: seen.append((r, r.u)))
     converged = [(r, u) for r, u in seen if r.inner_iter < cfg.max_inner_iters]
     assert len(converged) >= 5
     for r, u in converged:
         du = forward_diff(u)
-        tv_term = divergence_adjoint(r.beta * (du - shrink(du, 1.0 / r.beta)))
+        tv_term = divergence_adjoint(r.beta * (du - shrink(du, 1.0 / r.beta, tv_variant)))
         fidelity_term = mu * convolve_periodic(convolve_periodic(u, kernel) - f, kernel[::-1, ::-1])
         gap = np.linalg.norm(tv_term + fidelity_term) / np.linalg.norm(fidelity_term)
         assert gap <= 1e-3, (r.stage_index, r.beta, gap)
+        # the model is strictly convex, so starting Newton at the stage iterate does not bias it
+        minimizer = huber_newton_solve(f, kernel, mu, r.beta, u, tv_variant)
+        assert rel(u, minimizer) <= 1e-6, (r.stage_index, r.beta, rel(u, minimizer))
 
 
 @pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
@@ -271,6 +281,19 @@ def test_config_validation():
     for bad in ({"mu": np.inf}, {"mu": np.nan}, {"beta_fixed": np.inf}, {"beta_schedule": (1.0, np.inf)}):
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(**{"mu": 1.0, **bad}).validate()
+    not_numbers = {
+        "mu": "auto",
+        "tol": None,
+        "beta_fixed": "10",
+        "beta_schedule": (1.0, "2"),
+        "max_inner_iters": 2.5,
+        "max_multiplier_updates": np.float64(3.0),
+    }
+    for name, value in not_numbers.items():
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{"mu": 1.0, name: value}).validate()
+    # numpy scalars are numbers
+    SolverConfig(mu=np.float64(1.0), tol=np.float32(1e-3), beta_schedule=(np.float64(2.0),), max_inner_iters=np.int64(5)).validate()
 
 
 @pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
