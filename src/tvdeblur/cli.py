@@ -12,7 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import SingularSystem, TVDeblurError
-from .grid_ops import KernelSpec, make_kernel, validate_image
+from .grid_ops import KernelSpec, check_kernel_side, make_kernel, validate_image
 from .harness import ExperimentConfig, degrade, run_experiment
 from .metrics import best_index
 from .pgm import load_image, write_pgm
@@ -89,6 +89,7 @@ def _cmd_phantom(args) -> int:
 
 def _cmd_degrade(args) -> int:
     u0 = validate_image(load_image(args.input))
+    check_kernel_side(args.kernel.size, u0.shape[0])
     f = degrade(u0, make_kernel(args.kernel), args.sigma, args.seed)
     write_pgm(args.out, f)
     print(f"wrote degraded image to {args.out} (kernel {args.kernel}, sigma {args.sigma}, seed {args.seed})")

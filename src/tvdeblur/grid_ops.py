@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec
+from .errors import BadSpec, KernelTooLarge
 
 DX = 0
 DY = 1
@@ -122,6 +122,12 @@ class KernelSpec:
         if self.kind == "average":
             return f"average:{self.size}"
         return f"gaussian:{self.size}:{self.sigma:g}"
+
+
+def check_kernel_side(side: int, n: int) -> None:
+    """Raise KernelTooLarge unless a kernel of side ``side`` fits an n x n grid (before its taps exist)."""
+    if side > n:
+        raise KernelTooLarge(f"kernel side {side} exceeds grid side {n}")
 
 
 def make_kernel(spec: KernelSpec | str) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .decomposition import decompose, gradient_residual
-from .grid_ops import KernelSpec, make_kernel, validate_image
+from .grid_ops import KernelSpec, check_kernel_side, make_kernel, validate_image
 from .metrics import best_iterate
 from .pgm import load_image, write_pgm
 from .solvers import IterateTrace, SolverConfig, solve, stage_policy
@@ -108,6 +108,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     the stages it finished.
     """
     u0 = validate_image(load_image(cfg.input_path))
+    check_kernel_side(cfg.kernel.size, u0.shape[0])
     kernel = make_kernel(cfg.kernel)
     solver_cfg = cfg.solver_cfg
     if solver_cfg.mu == "auto":

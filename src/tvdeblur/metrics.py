@@ -27,7 +27,7 @@ def snr_scorer(reference: np.ndarray) -> Callable[[np.ndarray], float]:
 
     def score(u: np.ndarray) -> float:
         err = np.asarray(u, dtype=np.float64) - reference
-        err *= err
+        err *= err  # in place: np.square(u - reference) adds 2 MB to ftvd4's peak RSS at 512²
         err_energy = float(err.sum())
         if err_energy == 0.0:
             return SNR_CAP_DB

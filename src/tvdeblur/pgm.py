@@ -70,7 +70,7 @@ def load_image(path) -> np.ndarray:
     """Load a grey-scale image normalized to [0, 1].
 
     PGM is handled natively; anything else goes through Pillow when it is
-    installed (the 'png' extra).
+    installed (the 'png' extra), and raises ValueError when it is not.
     """
     path = Path(path)
     if path.suffix.lower() == ".pgm":
@@ -78,7 +78,7 @@ def load_image(path) -> np.ndarray:
     try:
         from PIL import Image
     except ImportError as exc:
-        raise RuntimeError(
+        raise ValueError(
             f"loading {path.suffix} files requires Pillow (pip install tvdeblur[png])"
         ) from exc
     with Image.open(path) as im:

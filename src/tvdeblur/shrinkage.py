@@ -32,7 +32,7 @@ def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
         dx = g[..., 0]
         dy = g[..., 1]
         out = np.multiply(dx, dx)
-        out += dy * dy
+        out += dy * dy  # one buffer here and in shrink_iso: plain expressions add 1-4 MB of peak RSS at 512²
         return np.sqrt(out, out=out)
     if tv_variant == "aniso":
         return np.abs(g[..., 0]) + np.abs(g[..., 1])
@@ -49,7 +49,7 @@ def shrink_iso(v: np.ndarray, t: float) -> np.ndarray:
     _check_threshold(t)
     scale = pixel_norms(v)
     denom = np.maximum(scale, t)
-    scale -= t
+    scale -= t  # the factor is formed in the norm's buffer: see pixel_norms
     np.maximum(scale, 0.0, out=scale)
     scale /= denom
     return v * scale[..., None]

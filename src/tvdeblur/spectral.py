@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, KernelTooLarge, SingularSystem
-from .grid_ops import divergence_adjoint
+from .errors import BadSpec, SingularSystem
+from .grid_ops import check_kernel_side, divergence_adjoint
 
 SINGULAR_FLOOR = 1e-14
 
@@ -65,8 +65,7 @@ def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
         raise BadSpec(f"kernel must be a square 2-D array, got shape {kernel.shape}")
     if kernel.shape[0] % 2 == 0:
         raise BadSpec(f"kernel side must be odd, got {kernel.shape[0]}")
-    if kernel.shape[0] > n:
-        raise KernelTooLarge(f"kernel {kernel.shape} exceeds grid side {n}")
+    check_kernel_side(kernel.shape[0], n)
     rows = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
     cols = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
     return SpectralCache(n=n, eig_k=stencil_transfer(kernel, n), eig_dtd=rows[:, None] + cols[None, :])
@@ -124,17 +123,10 @@ def solve_u(system: USystem, w: np.ndarray, lam: np.ndarray | None = None) -> tu
     for the penalty solver, which carries no multipliers.  Returns (u, u^):
     the caller may hand u^ to ``residual_sq``, which overwrites it.
     """
-    field = system.beta * w
-    if lam is not None:
-        field -= lam
-    rhs = divergence_adjoint(field)
-    del field  # each buffer is freed as soon as it is consumed, so the FFTs reuse the memory
-    u_hat = np.fft.rfft2(rhs)
-    del rhs
+    u_hat = np.fft.rfft2(divergence_adjoint(system.beta * w if lam is None else system.beta * w - lam))
     u_hat += system.data_hat
     u_hat /= system.denom
-    n = system.denom.shape[0]
-    return np.fft.irfft2(u_hat, s=(n, n)), u_hat
+    return np.fft.irfft2(u_hat, s=w.shape[:2]), u_hat
 
 
 def residual_sq(system: USystem, u_hat: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import tvdeblur
-from tvdeblur import ExperimentConfig, SolverConfig, cli, read_pgm
+from tvdeblur import ExperimentConfig, SolverConfig, cli, harness, read_pgm
 from tvdeblur.errors import SingularSystem
 from tvdeblur.harness import TRACE_HEADER
 
@@ -206,6 +207,34 @@ def test_deblur_truncated_input_exits_one(tmp_path, capsys):
     rc = cli.main(["deblur", "--input-path", str(gt), "--output-dir", str(tmp_path / "o")])
     assert rc == 1
     assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["degrade", "deblur"])
+def test_oversized_kernel_spec_exits_one_before_building_taps(tmp_path, capsys, monkeypatch, command):
+    gt = tmp_path / "gt.pgm"
+    cli.main(["phantom", "--size", "16", "--out", str(gt)])
+    capsys.readouterr()
+
+    def never(spec):
+        raise AssertionError(f"make_kernel({spec}) ran for a kernel larger than the image")
+
+    monkeypatch.setattr(cli, "make_kernel", never)
+    monkeypatch.setattr(harness, "make_kernel", never)
+    out = str(tmp_path / "o")
+    argv = {
+        "degrade": ["degrade", "--input", str(gt), "--out", out],
+        "deblur": ["deblur", "--input-path", str(gt), "--output-dir", out],
+    }[command]
+    assert cli.main(argv + ["--kernel", "average:2001"]) == 1
+    assert "error: kernel side 2001 exceeds grid side 16" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(importlib.util.find_spec("PIL") is not None, reason="Pillow is installed")
+def test_png_input_without_pillow_exits_one(tmp_path, capsys):
+    png = tmp_path / "gt.png"
+    png.write_bytes(b"")
+    assert cli.main(["deblur", "--input-path", str(png), "--output-dir", str(tmp_path / "o")]) == 1
+    assert "error: loading .png files requires Pillow" in capsys.readouterr().err
 
 
 def test_import_does_not_load_scipy():

@@ -281,19 +281,29 @@ def test_config_validation():
     for bad in ({"mu": np.inf}, {"mu": np.nan}, {"beta_fixed": np.inf}, {"beta_schedule": (1.0, np.inf)}):
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(**{"mu": 1.0, **bad}).validate()
-    not_numbers = {
-        "mu": "auto",
-        "tol": None,
-        "beta_fixed": "10",
-        "beta_schedule": (1.0, "2"),
-        "max_inner_iters": 2.5,
-        "max_multiplier_updates": np.float64(3.0),
-    }
-    for name, value in not_numbers.items():
+    not_numbers = [
+        ("mu", "auto"),
+        ("tol", None),
+        ("beta_fixed", "10"),
+        ("beta_schedule", (1.0, "2")),
+        ("beta_schedule", 2.0),
+        ("max_inner_iters", 2.5),
+        ("max_multiplier_updates", np.float64(3.0)),
+    ]
+    for name, value in not_numbers:
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{"mu": 1.0, name: value}).validate()
     # numpy scalars are numbers
     SolverConfig(mu=np.float64(1.0), tol=np.float32(1e-3), beta_schedule=(np.float64(2.0),), max_inner_iters=np.int64(5)).validate()
+
+
+def test_ftvd4_cycle_cap_is_not_materialized():
+    # a cap no machine could hold as a list of stages: the solve still returns after its
+    # first cycle, which converges at once on a constant image
+    cfg = SolverConfig(mu=1.0, max_multiplier_updates=10**12)
+    trace = ftvd4_solve(np.full((8, 8), 0.5), make_kernel(KernelSpec.average(3)), cfg)
+    assert len(trace.records) == 1
+    assert trace.converged
 
 
 @pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
@@ -334,12 +344,22 @@ def test_non_finite_snr_raises_floating_point_error(pc16, solve):
         solve(pc16["f"], pc16["kernel"], SolverConfig(mu=500.0), ground_truth=1e155 * pc16["u0"])
 
 
-@pytest.mark.parametrize("name", ["ftvd3_default_trace", "ftvd4_default_trace"])
+@pytest.mark.parametrize(
+    "name", ["ftvd3_default_trace", "ftvd4_default_trace", "ftvd3_no_ground_truth", "ftvd4_no_ground_truth"]
+)
 def test_trace_keeps_arrays_on_best_and_final_only(request, name):
-    # the c08 setup, where the best record comes strictly before the last one
-    trace = request.getfixturevalue(name)
-    best = best_iterate(trace)
-    assert best < len(trace.records) - 1
+    if name.endswith("_no_ground_truth"):
+        # nothing is scored, so there is no best: only the last record keeps its arrays
+        u0, kernel, f = phantom32_average3()
+        solve = ftvd3_solve if name.startswith("ftvd3") else ftvd4_solve
+        trace = solve(f, kernel, SolverConfig(mu=500.0))
+        best = len(trace.records) - 1
+        assert best > 0
+    else:
+        # the c08 setup, where the best record comes strictly before the last one
+        trace = request.getfixturevalue(name)
+        best = best_iterate(trace)
+        assert best < len(trace.records) - 1
     for i, r in enumerate(trace.records):
         kept = i in (best, len(trace.records) - 1)
         assert (r.u is not None, r.w is not None) == (kept, kept)
