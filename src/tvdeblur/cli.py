@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -107,11 +108,18 @@ def _cmd_deblur(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.trace, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.DictReader(fh) if row.get("snr_db")]
+        reader = csv.DictReader(fh)
+        missing = [name for name in ("stage_index", "snr_db") if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{args.trace} has no {' or '.join(missing)} column")
+        rows = [row for row in reader if row["snr_db"]]
     if not rows:
         print("trace carries no snr scores", file=sys.stderr)
         return 1
     snrs = [float(row["snr_db"]) for row in rows]
+    bad = [row["stage_index"] for row, snr in zip(rows, snrs) if not math.isfinite(snr)]
+    if bad:
+        raise ValueError(f"{args.trace} has a non-finite snr_db at stage {', '.join(bad)}")
     best = best_index(snrs)
     final = len(rows) - 1
     print(f"records with snr: {len(rows)}")

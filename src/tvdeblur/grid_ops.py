@@ -5,7 +5,11 @@ Conventions used throughout the package:
 - an image is an (n, n) float64 array, n >= 2, row-major, indexed (row, col);
 - a gradient field is an (n, n, 2) float64 array where [..., 0] holds the
   horizontal (column) forward difference dx and [..., 1] the vertical (row)
-  forward difference dy;
+  forward difference dy.  It is stored plane-major: ``forward_diff`` lays
+  out each of [..., 0] and [..., 1] as a C-contiguous (n, n) plane (strides
+  (8n, 8, 8n^2)), so per-pixel passes read contiguous memory.  Ufuncs keep
+  their inputs' layout, so every field derived from it stays plane-major;
+  an interleaved (C-ordered) field gives the same values, only more slowly;
 - a kernel is an (m, m) float64 array with odd m, anchored at its centre tap;
   blurring with it (``spectral.apply_kernel``) is true convolution (kernel
   flipped) with circular wrap-around.
@@ -48,9 +52,11 @@ def forward_diff(u: np.ndarray) -> np.ndarray:
     dy(i, j) = u((i+1) mod n, j) - u(i, j)
 
     Returns an (n, n, 2) gradient field; [..., 0] is dx, [..., 1] is dy.
-    Each plane is written in place: the interior, then the wrap column/row.
+    This is the one place that decides the storage order: the field is
+    plane-major, each component a C-contiguous plane.  Each plane is written
+    in place: the interior, then the wrap column/row.
     """
-    g = np.empty(u.shape + (2,), dtype=np.float64)
+    g = np.empty((2,) + u.shape, dtype=np.float64).transpose(1, 2, 0)
     dx = g[..., DX]
     dy = g[..., DY]
     np.subtract(u[:, 1:], u[:, :-1], out=dx[:, :-1])

@@ -48,10 +48,14 @@ def snr_db(u: np.ndarray, reference: np.ndarray) -> float:
 def rel_change(u_new: np.ndarray, u_old: np.ndarray) -> float:
     """||u_new - u_old||_2 / max(||u_old||_2, 1e-12).
 
-    NaN when ||u_old|| overflows: the ratio would read 0 and mean nothing.
+    The squares are summed by ``einsum`` in a fixed order, not by BLAS,
+    whose threaded dot product would make the value depend on the BLAS
+    thread count.  NaN when ||u_old|| overflows: the ratio would read 0 and
+    mean nothing.
     """
-    num = float(np.linalg.norm(u_new - u_old))
-    den = max(float(np.linalg.norm(u_old)), 1e-12)
+    diff = u_new - u_old
+    num = math.sqrt(np.einsum("ij,ij->", diff, diff))
+    den = max(math.sqrt(np.einsum("ij,ij->", u_old, u_old)), 1e-12)
     if not math.isfinite(den):
         return math.nan
     return num / den

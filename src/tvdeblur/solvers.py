@@ -215,7 +215,7 @@ def solve(
     records: list[IterateRecord] = []
     kept: list[IterateRecord] = []
     u, du = f, forward_diff(f)
-    lam = np.zeros(f.shape + (2,), dtype=np.float64) if multipliers else None
+    lam = np.zeros_like(du) if multipliers else None
     system = None
     converged = True
     for stage, beta in enumerate(betas):

@@ -109,6 +109,25 @@ def test_report_picks_the_earliest_best_record(tmp_path, capsys):
     assert "best record: stage 1 snr 7.0000 dB" in capsys.readouterr().out
 
 
+def test_report_without_stage_column_exits_one(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("snr_db,rel_change\n7.0,0.1\n")
+    assert cli.main(["report", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == f"error: {trace} has no stage_index column\n"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_report_with_non_finite_snr_exits_one(tmp_path, capsys, bad):
+    # np.argmax would pick the NaN and report it as the best record
+    trace = tmp_path / "trace.csv"
+    rows = [f"{i},1,1.0,{snr},1.0,1.0,0.0,0.1" for i, snr in enumerate(("3.0", bad, "5.0"))]
+    trace.write_text("\n".join([TRACE_HEADER, *rows]) + "\n")
+    assert cli.main(["report", "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {trace} has a non-finite snr_db at stage 1\n"
+
+
 def test_phantom_rejects_tiny_size(tmp_path):
     rc = cli.main(["phantom", "--size", "2", "--out", str(tmp_path / "p.pgm")])
     assert rc == 1

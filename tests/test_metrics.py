@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tvdeblur
 from tvdeblur import IterateRecord, IterateTrace, best_iterate, rel_change, snr_db
 from tvdeblur.errors import DegenerateReference, MissingScores
 
@@ -60,6 +66,31 @@ def test_rel_change_values():
     z = np.zeros((4, 4))
     v = np.full((4, 4), 1e-6)
     assert rel_change(v, z) == np.linalg.norm(v) / 1e-12
+
+
+def test_rel_change_does_not_depend_on_the_blas_thread_count():
+    # a threaded BLAS dot product splits its sum by thread, so the last digits of
+    # a 512² norm would move with OPENBLAS_NUM_THREADS, and trace.csv with them;
+    # 1 and 2 threads give the same BLAS sum at some seeds, so four are compared
+    code = (
+        "import numpy as np; from tvdeblur import rel_change\n"
+        "for seed in range(4):\n"
+        "    rng = np.random.default_rng(seed); a = rng.random((512, 512))\n"
+        "    print(repr(rel_change(a + 1e-3 * rng.standard_normal((512, 512)), a)))"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(tvdeblur.__file__).resolve().parents[1]),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "MKL_NUM_THREADS": threads,
+        }
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_rel_change_is_nan_when_the_norm_overflows():
