@@ -19,7 +19,6 @@ from .grid_ops import (
 )
 from .harness import (
     ExperimentConfig,
-    ExperimentSummary,
     degrade,
     run_experiment,
     write_trace_csv,
@@ -73,6 +72,5 @@ __all__ = [
     "run_experiment",
     "write_trace_csv",
     "ExperimentConfig",
-    "ExperimentSummary",
     "__version__",
 ]

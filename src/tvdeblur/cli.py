@@ -101,8 +101,8 @@ def _cmd_deblur(args) -> int:
     opts = {k: v for k, v in vars(args).items() if k != "command"}
     solver_opts = {f.name: opts.pop(f.name) for f in fields(SolverConfig) if f.name in opts}
     cfg = ExperimentConfig(**opts, solver_cfg=SolverConfig(**solver_opts))
-    summary = run_experiment(cfg)
-    print(Path(summary.summary_txt).read_text(), end="")
+    run_experiment(cfg)
+    print((Path(cfg.output_dir) / "summary.txt").read_text(), end="")
     return 0
 
 

@@ -88,21 +88,12 @@ def write_trace_csv(path, trace: IterateTrace) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@dataclass
-class ExperimentSummary:
-    best_stage: int
-    final_stage: int
-    final_snr_db: float
-    snr_gain_db: float
-    trace: IterateTrace
-    output_dir: Path
-    trace_csv: Path
-    summary_txt: Path
-
-
-def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
+def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
     """Run the full degrade/solve/score/export pipeline for one config.
 
+    Writes trace.csv, summary.txt and the best/final images to
+    ``cfg.output_dir`` and returns the solve's trace; its best record is
+    ``best_iterate(trace)`` and its final one ``trace.records[-1]``.
     With ``save_intermediates``, each stage's ``iter_NNNN.pgm`` is written
     as soon as the stage is recorded, so a solve that fails part-way leaves
     the stages it finished.
@@ -128,12 +119,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     cache = build_cache(kernel, u0.shape[0])
     trace = solve(cfg.solver, f, cache, solver_cfg, ground_truth=u0, on_record=on_record)
 
-    trace_csv = out / "trace.csv"
-    write_trace_csv(trace_csv, trace)
+    write_trace_csv(out / "trace.csv", trace)
 
-    best = best_iterate(trace)
-    final = len(trace.records) - 1
-    best_rec, final_rec = trace.records[best], trace.records[final]
+    best_rec, final_rec = trace.records[best_iterate(trace)], trace.records[-1]
     write_pgm(out / "best.pgm", best_rec.u)
     write_pgm(out / "final.pgm", final_rec.u)
 
@@ -144,7 +132,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         write_pgm(out / f"{tag}_u1.pgm", u1 + U1_EXPORT_OFFSET)
         write_pgm(out / f"{tag}_u2.pgm", u2)
 
-    summary_txt = out / "summary.txt"
     lines = [
         f"solver: {cfg.solver}",
         f"input: {cfg.input_path}",
@@ -167,15 +154,5 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         f"gradient residual |w - D u1| at final: {_fmt(residuals['final'])}",
         f"u1 images exported with +{U1_EXPORT_OFFSET} mid-grey offset",
     ]
-    summary_txt.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    return ExperimentSummary(
-        best_stage=best,
-        final_stage=final,
-        final_snr_db=final_rec.snr_db,
-        snr_gain_db=best_rec.snr_db - final_rec.snr_db,
-        trace=trace,
-        output_dir=out,
-        trace_csv=trace_csv,
-        summary_txt=summary_txt,
-    )
+    (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return trace

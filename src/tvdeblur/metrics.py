@@ -8,6 +8,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import DegenerateReference, MissingScores
+from .grid_ops import validate_image
 
 SNR_CAP_DB = 300.0
 
@@ -17,9 +18,10 @@ def snr_scorer(reference: np.ndarray) -> Callable[[np.ndarray], float]:
 
     A solve scores every record against the same ground truth, so the
     centred reference and its energy are formed here, not per record.
-    Raises DegenerateReference for a constant reference.
+    The reference must pass ``validate_image`` (ValueError otherwise);
+    DegenerateReference is raised for a constant one.
     """
-    reference = np.asarray(reference, dtype=np.float64)
+    reference = validate_image(reference)
     signal = reference - reference.mean()
     signal_energy = float((signal * signal).sum())
     if signal_energy == 0.0:

@@ -206,16 +206,20 @@ def solve(
     carries the relative change over the whole stage and goes to
     ``on_record`` as soon as it is scored; afterwards only the best record
     by SNR and the last one (without ground truth, the last one alone) keep
-    their arrays.  Raises FloatingPointError when the relative change is
-    not finite (the iteration diverged).
+    their arrays.  ``ground_truth`` must be a finite image of ``f``'s
+    shape; otherwise ValueError is raised before the first alternation.
+    Raises FloatingPointError when the relative change is not finite (the
+    iteration diverged).
     """
     f = validate_image(f)
     betas, max_inner, multipliers = stage_policy(method, cfg)
+    if ground_truth is not None and np.shape(ground_truth) != f.shape:
+        raise ValueError(f"ground truth has shape {np.shape(ground_truth)}, the observation {f.shape}")
     snr = None if ground_truth is None else snr_scorer(ground_truth)
     records: list[IterateRecord] = []
     kept: list[IterateRecord] = []
     u, du = f, forward_diff(f)
-    lam = np.zeros_like(du) if multipliers else None
+    lam = 0.0 if multipliers else None  # the first multiplier update makes it a field
     system = None
     converged = True
     for stage, beta in enumerate(betas):

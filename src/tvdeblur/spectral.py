@@ -47,7 +47,6 @@ class SpectralCache:
     construction; the cache may be shared across threads.
     """
 
-    n: int
     eig_k: np.ndarray
     eig_dtd: np.ndarray
 
@@ -68,7 +67,7 @@ def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
     check_kernel_side(kernel.shape[0], n)
     rows = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
     cols = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
-    return SpectralCache(n=n, eig_k=stencil_transfer(kernel, n), eig_dtd=rows[:, None] + cols[None, :])
+    return SpectralCache(eig_k=stencil_transfer(kernel, n), eig_dtd=rows[:, None] + cols[None, :])
 
 
 def apply_kernel(cache: SpectralCache, u: np.ndarray) -> np.ndarray:
@@ -115,12 +114,13 @@ def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> US
     return USystem(beta=beta, eig_k=cache.eig_k, f_hat=f_hat, data_hat=data_hat, denom=denom)
 
 
-def solve_u(system: USystem, w: np.ndarray, lam: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def solve_u(system: USystem, w: np.ndarray, lam: np.ndarray | float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimizer of the quadratic u-subproblem, and its half spectrum.
 
     Solves (mu K^T K + beta D^T D) u = mu K^T f + D^T (beta w - lam) by
-    per-frequency division, with D^T applied in space.  ``lam`` may be None
-    for the penalty solver, which carries no multipliers.  Returns (u, u^):
+    per-frequency division, with D^T applied in space.  ``lam`` is a
+    gradient field, the scalar 0 before the first multiplier update, or
+    None for the penalty solver, which carries no multipliers.  Returns (u, u^):
     the caller may hand u^ to ``residual_sq``, which overwrites it.
     """
     u_hat = np.fft.rfft2(divergence_adjoint(system.beta * w if lam is None else system.beta * w - lam))

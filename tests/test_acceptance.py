@@ -252,9 +252,8 @@ def test_c10_determinism(tmp_path):
                 sigma=0.01,
                 seed=4,
             )
-            return run_experiment(cfg)
+            run_experiment(cfg)
+            return tmp_path / sub / "trace.csv"
 
-        s1 = go("one")
-        s2 = go("two")
-        assert s1.trace_csv.read_bytes() == s2.trace_csv.read_bytes()
+        assert go("one").read_bytes() == go("two").read_bytes()
         rep.passed()

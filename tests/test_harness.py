@@ -7,6 +7,7 @@ from tvdeblur import (
     ExperimentConfig,
     KernelSpec,
     SolverConfig,
+    best_iterate,
     build_cache,
     degrade,
     ftvd3_solve,
@@ -96,9 +97,9 @@ def test_identity_pipeline_hits_snr_cap(ground_truth_file, tmp_path):
         sigma=0.0,
         solver_cfg=SolverConfig(mu=1e18, beta_schedule=(1.0,)),
     )
-    summary = run_experiment(cfg)
-    assert summary.final_snr_db == 300.0
-    assert summary.best_stage == summary.final_stage == 0
+    trace = run_experiment(cfg)
+    assert trace.records[-1].snr_db == 300.0
+    assert best_iterate(trace) == len(trace.records) - 1 == 0
 
 
 def test_run_experiment_outputs(ground_truth_file, tmp_path):
@@ -113,16 +114,16 @@ def test_run_experiment_outputs(ground_truth_file, tmp_path):
         seed=2,
         solver_cfg=SolverConfig(mu="auto", beta_schedule=(1.0, 4.0, 16.0, 64.0)),
     )
-    summary = run_experiment(cfg)
+    trace = run_experiment(cfg)
 
     rows = (out / "trace.csv").read_text().splitlines()
     assert rows[0] == TRACE_HEADER
-    assert len(rows) - 1 == len(summary.trace.records) == 4
+    assert len(rows) - 1 == len(trace.records) == 4
 
     for name in ("best.pgm", "final.pgm", "best_u1.pgm", "best_u2.pgm", "final_u1.pgm", "final_u2.pgm"):
         img = read_pgm(out / name)
         assert img.shape == (32, 32)
-    for rec in summary.trace.stage_records:
+    for rec in trace.stage_records:
         assert (out / f"iter_{rec.stage_index:04}.pgm").exists()
     assert "noise generator" in (out / "summary.txt").read_text()
 
@@ -140,11 +141,12 @@ def test_streamed_intermediates_match_best_and_final(tmp_path, solver, tv_varian
         save_intermediates=True,
         solver_cfg=SolverConfig(mu="auto", tv_variant=tv_variant),
     )
-    summary = run_experiment(cfg)
-    assert summary.best_stage < summary.final_stage
+    trace = run_experiment(cfg)
+    best = best_iterate(trace)
+    assert best < len(trace.records) - 1
     iters = sorted(out.glob("iter_*.pgm"))
-    assert len(iters) == len(summary.trace.records)
-    assert (out / f"iter_{summary.best_stage:04}.pgm").read_bytes() == (out / "best.pgm").read_bytes()
+    assert len(iters) == len(trace.records)
+    assert (out / f"iter_{best:04}.pgm").read_bytes() == (out / "best.pgm").read_bytes()
     assert iters[-1].read_bytes() == (out / "final.pgm").read_bytes()
 
 
@@ -174,10 +176,10 @@ def test_trace_csv_floats_round_trip(ground_truth_file, tmp_path):
         sigma=0.01,
         solver_cfg=SolverConfig(mu="auto", max_multiplier_updates=5, tol=1e-12),
     )
-    summary = run_experiment(cfg)
-    with open(summary.trace_csv, newline="") as fh:
+    trace = run_experiment(cfg)
+    with open(tmp_path / "rt" / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    for row, rec in zip(rows, summary.trace.records):
+    for row, rec in zip(rows, trace.records):
         assert int(row["stage_index"]) == rec.stage_index
         assert float(row["beta"]) == rec.beta
         assert float(row["snr_db"]) == rec.snr_db
@@ -196,11 +198,12 @@ def test_run_experiment_is_deterministic(ground_truth_file, tmp_path):
             seed=11,
             solver_cfg=SolverConfig(mu="auto", max_multiplier_updates=40),
         )
-        return run_experiment(cfg)
+        run_experiment(cfg)
+        return tmp_path / d
 
-    s1, s2 = go("a"), go("b")
-    assert s1.trace_csv.read_bytes() == s2.trace_csv.read_bytes()
-    assert (s1.output_dir / "best.pgm").read_bytes() == (s2.output_dir / "best.pgm").read_bytes()
+    a, b = go("a"), go("b")
+    assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+    assert (a / "best.pgm").read_bytes() == (b / "best.pgm").read_bytes()
 
 
 def test_default_experiment_summary_reports_earlier_best(tmp_path):
@@ -208,9 +211,10 @@ def test_default_experiment_summary_reports_earlier_best(tmp_path):
     # final continuation step and scores at least as well
     gt = tmp_path / "gt128.pgm"
     write_pgm(gt, make_phantom(128))
-    summary = run_experiment(ExperimentConfig(input_path=gt, output_dir=tmp_path / "dflt"))
-    assert summary.best_stage < summary.final_stage
-    assert summary.snr_gain_db >= 0.0
+    trace = run_experiment(ExperimentConfig(input_path=gt, output_dir=tmp_path / "dflt"))
+    best = best_iterate(trace)
+    assert best < len(trace.records) - 1
+    assert trace.records[best].snr_db - trace.records[-1].snr_db >= 0.0
 
 
 def test_auto_mu_requires_noise(ground_truth_file, tmp_path):

@@ -42,6 +42,13 @@ def test_constant_reference_is_degenerate():
         snr_db(np.zeros((4, 4)), np.full((4, 4), 0.3))
 
 
+def test_reference_must_be_an_image():
+    # a row would broadcast against u and score every row of u against it
+    u = np.random.default_rng(66).random((8, 8))
+    with pytest.raises(ValueError):
+        snr_db(u, u[0])
+
+
 def test_snr_invariant_under_common_shift():
     rng = np.random.default_rng(64)
     ref = rng.random((8, 8))

@@ -344,6 +344,26 @@ def test_non_finite_snr_raises_floating_point_error(pc16, solve):
         solve(pc16["f"], pc16["kernel"], SolverConfig(mu=500.0), ground_truth=1e155 * pc16["u0"])
 
 
+@pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
+@pytest.mark.parametrize(
+    "bad_truth",
+    [
+        lambda u0: np.where(u0 == u0.max(), np.nan, u0),
+        lambda u0: u0[0],
+        lambda u0: make_phantom(u0.shape[0] + 1),
+    ],
+    ids=["nan", "one_dimensional", "wrong_size"],
+)
+def test_bad_ground_truth_is_rejected_before_the_solve(monkeypatch, solve, bad_truth):
+    def no_alternation(*args):
+        raise AssertionError("the solve started")
+
+    u0, kernel, f = phantom32_average3()
+    monkeypatch.setattr(spectral, "solve_u", no_alternation)
+    with pytest.raises(ValueError):
+        solve(f, kernel, SolverConfig(mu=500.0), ground_truth=bad_truth(u0))
+
+
 @pytest.mark.parametrize(
     "name", ["ftvd3_default_trace", "ftvd4_default_trace", "ftvd3_no_ground_truth", "ftvd4_no_ground_truth"]
 )
