@@ -26,7 +26,7 @@ from .harness import (
 from .metrics import best_iterate, rel_change, snr_db
 from .pgm import load_image, read_pgm, write_pgm
 from .phantom import make_phantom
-from .shrinkage import shrink, shrink_aniso, shrink_iso
+from .shrinkage import shrink
 from .solvers import (
     IterateRecord,
     IterateTrace,
@@ -52,8 +52,6 @@ __all__ = [
     "prepare_u",
     "solve_u",
     "shrink",
-    "shrink_iso",
-    "shrink_aniso",
     "SolverConfig",
     "IterateRecord",
     "IterateTrace",

@@ -153,8 +153,8 @@ def make_kernel(spec: KernelSpec | str) -> np.ndarray:
         return np.full((m, m), 1.0 / (m * m), dtype=np.float64)
     if spec.kind == "gaussian":
         s = spec.sigma
-        if not (s > 0) or not math.isfinite(s):
-            raise BadSpec(f"gaussian width must be positive, got {s}")
+        if not (s > 0 and 2.0 * s * s > 0) or not math.isfinite(s):
+            raise BadSpec(f"gaussian width must be positive and finite with 2*width^2 > 0, got {s}")
         c = (m - 1) // 2
         offs = np.arange(m, dtype=np.float64) - c
         r2 = offs[:, None] ** 2 + offs[None, :] ** 2

@@ -19,7 +19,7 @@ from .decomposition import decompose, gradient_residual
 from .grid_ops import KernelSpec, check_kernel_side, make_kernel, validate_image
 from .metrics import best_iterate
 from .pgm import load_image, write_pgm
-from .solvers import IterateTrace, SolverConfig, solve, stage_policy
+from .solvers import IterateTrace, SolverConfig, solve
 from .spectral import apply_kernel, build_cache
 
 # Identity of the noise generator, recorded in every summary: counter-based,
@@ -61,11 +61,13 @@ def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.n
     the kernel must pass ``build_cache`` (BadSpec / KernelTooLarge).  The
     zero-mean noise of std ``sigma`` comes from the counter-based Philox
     generator keyed by ``seed``, so the same (u0, kernel, sigma, seed)
-    gives the same bytes on every platform.  sigma = 0 returns exactly the
-    blur.
+    gives the same bytes on every platform; ``seed`` must lie in
+    [0, 2**128) (ValueError).  sigma = 0 returns exactly the blur.
     """
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    if not 0 <= seed < 2**128:  # the range of a Philox key
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     u0 = validate_image(u0)
     f = apply_kernel(build_cache(kernel, u0.shape[0]), u0)
     if sigma == 0:
@@ -94,9 +96,11 @@ def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
     Writes trace.csv, summary.txt and the best/final images to
     ``cfg.output_dir`` and returns the solve's trace; its best record is
     ``best_iterate(trace)`` and its final one ``trace.records[-1]``.
-    With ``save_intermediates``, each stage's ``iter_NNNN.pgm`` is written
-    as soon as the stage is recorded, so a solve that fails part-way leaves
-    the stages it finished.
+    The directory is made when the first stage is recorded, so a run
+    rejected before that (a bad config or ground truth, a singular system,
+    divergence in stage 0) leaves none.  With ``save_intermediates``, each
+    stage's ``iter_NNNN.pgm`` is written as soon as the stage is recorded,
+    so a solve that fails part-way leaves the stages it finished.
     """
     u0 = validate_image(load_image(cfg.input_path))
     check_kernel_side(cfg.kernel.size, u0.shape[0])
@@ -108,14 +112,14 @@ def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
                 f"mu='auto' uses 0.05/sigma^2 and needs a finite sigma > 0, got {cfg.sigma}; pass mu explicitly"
             )
         solver_cfg = replace(solver_cfg, mu=0.05 / (cfg.sigma * cfg.sigma))
-    stage_policy(cfg.solver, solver_cfg)  # rejects a bad config before any work or output
     f = degrade(u0, kernel, cfg.sigma, cfg.seed)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    on_record = None
-    if cfg.save_intermediates:
-        def on_record(rec):
+
+    def on_record(rec):
+        out.mkdir(parents=True, exist_ok=True)
+        if cfg.save_intermediates:
             write_pgm(out / f"iter_{rec.stage_index:04}.pgm", rec.u)
+
     cache = build_cache(kernel, u0.shape[0])
     trace = solve(cfg.solver, f, cache, solver_cfg, ground_truth=u0, on_record=on_record)
 

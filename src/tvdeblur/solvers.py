@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections.abc import Callable, Collection, Iterable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,22 +111,6 @@ class IterateTrace:
         return self.records
 
 
-def stage_policy(method: str, cfg: SolverConfig) -> tuple[Iterable[float], int, bool]:
-    """Validate ``cfg`` and pick the stage policy of solver ``method``.
-
-    Returns the beta of every stage, the cap on alternations per stage, and
-    whether multipliers are carried; the ftvd4 betas are a lazy repeat, so
-    a cycle cap costs nothing up front.  Raises ValueError for an invalid
-    config or an unknown method.
-    """
-    cfg.validate()
-    if method == "ftvd3":
-        return cfg.beta_schedule, cfg.max_inner_iters, False
-    if method == "ftvd4":
-        return itertools.repeat(cfg.beta_fixed, cfg.max_multiplier_updates), 1, True
-    raise ValueError(f"unknown solver {method!r} (expected 'ftvd3' or 'ftvd4')")
-
-
 def _make_record(
     stage_index: int,
     inner_iter: int,
@@ -189,6 +173,7 @@ def _make_record(
     return record
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate or score is detected below and raised
 def solve(
     method: str,
     f: np.ndarray,
@@ -199,22 +184,35 @@ def solve(
 ) -> IterateTrace:
     """The FTVd loop: run solver ``method`` ("ftvd3" or "ftvd4") on a prebuilt spectral cache.
 
-    Starts from u = f.  Stage k runs at betas[k] until the relative change
-    of u drops below cfg.tol or max_inner alternations are done; with
-    multipliers, a stage that ends below cfg.tol ends the solve.  The
+    Starts from u = f.  ftvd3 runs one stage per beta of cfg.beta_schedule,
+    each until the relative change of u drops below cfg.tol or
+    cfg.max_inner_iters alternations are done.  ftvd4 runs stages of one
+    alternation at cfg.beta_fixed, carrying multipliers, until one ends
+    below cfg.tol or cfg.max_multiplier_updates are done.  The
     u-subproblem is prepared once per distinct beta.  Each stage record
     carries the relative change over the whole stage and goes to
     ``on_record`` as soon as it is scored; afterwards only the best record
     by SNR and the last one (without ground truth, the last one alone) keep
     their arrays.  ``ground_truth`` must be a finite image of ``f``'s
-    shape; otherwise ValueError is raised before the first alternation.
-    Raises FloatingPointError when the relative change is not finite (the
-    iteration diverged).
+    shape.  An invalid ``cfg``, an unknown ``method`` or a bad ground truth
+    raises ValueError before the first alternation.  Raises
+    FloatingPointError when the relative change or a score is not finite
+    (the iteration diverged), so numpy's overflow and invalid-value
+    warnings are off for the whole solve, ``on_record`` included.
     """
     f = validate_image(f)
-    betas, max_inner, multipliers = stage_policy(method, cfg)
-    if ground_truth is not None and np.shape(ground_truth) != f.shape:
-        raise ValueError(f"ground truth has shape {np.shape(ground_truth)}, the observation {f.shape}")
+    cfg.validate()
+    if method == "ftvd3":
+        betas, max_inner, multipliers = cfg.beta_schedule, cfg.max_inner_iters, False
+    elif method == "ftvd4":  # a lazy repeat, so a cycle cap costs nothing up front
+        betas, max_inner, multipliers = itertools.repeat(cfg.beta_fixed, cfg.max_multiplier_updates), 1, True
+    else:
+        raise ValueError(f"unknown solver {method!r} (expected 'ftvd3' or 'ftvd4')")
+    if ground_truth is not None:
+        if np.shape(ground_truth) != f.shape:
+            raise ValueError(f"ground truth has shape {np.shape(ground_truth)}, the observation {f.shape}")
+        if not np.isfinite(ground_truth).all():
+            raise ValueError("ground truth contains NaN or Inf")
     snr = None if ground_truth is None else snr_scorer(ground_truth)
     records: list[IterateRecord] = []
     kept: list[IterateRecord] = []

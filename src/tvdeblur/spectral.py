@@ -55,8 +55,8 @@ def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
     """Diagonalize the kernel and D^T D on an n x n grid.
 
     Every kernel the package uses passes here, so these are its rules: a
-    2-D square array with an odd side (BadSpec otherwise) no larger than n
-    (KernelTooLarge).  D^T D = Dx^T Dx + Dy^T Dy has eigenvalue
+    2-D square array of finite taps with an odd side (BadSpec otherwise) no
+    larger than n (KernelTooLarge).  D^T D = Dx^T Dx + Dy^T Dy has eigenvalue
     4 sin^2(pi p/n) + 4 sin^2(pi q/n) at frequency (p, q).
     """
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -65,6 +65,8 @@ def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
     if kernel.shape[0] % 2 == 0:
         raise BadSpec(f"kernel side must be odd, got {kernel.shape[0]}")
     check_kernel_side(kernel.shape[0], n)
+    if not np.isfinite(kernel).all():
+        raise BadSpec("kernel taps must be finite")
     rows = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
     cols = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
     return SpectralCache(eig_k=stencil_transfer(kernel, n), eig_dtd=rows[:, None] + cols[None, :])
@@ -96,8 +98,8 @@ def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> US
     """Set up the u-subproblem (mu K^T K + beta D^T D) u = mu K^T f + ... .
 
     Raises ValueError unless mu and beta are positive, and SingularSystem if
-    the per-frequency denominator falls below 1e-14 anywhere (possible only
-    for zero-flux kernels).
+    the per-frequency denominator falls below 1e-14 anywhere (a tiny mu or a
+    zero-flux kernel).
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -106,8 +108,8 @@ def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> US
     denom = mu * np.abs(cache.eig_k) ** 2 + beta * cache.eig_dtd
     if denom.min() < SINGULAR_FLOOR:
         raise SingularSystem(
-            f"frequency-domain denominator reaches {denom.min():.3e}; "
-            "the kernel has (near-)zero flux"
+            f"frequency-domain denominator mu |K^|^2 + beta |D^|^2 reaches {denom.min():.3e} "
+            f"at mu {mu!r}, beta {beta!r}: mu is too small or the kernel has (near-)zero flux"
         )
     f_hat = np.fft.rfft2(f)
     data_hat = mu * np.conj(cache.eig_k) * f_hat

@@ -25,8 +25,7 @@ from tvdeblur import (
     make_phantom,
     prepare_u,
     run_experiment,
-    shrink_aniso,
-    shrink_iso,
+    shrink,
     solve_u,
     write_pgm,
 )
@@ -122,8 +121,8 @@ def test_c04_shrinkage_optimality():
         for _ in range(10):  # 10 thresholds x 100 pixels = 1000 (v, t) draws
             t = float(rng.uniform(0.05, 2.0))
             v = rng.standard_normal((10, 10, 2)) * 2
-            iso = shrink_iso(v, t)
-            aniso = shrink_aniso(v, t)
+            iso = shrink(v, t, "iso")
+            aniso = shrink(v, t, "aniso")
             base_iso = obj_iso(iso, v, t)
             base_aniso = obj_aniso(aniso, v, t)
             for _ in range(100):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tvdeblur
-from tvdeblur import ExperimentConfig, SolverConfig, cli, harness, read_pgm
+from tvdeblur import ExperimentConfig, SolverConfig, cli, harness, read_pgm, write_pgm
 from tvdeblur.errors import SingularSystem
 from tvdeblur.harness import TRACE_HEADER
 
@@ -209,6 +209,52 @@ def test_deblur_rejected_config_writes_no_output_dir(tmp_path, capsys, extra):
     assert cli.main(["deblur", "--input-path", str(gt), "--output-dir", str(out)] + extra) == 1
     assert not out.exists()
     capsys.readouterr()
+
+
+def test_deblur_constant_ground_truth_writes_no_output_dir(tmp_path, capsys):
+    gt = tmp_path / "gt.pgm"
+    write_pgm(gt, np.full((16, 16), 0.5))
+    out = tmp_path / "o"
+    assert cli.main(["deblur", "--input-path", str(gt), "--output-dir", str(out)]) == 1
+    assert "constant" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["degrade", "deblur"])
+@pytest.mark.parametrize(
+    "extra, name",
+    [(["--kernel", "gaussian:3:1e-300"], "width"), (["--seed", "-1"], "seed"), (["--seed", str(2**128)], "seed")],
+    ids=["underflowing_width", "negative_seed", "seed_2_128"],
+)
+def test_bad_kernel_width_or_seed_exits_one_and_writes_nothing(tmp_path, capsys, command, extra, name):
+    gt = tmp_path / "gt.pgm"
+    cli.main(["phantom", "--size", "16", "--out", str(gt)])
+    capsys.readouterr()
+    out = tmp_path / "o"
+    argv = {
+        "degrade": ["degrade", "--input", str(gt), "--out", str(out)],
+        "deblur": ["deblur", "--input-path", str(gt), "--output-dir", str(out)],
+    }[command]
+    assert cli.main(argv + extra) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, cause",
+    [(["--mu", "1e-300"], "mu 1e-300"), (["--sigma", "1e200", "--mu", "1"], "diverged at stage 0")],
+    ids=["tiny_mu", "huge_sigma"],
+)
+def test_deblur_numerical_failure_in_stage_zero_writes_no_output_dir(tmp_path, capsys, extra, cause):
+    gt = tmp_path / "gt.pgm"
+    cli.main(["phantom", "--size", "16", "--out", str(gt)])
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert cli.main(["deblur", "--input-path", str(gt), "--output-dir", str(out)] + extra) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ") and cause in err[0]
+    assert not out.exists()
 
 
 def test_deblur_divergence_exits_two(tmp_path, capsys):

@@ -129,6 +129,12 @@ def test_make_kernel_rejects_bad_specs(spec):
         make_kernel(spec)
 
 
+def test_gaussian_width_whose_square_underflows_is_rejected():
+    # 2 s^2 is 0 for s = 1e-300: the taps would be 0/0, so the width is refused by name
+    with pytest.raises(BadSpec, match="width"):
+        make_kernel(KernelSpec.gaussian(3, 1e-300))
+
+
 def test_kernel_spec_string_round_trip():
     for text in ("delta", "average:9", "gaussian:3:0.5"):
         assert str(KernelSpec.from_string(text)) == text

@@ -56,6 +56,14 @@ def test_degrade_is_seed_deterministic():
     assert not np.array_equal(a, c)
 
 
+def test_degrade_rejects_seeds_outside_the_philox_key_range():
+    u0, kernel = make_phantom(8), np.ones((1, 1))
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match="seed"):
+            degrade(u0, kernel, 0.01, seed)
+    assert np.isfinite(degrade(u0, kernel, 0.01, 2**128 - 1)).all()
+
+
 def test_degrade_rejects_negative_sigma():
     for sigma in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma"):
@@ -76,7 +84,7 @@ def test_degrade_rejects_bad_kernels(entry):
     run, u0 = ENTRY_POINTS[entry], np.zeros((4, 4))
     with pytest.raises(KernelTooLarge):
         run(u0, np.ones((5, 5)) / 25.0)
-    for bad in (np.ones((2, 2)) / 4.0, np.ones((1, 3)) / 3.0, np.ones(3) / 3.0):
+    for bad in (np.ones((2, 2)) / 4.0, np.ones((1, 3)) / 3.0, np.ones(3) / 3.0, np.full((3, 3), np.nan)):
         with pytest.raises(BadSpec):
             run(u0, bad)
 

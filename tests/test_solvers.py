@@ -14,6 +14,7 @@ from tvdeblur import (
     gradient_residual,
     make_kernel,
     make_phantom,
+    rel_change,
     snr_db,
 )
 from tvdeblur import spectral
@@ -306,6 +307,26 @@ def test_ftvd4_cycle_cap_is_not_materialized():
     assert trace.converged
 
 
+def test_stage_rel_change_spans_the_whole_stage():
+    # the change from the stage's first iterate to its last, not that of its last alternation
+    u0, kernel, f = phantom32_average3()
+    ends = []
+    cfg = SolverConfig(mu=500.0, beta_schedule=(1.0, 2.0, 4.0))
+    trace = ftvd3_solve(f, kernel, cfg, on_record=lambda r: ends.append(r.u))
+    assert all(r.inner_iter > 1 for r in trace.records)
+    for r, start, end in zip(trace.records, [f] + ends[:-1], ends):
+        assert r.rel_change == rel_change(end, start)
+
+
+def test_ftvd3_converges_only_if_every_stage_reaches_tol():
+    # stage 0 stops at the cap, the last stage below tol after 2 of its 3 alternations
+    u0, kernel, f = phantom32_average3()
+    cfg = SolverConfig(mu=500.0, tol=1e-3, beta_schedule=(4.0, 4.0001), max_inner_iters=3)
+    trace = ftvd3_solve(f, kernel, cfg)
+    assert [r.inner_iter for r in trace.records] == [3, 2]
+    assert not trace.converged
+
+
 @pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
 def test_divergence_raises_floating_point_error(pc16, solve):
     # mu = 1e308 is finite, but mu * |K|^2 overflows and the u-step returns NaN
@@ -360,7 +381,7 @@ def test_bad_ground_truth_is_rejected_before_the_solve(monkeypatch, solve, bad_t
 
     u0, kernel, f = phantom32_average3()
     monkeypatch.setattr(spectral, "solve_u", no_alternation)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ground truth"):
         solve(f, kernel, SolverConfig(mu=500.0), ground_truth=bad_truth(u0))
 
 
