@@ -8,7 +8,6 @@ decomposed into a piecewise-constant plus smooth part, so the best
 mixed-regularization iterate can be selected instead of the pure-TV limit.
 """
 
-from . import errors
 from .decomposition import decompose, gradient_residual
 from .grid_ops import (
     KernelSpec,
@@ -39,7 +38,6 @@ from .spectral import SpectralCache, USystem, apply_kernel, build_cache, prepare
 __version__ = "0.1.0"
 
 __all__ = [
-    "errors",
     "KernelSpec",
     "forward_diff",
     "divergence_adjoint",

@@ -1,6 +1,7 @@
 """Command-line interface: phantom, degrade, deblur, report.
 
-Exit codes: 0 success, 1 usage/configuration/IO error, 2 numerical failure.
+Exit codes: 0 success, 1 usage error, bad input (ValueError) or I/O error
+(OSError), 2 numerical failure (FloatingPointError).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import SingularSystem, TVDeblurError
 from .grid_ops import KernelSpec, check_kernel_side, make_kernel, validate_image
 from .harness import ExperimentConfig, degrade, run_experiment
 from .metrics import best_index
@@ -114,8 +114,7 @@ def _cmd_report(args) -> int:
             raise ValueError(f"{args.trace} has no {' or '.join(missing)} column")
         rows = [row for row in reader if row["snr_db"]]
     if not rows:
-        print("trace carries no snr scores", file=sys.stderr)
-        return 1
+        raise ValueError("trace carries no snr scores")
     snrs = [float(row["snr_db"]) for row in rows]
     bad = [row["stage_index"] for row, snr in zip(rows, snrs) if not math.isfinite(snr)]
     if bad:
@@ -141,10 +140,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SingularSystem, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (TVDeblurError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

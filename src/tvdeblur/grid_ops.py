@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, KernelTooLarge
-
 DX = 0
 DY = 1
 
@@ -119,8 +117,8 @@ class KernelSpec:
             if kind == "gaussian" and len(parts) == 3:
                 return cls.gaussian(int(parts[1]), float(parts[2]))
         except ValueError as exc:
-            raise BadSpec(f"cannot parse kernel spec {text!r}: {exc}") from exc
-        raise BadSpec(f"unknown kernel spec {text!r}")
+            raise ValueError(f"cannot parse kernel spec {text!r}: {exc}") from exc
+        raise ValueError(f"unknown kernel spec {text!r}")
 
     def __str__(self) -> str:
         if self.kind == "delta":
@@ -131,9 +129,9 @@ class KernelSpec:
 
 
 def check_kernel_side(side: int, n: int) -> None:
-    """Raise KernelTooLarge unless a kernel of side ``side`` fits an n x n grid (before its taps exist)."""
+    """Raise ValueError unless a kernel of side ``side`` fits an n x n grid (before its taps exist)."""
     if side > n:
-        raise KernelTooLarge(f"kernel side {side} exceeds grid side {n}")
+        raise ValueError(f"kernel side {side} exceeds grid side {n}")
 
 
 def make_kernel(spec: KernelSpec | str) -> np.ndarray:
@@ -148,16 +146,17 @@ def make_kernel(spec: KernelSpec | str) -> np.ndarray:
         return np.ones((1, 1), dtype=np.float64)
     m = spec.size
     if m % 2 == 0 or m < 1:
-        raise BadSpec(f"kernel size must be odd and positive, got {m}")
+        raise ValueError(f"kernel size must be odd and positive, got {m}")
     if spec.kind == "average":
         return np.full((m, m), 1.0 / (m * m), dtype=np.float64)
     if spec.kind == "gaussian":
         s = spec.sigma
         if not (s > 0 and 2.0 * s * s > 0) or not math.isfinite(s):
-            raise BadSpec(f"gaussian width must be positive and finite with 2*width^2 > 0, got {s}")
+            raise ValueError(f"gaussian width must be positive and finite with 2*width^2 > 0, got {s}")
         c = (m - 1) // 2
         offs = np.arange(m, dtype=np.float64) - c
         r2 = offs[:, None] ** 2 + offs[None, :] ** 2
-        taps = np.exp(-r2 / (2.0 * s * s))
+        with np.errstate(over="ignore"):  # a width below ~1e-154 takes r2 / (2 s^2) to inf, and exp to the right 0
+            taps = np.exp(-r2 / (2.0 * s * s))
         return taps / taps.sum()
-    raise BadSpec(f"unknown kernel kind {spec.kind!r}")
+    raise ValueError(f"unknown kernel kind {spec.kind!r}")

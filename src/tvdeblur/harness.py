@@ -10,6 +10,7 @@ piecewise-constant/smooth splits) as 16-bit PGM, and a plain-text summary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -58,14 +59,16 @@ def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.n
 
     The blur goes through the spectral cache, the same operator K the
     solvers use, so ``u0`` must be a valid square image (ValueError) and
-    the kernel must pass ``build_cache`` (BadSpec / KernelTooLarge).  The
+    the kernel must pass ``build_cache`` (ValueError otherwise).  The
     zero-mean noise of std ``sigma`` comes from the counter-based Philox
     generator keyed by ``seed``, so the same (u0, kernel, sigma, seed)
-    gives the same bytes on every platform; ``seed`` must lie in
-    [0, 2**128) (ValueError).  sigma = 0 returns exactly the blur.
+    gives the same bytes on every platform; ``seed`` must be an integer
+    in [0, 2**128) (ValueError).  sigma = 0 returns exactly the blur.
     """
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    if not isinstance(seed, numbers.Integral):  # Philox would truncate 1.5 to the key 1
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**128:  # the range of a Philox key
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     u0 = validate_image(u0)

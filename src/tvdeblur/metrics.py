@@ -7,7 +7,6 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import DegenerateReference, MissingScores
 from .grid_ops import validate_image
 
 SNR_CAP_DB = 300.0
@@ -18,14 +17,14 @@ def snr_scorer(reference: np.ndarray) -> Callable[[np.ndarray], float]:
 
     A solve scores every record against the same ground truth, so the
     centred reference and its energy are formed here, not per record.
-    The reference must pass ``validate_image`` (ValueError otherwise);
-    DegenerateReference is raised for a constant one.
+    The reference must pass ``validate_image`` and must not be constant
+    (ValueError otherwise).
     """
     reference = validate_image(reference)
     signal = reference - reference.mean()
     signal_energy = float((signal * signal).sum())
     if signal_energy == 0.0:
-        raise DegenerateReference("reference image is constant")
+        raise ValueError("reference image is constant")
 
     def score(u: np.ndarray) -> float:
         err = np.asarray(u, dtype=np.float64) - reference
@@ -75,13 +74,13 @@ def best_index(scores) -> int:
 def best_iterate(trace) -> int:
     """Index of the record with the highest snr_db (``best_index``'s rule).
 
-    Raises ValueError for a trace with no records and MissingScores when
-    some record carries no score.
+    Raises ValueError for a trace with no records or when some record
+    carries no score.
     """
     records = trace.records
     if not records:
         raise ValueError("trace has no records")
     scores = [r.snr_db for r in records]
     if any(s is None for s in scores):
-        raise MissingScores("trace records carry no snr_db; run with ground truth")
+        raise ValueError("trace records carry no snr_db; run with ground truth")
     return best_index(scores)

@@ -8,11 +8,16 @@ values are clamped to [0, 1] on write.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
 
 PGM_MAXVAL = 65535
+
+# magic, then width, height and maxval, each after whitespace or comment
+# lines, then the one whitespace byte that precedes the raster
+_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def write_pgm(path, img: np.ndarray) -> None:
@@ -25,35 +30,16 @@ def write_pgm(path, img: np.ndarray) -> None:
         fh.write(scaled.tobytes())
 
 
-def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Parse `count` whitespace/comment-separated integer tokens; return (tokens, offset)."""
-    tokens: list[int] = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(data):
-            raise ValueError("truncated PGM header")
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            tokens.append(int(data[i:j]))
-            i = j
-    return tokens, i + 1  # single whitespace after maxval precedes raster
-
-
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM into a float64 image scaled to [0, 1]."""
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary (P5) PGM file")
-    (w, h, maxval), offset = _read_header_tokens(data[2:], 3)
-    offset += 2
+    header = _HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path}: truncated or malformed PGM header")
+    w, h, maxval = map(int, header.groups())
+    offset = header.end()
     if maxval <= 0 or maxval > 65535:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     dtype = np.dtype(">u2" if maxval > 255 else np.uint8)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonpositiveThreshold
-
 
 def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
     """Per-pixel norm of an (n, n, 2) field: the 2-norm for 'iso', the 1-norm for 'aniso'.
@@ -43,10 +41,10 @@ def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> np.ndarray:
     stays NaN.  'aniso' is the componentwise soft threshold
     sign(c) * max(|c| - t, 0) on dx and dy, computed as c - clip(c, -t, t),
     which has the same values (a component at or below the threshold
-    becomes +0.0).  Raises NonpositiveThreshold unless t > 0.
+    becomes +0.0).  Raises ValueError unless t > 0.
     """
     if not t > 0:
-        raise NonpositiveThreshold(f"shrinkage threshold must be > 0, got {t}")
+        raise ValueError(f"shrinkage threshold must be > 0, got {t}")
     if tv_variant == "iso":
         scale = pixel_norms(v)
         denom = np.maximum(scale, t)

@@ -266,7 +266,7 @@ def ftvd3_solve(
     every beta of cfg.beta_schedule, warm-starting each stage from the
     previous solution (initial guess: the observation f), and records the
     last iterate of every stage.  The kernel must pass
-    ``spectral.build_cache`` (BadSpec / KernelTooLarge).
+    ``spectral.build_cache`` (ValueError otherwise).
     """
     f = validate_image(f)
     return solve("ftvd3", f, spectral.build_cache(kernel, f.shape[0]), cfg, ground_truth, on_record)
@@ -285,7 +285,7 @@ def ftvd4_solve(
     then lambda <- lambda - beta (w - D u).  Every cycle is recorded; stops
     once the relative change of u drops below cfg.tol, or after
     cfg.max_multiplier_updates cycles.  The kernel must pass
-    ``spectral.build_cache`` (BadSpec / KernelTooLarge).
+    ``spectral.build_cache`` (ValueError otherwise).
     """
     f = validate_image(f)
     return solve("ftvd4", f, spectral.build_cache(kernel, f.shape[0]), cfg, ground_truth, on_record)

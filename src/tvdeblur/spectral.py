@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, SingularSystem
 from .grid_ops import check_kernel_side, divergence_adjoint
 
 SINGULAR_FLOOR = 1e-14
@@ -55,18 +54,18 @@ def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
     """Diagonalize the kernel and D^T D on an n x n grid.
 
     Every kernel the package uses passes here, so these are its rules: a
-    2-D square array of finite taps with an odd side (BadSpec otherwise) no
-    larger than n (KernelTooLarge).  D^T D = Dx^T Dx + Dy^T Dy has eigenvalue
+    2-D square array of finite taps with an odd side no larger than n
+    (ValueError otherwise).  D^T D = Dx^T Dx + Dy^T Dy has eigenvalue
     4 sin^2(pi p/n) + 4 sin^2(pi q/n) at frequency (p, q).
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
-        raise BadSpec(f"kernel must be a square 2-D array, got shape {kernel.shape}")
+        raise ValueError(f"kernel must be a square 2-D array, got shape {kernel.shape}")
     if kernel.shape[0] % 2 == 0:
-        raise BadSpec(f"kernel side must be odd, got {kernel.shape[0]}")
+        raise ValueError(f"kernel side must be odd, got {kernel.shape[0]}")
     check_kernel_side(kernel.shape[0], n)
     if not np.isfinite(kernel).all():
-        raise BadSpec("kernel taps must be finite")
+        raise ValueError("kernel taps must be finite")
     rows = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
     cols = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
     return SpectralCache(eig_k=stencil_transfer(kernel, n), eig_dtd=rows[:, None] + cols[None, :])
@@ -97,7 +96,7 @@ class USystem:
 def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> USystem:
     """Set up the u-subproblem (mu K^T K + beta D^T D) u = mu K^T f + ... .
 
-    Raises ValueError unless mu and beta are positive, and SingularSystem if
+    Raises ValueError unless mu and beta are positive, and FloatingPointError if
     the per-frequency denominator falls below 1e-14 anywhere (a tiny mu or a
     zero-flux kernel).
     """
@@ -107,7 +106,7 @@ def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> US
         raise ValueError(f"beta must be positive, got {beta}")
     denom = mu * np.abs(cache.eig_k) ** 2 + beta * cache.eig_dtd
     if denom.min() < SINGULAR_FLOOR:
-        raise SingularSystem(
+        raise FloatingPointError(
             f"frequency-domain denominator mu |K^|^2 + beta |D^|^2 reaches {denom.min():.3e} "
             f"at mu {mu!r}, beta {beta!r}: mu is too small or the kernel has (near-)zero flux"
         )

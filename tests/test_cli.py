@@ -9,7 +9,6 @@ import pytest
 
 import tvdeblur
 from tvdeblur import ExperimentConfig, SolverConfig, cli, harness, read_pgm, write_pgm
-from tvdeblur.errors import SingularSystem
 from tvdeblur.harness import TRACE_HEADER
 
 
@@ -88,7 +87,7 @@ def test_numerical_failure_returns_two(tmp_path, monkeypatch):
     cli.main(["phantom", "--size", "16", "--out", str(gt)])
 
     def boom(cfg):
-        raise SingularSystem("synthetic failure")
+        raise FloatingPointError("synthetic failure")
 
     monkeypatch.setattr(cli, "run_experiment", boom)
     rc = cli.main(["deblur", "--input-path", str(gt), "--output-dir", str(tmp_path / "o")])
@@ -138,7 +137,7 @@ def test_deblur_defaults_are_the_config_defaults(monkeypatch):
 
     def capture(cfg):
         seen.append(cfg)
-        raise SingularSystem("stop after parsing")
+        raise FloatingPointError("stop after parsing")
 
     monkeypatch.setattr(cli, "run_experiment", capture)
     assert cli.main(["deblur", "--input-path", "gt.pgm", "--output-dir", "out"]) == 2
@@ -150,7 +149,7 @@ def test_deblur_solver_flags_go_to_the_solver_config(monkeypatch):
 
     def capture(cfg):
         seen.append(cfg)
-        raise SingularSystem("stop after parsing")
+        raise FloatingPointError("stop after parsing")
 
     monkeypatch.setattr(cli, "run_experiment", capture)
     argv = [
@@ -175,7 +174,7 @@ def test_degrade_defaults_are_the_deblur_defaults(monkeypatch):
 
     def capture(cfg):
         seen.append(cfg)
-        raise SingularSystem("stop after parsing")
+        raise FloatingPointError("stop after parsing")
 
     monkeypatch.setattr(cli, "run_experiment", capture)
     cli.main(["deblur", "--input-path", "gt.pgm", "--output-dir", "out"])
@@ -292,6 +291,36 @@ def test_oversized_kernel_spec_exits_one_before_building_taps(tmp_path, capsys, 
     }[command]
     assert cli.main(argv + ["--kernel", "average:2001"]) == 1
     assert "error: kernel side 2001 exceeds grid side 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        ("deblur --input-path {gt} --output-dir {out} --kernel average:4",
+         1, "error: kernel size must be odd and positive, got 4"),
+        ("deblur --input-path {gt} --output-dir {out} --kernel average:17",
+         1, "error: kernel side 17 exceeds grid side 16"),
+        ("deblur --input-path {flat} --output-dir {out}",
+         1, "error: reference image is constant"),
+        ("deblur --input-path {gt} --output-dir {out} --mu 1e-300",
+         2, "numerical failure: frequency-domain denominator mu |K^|^2 + beta |D^|^2 reaches"),
+        ("report --trace {unscored}",
+         1, "error: trace carries no snr scores"),
+    ],
+    ids=["bad_kernel_spec", "oversized_kernel", "constant_ground_truth", "singular_system", "report_without_snr"],
+)
+def test_each_raise_site_maps_to_its_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, line):
+    # ValueError is bad input (exit 1), FloatingPointError a numerical failure (exit 2)
+    paths = {"gt": tmp_path / "gt.pgm", "flat": tmp_path / "flat.pgm", "out": tmp_path / "o", "unscored": tmp_path / "t.csv"}
+    write_pgm(paths["gt"], tvdeblur.make_phantom(16))
+    write_pgm(paths["flat"], np.full((16, 16), 0.5))
+    paths["unscored"].write_text(TRACE_HEADER + "\n0,1,1.0,,1.0,1.0,0.0,0.1\n")
+    assert cli.main([arg.format(**paths) for arg in argv.split()]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(line)
+    assert not paths["out"].exists()
 
 
 @pytest.mark.skipif(importlib.util.find_spec("PIL") is not None, reason="Pillow is installed")

@@ -10,7 +10,6 @@ from tvdeblur import (
     make_kernel,
     validate_image,
 )
-from tvdeblur.errors import BadSpec
 
 from conftest import stack_field
 from oracle import convolve_periodic, dense_operator
@@ -121,26 +120,37 @@ def test_make_kernel_gaussian_symmetry_and_flux():
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [KernelSpec.average(4), KernelSpec.gaussian(2, 0.5), KernelSpec.gaussian(3, 0.0), KernelSpec.gaussian(3, -1.0)],
+    "spec, message",
+    [
+        (KernelSpec.average(4), "kernel size must be odd and positive, got 4"),
+        (KernelSpec.gaussian(2, 0.5), "kernel size must be odd and positive, got 2"),
+        (KernelSpec.gaussian(3, 0.0), "gaussian width must be positive and finite"),
+        (KernelSpec.gaussian(3, -1.0), "gaussian width must be positive and finite"),
+    ],
+    ids=["spec0", "spec1", "spec2", "spec3"],
 )
-def test_make_kernel_rejects_bad_specs(spec):
-    with pytest.raises(BadSpec):
+def test_make_kernel_rejects_bad_specs(spec, message):
+    with pytest.raises(ValueError, match=message):
         make_kernel(spec)
 
 
 def test_gaussian_width_whose_square_underflows_is_rejected():
     # 2 s^2 is 0 for s = 1e-300: the taps would be 0/0, so the width is refused by name
-    with pytest.raises(BadSpec, match="width"):
+    with pytest.raises(ValueError, match="width"):
         make_kernel(KernelSpec.gaussian(3, 1e-300))
+
+
+def test_gaussian_width_whose_exponent_overflows_is_a_delta():
+    # 2 s^2 is a subnormal > 0 for s = 1e-160, so r^2 / (2 s^2) overflows to inf off the centre tap
+    assert np.array_equal(make_kernel(KernelSpec.gaussian(3, 1e-160)), [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
 
 
 def test_kernel_spec_string_round_trip():
     for text in ("delta", "average:9", "gaussian:3:0.5"):
         assert str(KernelSpec.from_string(text)) == text
-    with pytest.raises(BadSpec):
+    with pytest.raises(ValueError, match="unknown kernel spec 'box:3'"):
         KernelSpec.from_string("box:3")
-    with pytest.raises(BadSpec):
+    with pytest.raises(ValueError, match="cannot parse kernel spec 'average:nine'"):
         KernelSpec.from_string("average:nine")
 
 

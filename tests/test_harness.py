@@ -19,7 +19,6 @@ from tvdeblur import (
     write_pgm,
 )
 from tvdeblur import harness, spectral
-from tvdeblur.errors import BadSpec, KernelTooLarge
 from tvdeblur.harness import TRACE_HEADER
 
 from oracle import convolve_periodic, dense_operator
@@ -64,6 +63,17 @@ def test_degrade_rejects_seeds_outside_the_philox_key_range():
     assert np.isfinite(degrade(u0, kernel, 0.01, 2**128 - 1)).all()
 
 
+@pytest.mark.parametrize("seed", [1.5, None, np.int64(3)], ids=["float", "none", "numpy_int64"])
+def test_degrade_takes_only_integer_seeds(seed):
+    # Philox would truncate the key 1.5 to 1 and give seed 1's bytes
+    u0, kernel = make_phantom(8), np.ones((1, 1))
+    if isinstance(seed, np.integer):
+        assert np.array_equal(degrade(u0, kernel, 0.01, seed), degrade(u0, kernel, 0.01, int(seed)))
+    else:
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
+            degrade(u0, kernel, 0.01, seed)
+
+
 def test_degrade_rejects_negative_sigma():
     for sigma in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma"):
@@ -82,10 +92,15 @@ ENTRY_POINTS = {
 def test_degrade_rejects_bad_kernels(entry):
     # every kernel passes build_cache, so each entry point enforces the same rules
     run, u0 = ENTRY_POINTS[entry], np.zeros((4, 4))
-    with pytest.raises(KernelTooLarge):
+    with pytest.raises(ValueError, match="kernel side 5 exceeds grid side 4"):
         run(u0, np.ones((5, 5)) / 25.0)
-    for bad in (np.ones((2, 2)) / 4.0, np.ones((1, 3)) / 3.0, np.ones(3) / 3.0, np.full((3, 3), np.nan)):
-        with pytest.raises(BadSpec):
+    for bad, message in (
+        (np.ones((2, 2)) / 4.0, "kernel side must be odd, got 2"),
+        (np.ones((1, 3)) / 3.0, r"kernel must be a square 2-D array, got shape \(1, 3\)"),
+        (np.ones(3) / 3.0, r"kernel must be a square 2-D array, got shape \(3,\)"),
+        (np.full((3, 3), np.nan), "kernel taps must be finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
             run(u0, bad)
 
 

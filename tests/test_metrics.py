@@ -8,7 +8,6 @@ import pytest
 
 import tvdeblur
 from tvdeblur import IterateRecord, IterateTrace, best_iterate, rel_change, snr_db
-from tvdeblur.errors import DegenerateReference, MissingScores
 
 
 def test_equal_images_hit_the_cap():
@@ -38,7 +37,7 @@ def test_doubling_the_error_costs_six_db():
 
 
 def test_constant_reference_is_degenerate():
-    with pytest.raises(DegenerateReference):
+    with pytest.raises(ValueError, match="reference image is constant"):
         snr_db(np.zeros((4, 4)), np.full((4, 4), 0.3))
 
 
@@ -145,7 +144,7 @@ def test_best_iterate_stable_under_appending_worse():
 
 
 def test_best_iterate_missing_scores():
-    with pytest.raises(MissingScores):
+    with pytest.raises(ValueError, match="trace records carry no snr_db"):
         best_iterate(_fake_trace([3.0, None, 5.0]))
     with pytest.raises(ValueError):
         best_iterate(_fake_trace([]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tvdeblur import load_image, make_phantom, read_pgm, write_pgm
+from tvdeblur import cli, load_image, make_phantom, read_pgm, write_pgm
 
 
 def test_round_trip_quantization(tmp_path):
@@ -43,6 +43,13 @@ def test_eight_bit_pgm_is_scaled(tmp_path):
     assert abs(img[0, 1] - 128 / 255) < 1e-12
 
 
+def test_raster_may_start_with_whitespace_bytes(tmp_path):
+    # exactly one whitespace byte ends the header; the raster's 10 and 32 are pixels
+    path = tmp_path / "ws.pgm"
+    path.write_bytes(b"P5 2 1 255\n" + bytes([10, 32]))
+    assert np.array_equal(read_pgm(path) * 255, [[10, 32]])
+
+
 def test_rejects_non_p5(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 0 0 0")
@@ -55,6 +62,18 @@ def test_truncated_raster_names_file_and_byte_counts(tmp_path):
     path.write_bytes(b"P5\n4 4\n65535\n" + bytes(20))
     with pytest.raises(ValueError, match=r"short\.pgm.*expected 32 bytes.*found 20"):
         load_image(path)
+
+
+@pytest.mark.parametrize("header", [b"P5\n2", b"P5 2 x 255\n"], ids=["truncated", "non_numeric"])
+def test_malformed_header_names_file(tmp_path, capsys, header):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match=r"bad\.pgm: truncated or malformed PGM header"):
+        read_pgm(path)
+    out = tmp_path / "o"
+    assert cli.main(["deblur", "--input-path", str(path), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: truncated or malformed PGM header\n"
+    assert not out.exists()
 
 
 def test_load_image_png_via_pillow(tmp_path):

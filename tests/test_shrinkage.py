@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tvdeblur import shrink
-from tvdeblur.errors import NonpositiveThreshold
 
 
 def prox_objective(w, v, t):
@@ -126,9 +125,9 @@ def test_prox_optimality_on_random_cloud():
 def test_threshold_must_be_positive():
     v = np.zeros((3, 3, 2))
     for bad in (0.0, -1.0):
-        with pytest.raises(NonpositiveThreshold):
+        with pytest.raises(ValueError, match=f"shrinkage threshold must be > 0, got {bad}"):
             shrink(v, bad, "iso")
-        with pytest.raises(NonpositiveThreshold):
+        with pytest.raises(ValueError, match=f"shrinkage threshold must be > 0, got {bad}"):
             shrink(v, bad, "aniso")
 
 

@@ -367,21 +367,22 @@ def test_non_finite_snr_raises_floating_point_error(pc16, solve):
 
 @pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
 @pytest.mark.parametrize(
-    "bad_truth",
+    "bad_truth, message",
     [
-        lambda u0: np.where(u0 == u0.max(), np.nan, u0),
-        lambda u0: u0[0],
-        lambda u0: make_phantom(u0.shape[0] + 1),
+        (lambda u0: np.where(u0 == u0.max(), np.nan, u0), "ground truth contains NaN or Inf"),
+        (lambda u0: u0[0], r"ground truth has shape \(32,\)"),
+        (lambda u0: make_phantom(u0.shape[0] + 1), r"ground truth has shape \(33, 33\)"),
+        (lambda u0: np.full_like(u0, 0.5), "reference image is constant"),  # its SNR has no signal energy
     ],
-    ids=["nan", "one_dimensional", "wrong_size"],
+    ids=["nan", "one_dimensional", "wrong_size", "constant"],
 )
-def test_bad_ground_truth_is_rejected_before_the_solve(monkeypatch, solve, bad_truth):
+def test_bad_ground_truth_is_rejected_before_the_solve(monkeypatch, solve, bad_truth, message):
     def no_alternation(*args):
         raise AssertionError("the solve started")
 
     u0, kernel, f = phantom32_average3()
     monkeypatch.setattr(spectral, "solve_u", no_alternation)
-    with pytest.raises(ValueError, match="ground truth"):
+    with pytest.raises(ValueError, match=message):
         solve(f, kernel, SolverConfig(mu=500.0), ground_truth=bad_truth(u0))
 
 

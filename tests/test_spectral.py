@@ -10,7 +10,6 @@ from tvdeblur import (
     prepare_u,
     solve_u,
 )
-from tvdeblur.errors import KernelTooLarge, SingularSystem
 
 from conftest import stack_field
 from oracle import convolve_periodic, dense_operator
@@ -58,7 +57,7 @@ def test_flux_one_kernel_has_unit_dc_gain():
 
 
 def test_build_cache_rejects_oversized_kernel():
-    with pytest.raises(KernelTooLarge):
+    with pytest.raises(ValueError, match="kernel side 9 exceeds grid side 8"):
         build_cache(make_kernel(KernelSpec.average(9)), 8)
 
 
@@ -159,7 +158,7 @@ def test_solve_u_singular_for_zero_flux_kernel():
     taps = np.zeros((3, 3))
     taps[1, 0], taps[1, 1] = 1.0, -1.0  # flux 0
     cache = build_cache(taps, 8)
-    with pytest.raises(SingularSystem):
+    with pytest.raises(FloatingPointError, match=r"denominator .* reaches .* at mu 1\.0, beta 1\.0"):
         prepare_u(np.zeros((8, 8)), 1.0, 1.0, cache)
 
 
