@@ -10,7 +10,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .grid_ops import KernelSpec, check_kernel_side, make_kernel, validate_image
@@ -18,25 +17,30 @@ from .harness import ExperimentConfig, degrade, run_experiment
 from .metrics import best_index
 from .pgm import load_image, write_pgm
 from .phantom import make_phantom
-from .solvers import SolverConfig
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract here is 1."""
+    """A usage error is bad input: it leaves through ``main`` as a ValueError, one line and exit 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise ValueError(message)
 
 
-def _parse_mu(text: str):
-    if text == "auto":
-        return "auto"
-    return float(text)
+def _option(convert):
+    """Pass on a converter's own ValueError text; argparse would print "invalid <name> value"."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
+
+    return parse
 
 
-def _parse_schedule(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+_parse_kernel = _option(KernelSpec.from_string)
+_parse_mu = _option(lambda text: text if text == "auto" else float(text))
+_parse_schedule = _option(lambda text: tuple(float(tok) for tok in text.split(",") if tok.strip()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,23 +54,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_degrade = sub.add_parser("degrade", help="blur an image and add seeded Gaussian noise")
     p_degrade.add_argument("--input", required=True)
     p_degrade.add_argument("--out", required=True)
-    p_degrade.add_argument("--kernel", type=KernelSpec.from_string, default=ExperimentConfig.kernel)
+    p_degrade.add_argument("--kernel", type=_parse_kernel, default=ExperimentConfig.kernel)
     p_degrade.add_argument("--sigma", type=float, default=ExperimentConfig.sigma)
     p_degrade.add_argument("--seed", type=int, default=ExperimentConfig.seed)
 
     # Options left out of the command line are absent from the namespace, so
-    # the ExperimentConfig and SolverConfig field defaults are the only ones,
-    # except --mu: SolverConfig has no default mu, and run_experiment
-    # resolves "auto".
+    # the ExperimentConfig field defaults are the only ones.
     p_deblur = sub.add_parser(
         "deblur", help="degrade a ground truth, solve, export trace and images", argument_default=argparse.SUPPRESS
     )
     p_deblur.add_argument("--input-path", required=True, help="ground-truth image (pgm, or png with Pillow)")
     p_deblur.add_argument("--output-dir", required=True)
     p_deblur.add_argument("--solver", choices=("ftvd3", "ftvd4"))
-    p_deblur.add_argument("--kernel", type=KernelSpec.from_string)
+    p_deblur.add_argument("--kernel", type=_parse_kernel)
     p_deblur.add_argument("--sigma", type=float)
-    p_deblur.add_argument("--mu", type=_parse_mu, default="auto", help="fidelity weight, or 'auto' for 0.05/sigma^2")
+    p_deblur.add_argument("--mu", type=_parse_mu, help="fidelity weight, or 'auto' for 0.05/sigma^2")
     p_deblur.add_argument("--beta-schedule", type=_parse_schedule, help="comma-separated ascending betas (ftvd3)")
     p_deblur.add_argument("--beta-fixed", type=float, help="fixed beta (ftvd4)")
     p_deblur.add_argument("--seed", type=int)
@@ -98,9 +100,7 @@ def _cmd_degrade(args) -> int:
 
 
 def _cmd_deblur(args) -> int:
-    opts = {k: v for k, v in vars(args).items() if k != "command"}
-    solver_opts = {f.name: opts.pop(f.name) for f in fields(SolverConfig) if f.name in opts}
-    cfg = ExperimentConfig(**opts, solver_cfg=SolverConfig(**solver_opts))
+    cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k != "command"})
     run_experiment(cfg)
     print((Path(cfg.output_dir) / "summary.txt").read_text(), end="")
     return 0
@@ -137,8 +137,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

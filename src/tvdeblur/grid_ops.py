@@ -125,7 +125,7 @@ class KernelSpec:
             return "delta"
         if self.kind == "average":
             return f"average:{self.size}"
-        return f"gaussian:{self.size}:{self.sigma:g}"
+        return f"gaussian:{self.size}:{float(self.sigma)!r}"
 
 
 def check_kernel_side(side: int, n: int) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +36,12 @@ TRACE_HEADER = ",".join(("stage_index", "inner_iter") + TRACE_FLOAT_COLUMNS)
 U1_EXPORT_OFFSET = 0.5
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(kw_only=True)
+class ExperimentConfig(SolverConfig):
     """Everything a run needs; same config means bit-identical outputs.
 
-    ``solver_cfg.mu`` may be "auto" here, and only here: ``run_experiment``
-    replaces it by 0.05/sigma^2 before the solve.
+    The solver knobs are the inherited fields, but ``mu`` defaults to "auto",
+    which ``run_experiment`` replaces by 0.05/sigma^2 before the solve.
     """
 
     input_path: str | Path
@@ -51,7 +51,7 @@ class ExperimentConfig:
     sigma: float = 0.01
     seed: int = 0
     save_intermediates: bool = False
-    solver_cfg: SolverConfig = field(default_factory=lambda: SolverConfig(mu="auto"))
+    mu: float | str = "auto"
 
 
 def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.ndarray:
@@ -108,13 +108,13 @@ def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
     u0 = validate_image(load_image(cfg.input_path))
     check_kernel_side(cfg.kernel.size, u0.shape[0])
     kernel = make_kernel(cfg.kernel)
-    solver_cfg = cfg.solver_cfg
-    if solver_cfg.mu == "auto":
-        if not 0 < cfg.sigma < math.inf:
-            raise ValueError(
-                f"mu='auto' uses 0.05/sigma^2 and needs a finite sigma > 0, got {cfg.sigma}; pass mu explicitly"
-            )
-        solver_cfg = replace(solver_cfg, mu=0.05 / (cfg.sigma * cfg.sigma))
+    if cfg.mu == "auto":
+        # sigma^2 underflows to 0 below sigma ~1e-162, and 0.05/sigma^2 overflows below ~1.7e-155
+        sigma_sq = cfg.sigma * cfg.sigma if cfg.sigma > 0 else 0.0
+        mu = 0.05 / sigma_sq if sigma_sq > 0 else math.inf
+        if not 0 < mu < math.inf:
+            raise ValueError(f"mu='auto' needs 0.05/sigma^2 in (0, inf), got sigma {cfg.sigma}; pass mu explicitly")
+        cfg = replace(cfg, mu=mu)
     f = degrade(u0, kernel, cfg.sigma, cfg.seed)
     out = Path(cfg.output_dir)
 
@@ -124,7 +124,7 @@ def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
             write_pgm(out / f"iter_{rec.stage_index:04}.pgm", rec.u)
 
     cache = build_cache(kernel, u0.shape[0])
-    trace = solve(cfg.solver, f, cache, solver_cfg, ground_truth=u0, on_record=on_record)
+    trace = solve(cfg.solver, f, cache, cfg, ground_truth=u0, on_record=on_record)
 
     write_trace_csv(out / "trace.csv", trace)
 
@@ -145,11 +145,11 @@ def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
         f"image size: {u0.shape[0]}x{u0.shape[1]}",
         f"kernel: {cfg.kernel}",
         f"sigma: {cfg.sigma!r}",
-        f"mu: {float(solver_cfg.mu)!r}",
+        f"mu: {float(cfg.mu)!r}",
         f"seed: {cfg.seed}",
         f"noise generator: {NOISE_GENERATOR}",
-        f"tv variant: {solver_cfg.tv_variant}",
-        f"tol: {solver_cfg.tol!r}",
+        f"tv variant: {cfg.tv_variant}",
+        f"tol: {cfg.tol!r}",
         f"converged: {trace.converged}",
         f"stage records: {len(trace.records)}",
         f"best stage by snr: {best_rec.stage_index}",

@@ -36,7 +36,7 @@ from .shrinkage import pixel_norms, shrink
 DEFAULT_BETA_SCHEDULE = tuple(2.0**k for k in range(11))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SolverConfig:
     """Knobs shared by both solvers; defaults follow the standard protocol."""
 

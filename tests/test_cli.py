@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tvdeblur
-from tvdeblur import ExperimentConfig, SolverConfig, cli, harness, read_pgm, write_pgm
+from tvdeblur import ExperimentConfig, cli, harness, read_pgm, write_pgm
 from tvdeblur.harness import TRACE_HEADER
 
 
@@ -65,16 +65,21 @@ def test_deblur_ftvd4(tmp_path):
     assert rc == 0
 
 
-def test_usage_error_exits_one():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["deblur", "--output-dir", "x"])  # missing --input-path
-    assert exc.value.code == 1
+def test_usage_error_exits_one(capsys):
+    assert cli.main(["deblur", "--output-dir", "x"]) == 1  # missing --input-path
+    assert capsys.readouterr().err == "error: the following arguments are required: --input-path\n"
 
 
-def test_bad_kernel_spec_exits_one(tmp_path):
+def test_bad_kernel_spec_exits_one(tmp_path, capsys):
+    assert cli.main(["degrade", "--input", "a.pgm", "--out", "b.pgm", "--kernel", "box:3"]) == 1
+    assert capsys.readouterr().err == "error: argument --kernel: unknown kernel spec 'box:3'\n"
+
+
+def test_help_still_prints_and_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["degrade", "--input", "a.pgm", "--out", "b.pgm", "--kernel", "box:3"])
-    assert exc.value.code == 1
+        cli.main(["deblur", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tvdeblur deblur")
 
 
 def test_missing_input_file_returns_one(tmp_path):
@@ -158,7 +163,9 @@ def test_deblur_solver_flags_go_to_the_solver_config(monkeypatch):
         "--beta-schedule", "1,8,64", "--beta-fixed", "5", "--max-multiplier-updates", "30",
     ]
     assert cli.main(argv) == 2
-    assert seen[0].solver_cfg == SolverConfig(
+    assert seen == [ExperimentConfig(
+        input_path="gt.pgm",
+        output_dir="out",
         mu=300.0,
         tv_variant="aniso",
         tol=1e-6,
@@ -166,7 +173,7 @@ def test_deblur_solver_flags_go_to_the_solver_config(monkeypatch):
         beta_schedule=(1.0, 8.0, 64.0),
         beta_fixed=5.0,
         max_multiplier_updates=30,
-    )
+    )]
 
 
 def test_degrade_defaults_are_the_deblur_defaults(monkeypatch):
@@ -304,10 +311,17 @@ def test_oversized_kernel_spec_exits_one_before_building_taps(tmp_path, capsys, 
          1, "error: reference image is constant"),
         ("deblur --input-path {gt} --output-dir {out} --mu 1e-300",
          2, "numerical failure: frequency-domain denominator mu |K^|^2 + beta |D^|^2 reaches"),
+        ("deblur --input-path {gt} --output-dir {out} --kernel average:3 --sigma 1e-300",
+         1, "error: mu='auto' needs 0.05/sigma^2 in (0, inf), got sigma 1e-300"),
+        ("deblur --input-path {gt} --output-dir {out} --kernel average:3 --sigma 1e-160",
+         1, "error: mu='auto' needs 0.05/sigma^2 in (0, inf), got sigma 1e-160"),
         ("report --trace {unscored}",
          1, "error: trace carries no snr scores"),
     ],
-    ids=["bad_kernel_spec", "oversized_kernel", "constant_ground_truth", "singular_system", "report_without_snr"],
+    ids=[
+        "bad_kernel_spec", "oversized_kernel", "constant_ground_truth", "singular_system",
+        "underflowing_auto_sigma", "overflowing_auto_mu", "report_without_snr",
+    ],
 )
 def test_each_raise_site_maps_to_its_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, line):
     # ValueError is bad input (exit 1), FloatingPointError a numerical failure (exit 2)

@@ -146,7 +146,7 @@ def test_gaussian_width_whose_exponent_overflows_is_a_delta():
 
 
 def test_kernel_spec_string_round_trip():
-    for text in ("delta", "average:9", "gaussian:3:0.5"):
+    for text in ("delta", "average:9", "gaussian:3:0.5", "gaussian:7:1.5", "gaussian:5:1.23456789", "gaussian:3:1e-160"):
         assert str(KernelSpec.from_string(text)) == text
     with pytest.raises(ValueError, match="unknown kernel spec 'box:3'"):
         KernelSpec.from_string("box:3")

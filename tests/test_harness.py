@@ -118,7 +118,7 @@ def test_identity_pipeline_hits_snr_cap(ground_truth_file, tmp_path):
         solver="ftvd3",
         kernel=KernelSpec.delta(),
         sigma=0.0,
-        solver_cfg=SolverConfig(mu=1e18, beta_schedule=(1.0,)),
+        mu=1e18, beta_schedule=(1.0,),
     )
     trace = run_experiment(cfg)
     assert trace.records[-1].snr_db == 300.0
@@ -135,7 +135,7 @@ def test_run_experiment_outputs(ground_truth_file, tmp_path):
         sigma=0.01,
         save_intermediates=True,
         seed=2,
-        solver_cfg=SolverConfig(mu="auto", beta_schedule=(1.0, 4.0, 16.0, 64.0)),
+        mu="auto", beta_schedule=(1.0, 4.0, 16.0, 64.0),
     )
     trace = run_experiment(cfg)
 
@@ -162,7 +162,7 @@ def test_streamed_intermediates_match_best_and_final(tmp_path, solver, tv_varian
         output_dir=out,
         solver=solver,
         save_intermediates=True,
-        solver_cfg=SolverConfig(mu="auto", tv_variant=tv_variant),
+        mu="auto", tv_variant=tv_variant,
     )
     trace = run_experiment(cfg)
     best = best_iterate(trace)
@@ -197,7 +197,7 @@ def test_trace_csv_floats_round_trip(ground_truth_file, tmp_path):
         solver="ftvd4",
         kernel=KernelSpec.average(3),
         sigma=0.01,
-        solver_cfg=SolverConfig(mu="auto", max_multiplier_updates=5, tol=1e-12),
+        mu="auto", max_multiplier_updates=5, tol=1e-12,
     )
     trace = run_experiment(cfg)
     with open(tmp_path / "rt" / "trace.csv", newline="") as fh:
@@ -219,7 +219,7 @@ def test_run_experiment_is_deterministic(ground_truth_file, tmp_path):
             kernel=KernelSpec.average(5),
             sigma=0.01,
             seed=11,
-            solver_cfg=SolverConfig(mu="auto", max_multiplier_updates=40),
+            mu="auto", max_multiplier_updates=40,
         )
         run_experiment(cfg)
         return tmp_path / d
