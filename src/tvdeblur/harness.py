@@ -21,7 +21,7 @@ from .grid_ops import KernelSpec, check_kernel_side, make_kernel, validate_image
 from .metrics import best_iterate
 from .pgm import load_image, write_pgm
 from .solvers import IterateTrace, SolverConfig, solve
-from .spectral import apply_kernel, build_cache
+from .spectral import SINGULAR_FLOOR, apply_kernel, build_cache
 
 # Identity of the noise generator, recorded in every summary: counter-based,
 # so degraded images are bit-reproducible from (seed, sigma, shape) alone.
@@ -109,11 +109,14 @@ def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
     check_kernel_side(cfg.kernel.size, u0.shape[0])
     kernel = make_kernel(cfg.kernel)
     if cfg.mu == "auto":
-        # sigma^2 underflows to 0 below sigma ~1e-162, and 0.05/sigma^2 overflows below ~1.7e-155
+        # sigma^2 underflows to 0 below sigma ~1e-162, and 0.05/sigma^2 overflows below ~1.7e-155;
+        # above sigma ~2.2e6 it falls below SINGULAR_FLOOR, which mu (the DC denominator for a flux-1 kernel) must reach
         sigma_sq = cfg.sigma * cfg.sigma if cfg.sigma > 0 else 0.0
         mu = 0.05 / sigma_sq if sigma_sq > 0 else math.inf
-        if not 0 < mu < math.inf:
-            raise ValueError(f"mu='auto' needs 0.05/sigma^2 in (0, inf), got sigma {cfg.sigma}; pass mu explicitly")
+        if not SINGULAR_FLOOR <= mu < math.inf:
+            raise ValueError(
+                f"mu='auto' needs 0.05/sigma^2 in [{SINGULAR_FLOOR:g}, inf), got sigma {cfg.sigma}; pass mu explicitly"
+            )
         cfg = replace(cfg, mu=mu)
     f = degrade(u0, kernel, cfg.sigma, cfg.seed)
     out = Path(cfg.output_dir)

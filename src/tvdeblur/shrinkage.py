@@ -32,8 +32,8 @@ def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
     raise ValueError(f"unknown tv_variant {tv_variant!r}")
 
 
-def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> np.ndarray:
-    """The w-step: the per-pixel prox of ``pixel_norms`` at threshold t > 0.
+def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> tuple[np.ndarray, float | None]:
+    """The w-step: the per-pixel prox of ``pixel_norms`` at threshold t > 0, and the sum of its norms.
 
     'iso' is radial 2-vector shrinkage, out_i = v_i * max(||v_i|| - t, 0) /
     max(||v_i||, t): the usual radial factor where ||v_i|| > t, and exactly
@@ -41,7 +41,10 @@ def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> np.ndarray:
     stays NaN.  'aniso' is the componentwise soft threshold
     sign(c) * max(|c| - t, 0) on dx and dy, computed as c - clip(c, -t, t),
     which has the same values (a component at or below the threshold
-    becomes +0.0).  Raises ValueError unless t > 0.
+    becomes +0.0).  Returns (out, s): for 'iso', s = sum_i ||out_i|| =
+    sum_i max(||v_i|| - t, 0), summed before that buffer becomes the radial
+    factor; for 'aniso', whose prox forms no norm, s is None.  Raises
+    ValueError unless t > 0.
     """
     if not t > 0:
         raise ValueError(f"shrinkage threshold must be > 0, got {t}")
@@ -50,9 +53,10 @@ def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> np.ndarray:
         denom = np.maximum(scale, t)
         scale -= t  # the factor is formed in the norm's buffer: see pixel_norms
         np.maximum(scale, 0.0, out=scale)
+        norm_sum = float(scale.sum())
         scale /= denom
-        return v * scale[..., None]
+        return v * scale[..., None], norm_sum
     if tv_variant == "aniso":
         out = np.clip(v, -t, t)
-        return np.subtract(v, out, out=out)
+        return np.subtract(v, out, out=out), None
     raise ValueError(f"unknown tv_variant {tv_variant!r}")

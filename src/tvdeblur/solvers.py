@@ -11,8 +11,8 @@ stage policy is the only difference between them:
   beta-weighted quadratic penalty and alternates w/u steps to cfg.tol for
   each beta of an ascending schedule, warm-starting every stage;
 - ``ftvd4_solve`` (multipliers) keeps beta fixed; each stage is one
-  alternation followed by lambda <- lambda - beta (w - D u), and the solve
-  stops at the first stage whose relative change is below cfg.tol.
+  alternation followed by lam <- lam - (w - D u) on lam = lambda/beta, and
+  the solve stops at the first stage whose relative change is below cfg.tol.
 
 Every stage is recorded and scored when it ends, so the best intermediate
 solution can be selected afterwards instead of the pure TV limit.
@@ -81,9 +81,10 @@ class IterateRecord:
     """One recorded stage: its scores, its metadata and, while kept, its arrays.
 
     ``u``, ``w`` and ``lam`` (None for ftvd3) are set when the record is
-    passed to ``on_record``.  A returned trace keeps them only on its best
-    record by SNR (earliest on ties) and its last record, or, without
-    ground truth, on its last record only; elsewhere they are None.
+    passed to ``on_record``.  ``lam`` is the scaled multiplier lambda/beta:
+    the paper's lambda is ``beta * lam``.  A returned trace keeps them only
+    on its best record by SNR (earliest on ties) and its last record, or,
+    without ground truth, on its last record only; elsewhere they are None.
     """
 
     stage_index: int
@@ -118,6 +119,7 @@ def _make_record(
     u_hat: np.ndarray,
     du: np.ndarray,
     w: np.ndarray,
+    w_norm_sum: float | None,
     gap: np.ndarray,
     lam: np.ndarray | None,
     rc: float,
@@ -133,8 +135,9 @@ def _make_record(
     and gap = w - D u (passed in), by the three scores: the TV objective,
     the penalty objective sum ||w_i|| + beta/2 ||w - D u||^2 +
     mu/2 ||K u - f||^2, and the largest per-pixel ||w_i - D_i u||.  The
-    squares of gap serve the last two.  ``u_hat`` and ``gap`` are
-    overwritten.  ``snr`` is a ``metrics.snr_scorer`` or None.
+    per-pixel sums of gap's squares serve the last two; sum ||w_i|| is
+    ``shrink``'s ``w_norm_sum``, or taken from ``pixel_norms(w)`` when None.
+    ``u_hat`` is overwritten.  ``snr`` is a ``metrics.snr_scorer`` or None.
 
     ``kept`` holds the best record so far by SNR (earliest on ties; none
     without ``snr``) and the last one, and is updated in place to the best
@@ -151,10 +154,11 @@ def _make_record(
             old.u = old.w = old.lam = None
     beta = system.beta
     fidelity = 0.5 * cfg.mu * spectral.residual_sq(system, u_hat)
-    gap_sq = np.multiply(gap, gap, out=gap)
+    gap_sq = np.einsum("ijk,ijk->ij", gap, gap)  # ||w_i - D_i u||^2 per pixel, in one pass
     # the largest iso norm: sqrt is monotone, so it is the root of the largest dx^2 + dy^2
-    constraint = math.sqrt((gap_sq[..., 0] + gap_sq[..., 1]).max())
-    penalty = float(pixel_norms(w, cfg.tv_variant).sum()) + 0.5 * beta * float(gap_sq.sum())
+    constraint = math.sqrt(gap_sq.max())
+    w_tv = float(pixel_norms(w, cfg.tv_variant).sum()) if w_norm_sum is None else w_norm_sum
+    penalty = w_tv + 0.5 * beta * float(gap_sq.sum())
     scores = {
         "snr_db": snr_db,
         "objective_tv": float(pixel_norms(du, cfg.tv_variant).sum()) + fidelity,
@@ -217,7 +221,7 @@ def solve(
     records: list[IterateRecord] = []
     kept: list[IterateRecord] = []
     u, du = f, forward_diff(f)
-    lam = 0.0 if multipliers else None  # the first multiplier update makes it a field
+    lam = 0.0 if multipliers else None  # lambda/beta; the first multiplier update makes it a field
     system = None
     converged = True
     for stage, beta in enumerate(betas):
@@ -225,9 +229,9 @@ def solve(
             system = spectral.prepare_u(f, cfg.mu, beta, cache)
         stage_start = u
         for it in range(1, max_inner + 1):
-            w = shrink(du if lam is None else lam / beta + du, 1.0 / beta, cfg.tv_variant)
+            w, w_norm_sum = shrink(du if lam is None else lam + du, 1.0 / beta, cfg.tv_variant)
             u_hat = None  # freed before solve_u forms the next: holding it adds 1 MB to ftvd3's peak RSS at 512²
-            u_new, u_hat = spectral.solve_u(system, w, lam)
+            u_new, u_hat = spectral.solve_u(system, w if lam is None else w - lam)
             rc = rel_change(u_new, u)
             if not math.isfinite(rc):
                 raise FloatingPointError(
@@ -240,10 +244,9 @@ def solve(
         converged = stage_converged and (converged or multipliers)
         gap = w - du
         if multipliers:
-            step = np.multiply(beta, gap)  # lam - beta * gap would add 8 MB to ftvd4's peak RSS at 512²
-            lam = np.subtract(lam, step, out=step)  # a new array: the last record holds the old lam
+            lam = lam - gap  # a new array: the last record holds the old lam
         stage_rc = rc if it == 1 else rel_change(u, stage_start)  # after one alternation they are equal
-        record = _make_record(stage, it, u, u_hat, du, w, gap, lam, stage_rc, system, cfg, snr, kept)
+        record = _make_record(stage, it, u, u_hat, du, w, w_norm_sum, gap, lam, stage_rc, system, cfg, snr, kept)
         u_hat = gap = None  # holding them into the next stage adds 3 MB (ftvd3) and 2 MB (ftvd4) of peak RSS at 512²
         records.append(record)
         if on_record is not None:
@@ -282,7 +285,8 @@ def ftvd4_solve(
     """Augmented-Lagrangian solver: fixed beta, alternating direction updates.
 
     Per cycle: w-step with the current multipliers folded in, exact u-step,
-    then lambda <- lambda - beta (w - D u).  Every cycle is recorded; stops
+    then lambda <- lambda - beta (w - D u), carried as lam = lambda/beta:
+    lam <- lam - (w - D u).  Every cycle is recorded; stops
     once the relative change of u drops below cfg.tol, or after
     cfg.max_multiplier_updates cycles.  The kernel must pass
     ``spectral.build_cache`` (ValueError otherwise).

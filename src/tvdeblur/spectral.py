@@ -80,10 +80,10 @@ def apply_kernel(cache: SpectralCache, u: np.ndarray) -> np.ndarray:
 class USystem:
     """The u-subproblem at one (f, mu, beta), ready for repeated solves.
 
-    Holds what does not change between iterations at fixed beta: the data
-    term mu conj(K^) f^ of the right-hand side and the per-frequency
-    denominator mu |K^|^2 + beta |D^|^2, plus K^ and f^ themselves for
-    ``residual_sq``.  Build it with ``prepare_u``.
+    Holds what does not change between iterations at fixed beta, divided by
+    beta once: the data term (mu/beta) conj(K^) f^ of the right-hand side
+    and the per-frequency denominator (mu/beta) |K^|^2 + |D^|^2, plus K^
+    and f^ themselves for ``residual_sq``.  Build it with ``prepare_u``.
     """
 
     beta: float
@@ -94,11 +94,11 @@ class USystem:
 
 
 def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> USystem:
-    """Set up the u-subproblem (mu K^T K + beta D^T D) u = mu K^T f + ... .
+    """Set up the u-subproblem (mu K^T K + beta D^T D) u = mu K^T f + beta D^T g.
 
     Raises ValueError unless mu and beta are positive, and FloatingPointError if
-    the per-frequency denominator falls below 1e-14 anywhere (a tiny mu or a
-    zero-flux kernel).
+    the per-frequency denominator mu |K^|^2 + beta |D^|^2 falls below 1e-14
+    anywhere (a tiny mu or a zero-flux kernel).
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -110,24 +110,25 @@ def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> US
             f"frequency-domain denominator mu |K^|^2 + beta |D^|^2 reaches {denom.min():.3e} "
             f"at mu {mu!r}, beta {beta!r}: mu is too small or the kernel has (near-)zero flux"
         )
+    denom /= beta
     f_hat = np.fft.rfft2(f)
-    data_hat = mu * np.conj(cache.eig_k) * f_hat
+    data_hat = mu / beta * np.conj(cache.eig_k) * f_hat
     return USystem(beta=beta, eig_k=cache.eig_k, f_hat=f_hat, data_hat=data_hat, denom=denom)
 
 
-def solve_u(system: USystem, w: np.ndarray, lam: np.ndarray | float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def solve_u(system: USystem, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimizer of the quadratic u-subproblem, and its half spectrum.
 
-    Solves (mu K^T K + beta D^T D) u = mu K^T f + D^T (beta w - lam) by
-    per-frequency division, with D^T applied in space.  ``lam`` is a
-    gradient field, the scalar 0 before the first multiplier update, or
-    None for the penalty solver, which carries no multipliers.  Returns (u, u^):
-    the caller may hand u^ to ``residual_sq``, which overwrites it.
+    Solves (mu K^T K + beta D^T D) u = mu K^T f + beta D^T g for a gradient
+    field g by per-frequency division, with D^T applied in space.  The
+    penalty solver passes g = w, the multiplier solver g = w - lambda/beta; as
+    ``prepare_u`` divided the system by beta, no pass scales g.  Returns
+    (u, u^): the caller may hand u^ to ``residual_sq``, which overwrites it.
     """
-    u_hat = np.fft.rfft2(divergence_adjoint(system.beta * w if lam is None else system.beta * w - lam))
+    u_hat = np.fft.rfft2(divergence_adjoint(g))
     u_hat += system.data_hat
     u_hat /= system.denom
-    return np.fft.irfft2(u_hat, s=w.shape[:2]), u_hat
+    return np.fft.irfft2(u_hat, s=g.shape[:2]), u_hat
 
 
 def residual_sq(system: USystem, u_hat: np.ndarray) -> float:

@@ -31,18 +31,18 @@ def stack_field(g):
 
 @pytest.fixture()
 def alternations(monkeypatch):
-    """The (u, w) pair of every alternation of the solves run in the test, in order.
+    """The (u, g) pair of every alternation of the solves run in the test, in order.
 
     Each alternation makes exactly one u-step, so wrapping ``spectral.solve_u``
-    sees them all: w is the shrunk field it is handed and u the iterate it
-    returns.
+    sees them all: g is the field it is handed and u the iterate it returns.
+    For ftvd3, g is the shrunk field w; for ftvd4 it would be w - lam.
     """
     seen = []
     original = spectral.solve_u
 
-    def recording(system, w, lam=None):
-        u, u_hat = original(system, w, lam)
-        seen.append((u, w))
+    def recording(system, g):
+        u, u_hat = original(system, g)
+        seen.append((u, g))
         return u, u_hat
 
     monkeypatch.setattr(spectral, "solve_u", recording)

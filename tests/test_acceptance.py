@@ -100,7 +100,7 @@ def test_c03_u_subproblem_exactness():
             f = rng.standard_normal((n, n))
             w = rng.standard_normal((n, n, 2))
             lam = rng.standard_normal((n, n, 2))
-            u, _ = solve_u(prepare_u(f, mu, beta, cache), w, lam)
+            u, _ = solve_u(prepare_u(f, mu, beta, cache), w - lam / beta)
             a = mu * kmat.T @ kmat + beta * dmat.T @ dmat
             rhs = mu * kmat.T @ f.ravel() + dmat.T @ (beta * stack_field(w) - stack_field(lam))
             u_dense = np.linalg.solve(a, rhs)
@@ -121,8 +121,8 @@ def test_c04_shrinkage_optimality():
         for _ in range(10):  # 10 thresholds x 100 pixels = 1000 (v, t) draws
             t = float(rng.uniform(0.05, 2.0))
             v = rng.standard_normal((10, 10, 2)) * 2
-            iso = shrink(v, t, "iso")
-            aniso = shrink(v, t, "aniso")
+            iso = shrink(v, t, "iso")[0]
+            aniso = shrink(v, t, "aniso")[0]
             base_iso = obj_iso(iso, v, t)
             base_aniso = obj_aniso(aniso, v, t)
             for _ in range(100):

@@ -312,15 +312,17 @@ def test_oversized_kernel_spec_exits_one_before_building_taps(tmp_path, capsys, 
         ("deblur --input-path {gt} --output-dir {out} --mu 1e-300",
          2, "numerical failure: frequency-domain denominator mu |K^|^2 + beta |D^|^2 reaches"),
         ("deblur --input-path {gt} --output-dir {out} --kernel average:3 --sigma 1e-300",
-         1, "error: mu='auto' needs 0.05/sigma^2 in (0, inf), got sigma 1e-300"),
+         1, "error: mu='auto' needs 0.05/sigma^2 in [1e-14, inf), got sigma 1e-300"),
         ("deblur --input-path {gt} --output-dir {out} --kernel average:3 --sigma 1e-160",
-         1, "error: mu='auto' needs 0.05/sigma^2 in (0, inf), got sigma 1e-160"),
+         1, "error: mu='auto' needs 0.05/sigma^2 in [1e-14, inf), got sigma 1e-160"),
+        ("deblur --input-path {gt} --output-dir {out} --kernel average:3 --sigma 1e7",
+         1, "error: mu='auto' needs 0.05/sigma^2 in [1e-14, inf), got sigma 10000000.0"),
         ("report --trace {unscored}",
          1, "error: trace carries no snr scores"),
     ],
     ids=[
         "bad_kernel_spec", "oversized_kernel", "constant_ground_truth", "singular_system",
-        "underflowing_auto_sigma", "overflowing_auto_mu", "report_without_snr",
+        "underflowing_auto_sigma", "overflowing_auto_mu", "singular_auto_mu", "report_without_snr",
     ],
 )
 def test_each_raise_site_maps_to_its_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, line):

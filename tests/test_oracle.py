@@ -162,7 +162,7 @@ def test_huber_newton_finds_the_unique_stationary_point(pc16, tv_variant):
     from_zero = huber_newton_solve(f, kernel, mu, beta, np.zeros_like(f), tv_variant)
     assert np.linalg.norm(u - from_zero) <= 1e-9 * np.linalg.norm(u)
     du = forward_diff(u)
-    tv_term = divergence_adjoint(beta * (du - shrink(du, 1.0 / beta, tv_variant)))
+    tv_term = divergence_adjoint(beta * (du - shrink(du, 1.0 / beta, tv_variant)[0]))
     fidelity_term = mu * convolve_periodic(convolve_periodic(u, kernel) - f, kernel[::-1, ::-1])
     data = mu * convolve_periodic(f, kernel[::-1, ::-1])
     assert np.linalg.norm(tv_term + fidelity_term) <= 1e-10 * np.linalg.norm(data)

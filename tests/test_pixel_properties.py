@@ -85,17 +85,17 @@ def test_shrink_iso_equals_the_masked_formula(n, seed, t):
     mag = pixel_norms(v, "iso")
     scale = np.zeros_like(mag)
     np.divide(np.maximum(mag - t, 0.0), mag, out=scale, where=mag > 0)
-    assert np.array_equal(shrink(v, t, "iso"), v * scale[..., None])
+    assert np.array_equal(shrink(v, t, "iso")[0], v * scale[..., None])
     # against hypot norms: an ulp in ||v|| moves the result by about an ulp of ||v||
     # (near ||v|| = t the cancellation in ||v|| - t rules out a relative bound)
-    assert np.abs(shrink(v, t, "iso") - masked_shrink_iso(v, t)).max() <= 1e-14 * np.abs(v).max()
+    assert np.abs(shrink(v, t, "iso")[0] - masked_shrink_iso(v, t)).max() <= 1e-14 * np.abs(v).max()
 
 
 @PROPERTY_SETTINGS
 @given(sizes, seeds, thresholds)
 def test_shrink_aniso_equals_sign_max(n, seed, t):
     v = random_field(n, seed)
-    assert np.array_equal(shrink(v, t, "aniso"), np.sign(v) * np.maximum(np.abs(v) - t, 0.0))
+    assert np.array_equal(shrink(v, t, "aniso")[0], np.sign(v) * np.maximum(np.abs(v) - t, 0.0))
 
 
 @PROPERTY_SETTINGS
@@ -104,7 +104,7 @@ def test_shrinks_satisfy_prox_optimality(n, seed, t):
     # w = prox_{t||.||}(v) iff (v - w) / t is a subgradient of the pixel norm at w:
     # v - w == t w / ||w|| where w != 0, and ||v - w|| <= t (dual norm) where w == 0.
     v = random_field(n, seed)
-    w = shrink(v, t, "iso")
+    w = shrink(v, t, "iso")[0]
     r = v - w
     wn = np.hypot(w[..., 0], w[..., 1])
     rn = np.hypot(r[..., 0], r[..., 1])
@@ -113,8 +113,23 @@ def test_shrinks_satisfy_prox_optimality(n, seed, t):
     assert np.all(np.abs(r[on] - t * w[on] / wn[on, None]) <= tol[on, None])
     assert np.all(rn[~on] <= t + tol[~on])
     # aniso: componentwise, v - w == t sign(w) where w != 0 and |v - w| <= t where w == 0
-    w = shrink(v, t, "aniso")
+    w = shrink(v, t, "aniso")[0]
     r = v - w
     on = w != 0
     assert np.all(np.abs(r[on] - t * np.sign(w[on])) <= 1e-12 * (1.0 + np.abs(v[on])))
     assert np.all(np.abs(r[~on]) <= t)
+
+
+
+@PROPERTY_SETTINGS
+@given(sizes, seeds, thresholds)
+def test_shrink_hands_out_the_sum_of_its_norms(n, seed, t):
+    v = random_field(n, seed)
+    w, norm_sum = shrink(v, t, "iso")
+    expected = float(pixel_norms(w).sum())
+    assert abs(norm_sum - expected) <= 1e-12 * expected
+    # every ||v_i|| <= t: each pixel shrinks to 0, and so does the sum, exactly
+    inside = v * (0.5 * t / max(float(pixel_norms(v).max()), t))
+    assert shrink(inside, t, "iso")[1] == 0.0
+    # the anisotropic prox forms no norm and hands out none
+    assert shrink(v, t, "aniso")[1] is None

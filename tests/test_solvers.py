@@ -145,6 +145,22 @@ def test_ftvd4_feasibility_trend(ftvd4_default_trace):
     assert res[-1] < res[0] / 10.0
 
 
+def test_ftvd4_records_carry_the_scaled_multiplier(pc16):
+    # lam is lambda/beta: each cycle subtracts the gap w - D u once, and beta * lam
+    # follows the unscaled update lambda <- lambda - beta (w - D u), run here alongside
+    seen = []
+    cfg = SolverConfig(mu=500.0, max_multiplier_updates=12)
+    ftvd4_solve(pc16["f"], pc16["kernel"], cfg, on_record=lambda r: seen.append((r.beta, r.u, r.w, r.lam)))
+    assert len(seen) == 12
+    lam_prev, unscaled = 0.0, 0.0
+    for beta, u, w, lam in seen:
+        gap = w - forward_diff(u)
+        assert np.array_equal(lam, lam_prev - gap)
+        unscaled = unscaled - beta * gap
+        assert np.linalg.norm(beta * lam - unscaled) <= 1e-12 * np.linalg.norm(unscaled)
+        lam_prev = lam
+
+
 def test_trace_completeness(pc16):
     cfg3 = SolverConfig(mu=500.0)
     tr3 = ftvd3_solve(pc16["f"], pc16["kernel"], cfg3)
@@ -215,7 +231,7 @@ def test_ftvd3_stages_are_stationary_for_their_huber_models(n, spec, tv_variant)
     assert len(converged) >= 5
     for r, u in converged:
         du = forward_diff(u)
-        tv_term = divergence_adjoint(r.beta * (du - shrink(du, 1.0 / r.beta, tv_variant)))
+        tv_term = divergence_adjoint(r.beta * (du - shrink(du, 1.0 / r.beta, tv_variant)[0]))
         fidelity_term = mu * convolve_periodic(convolve_periodic(u, kernel) - f, kernel[::-1, ::-1])
         gap = np.linalg.norm(tv_term + fidelity_term) / np.linalg.norm(fidelity_term)
         assert gap <= 1e-3, (r.stage_index, r.beta, gap)

@@ -64,7 +64,7 @@ def test_solve_u_satisfies_dense_normal_equations(problem, mu, beta, with_lam):
     f = rng.standard_normal((n, n))
     w = rng.standard_normal((n, n, 2))
     lam = rng.standard_normal((n, n, 2)) if with_lam else None
-    u, _ = solve_u(prepare_u(f, mu, beta, build_cache(kernel, n)), w, lam)
+    u, _ = solve_u(prepare_u(f, mu, beta, build_cache(kernel, n)), w if lam is None else w - lam / beta)
     kmat = dense_operator("K", n, kernel)
     dmat = dense_operator("D", n)
     field = beta * stack_field(w) - (0.0 if lam is None else stack_field(lam))
