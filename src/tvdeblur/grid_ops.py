@@ -20,6 +20,7 @@ All functions are pure and never mutate their inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +87,17 @@ def divergence_adjoint(g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Description of a blurring kernel: average(m), gaussian(m, sigma), delta."""
+    """Description of a blurring kernel: average(m), gaussian(m, sigma), delta; m an integer, sigma a real."""
 
     kind: str
     size: int = 1
     sigma: float = 0.0
+
+    def __post_init__(self):
+        if not isinstance(self.size, numbers.Integral):
+            raise ValueError(f"kernel size must be an integer, got {self.size!r}")
+        if not isinstance(self.sigma, numbers.Real):
+            raise ValueError(f"gaussian width must be a real number, got {self.sigma!r}")
 
     @classmethod
     def average(cls, size: int) -> "KernelSpec":

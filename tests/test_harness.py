@@ -75,8 +75,8 @@ def test_degrade_takes_only_integer_seeds(seed):
 
 
 def test_degrade_rejects_negative_sigma():
-    for sigma in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="sigma"):
+    for sigma in (-0.1, float("nan"), float("inf"), "0.01"):
+        with pytest.raises(ValueError, match=f"sigma must be a finite nonnegative real number, got {sigma!r}"):
             degrade(np.zeros((4, 4)), np.ones((1, 1)), sigma, seed=0)
 
 
@@ -246,8 +246,17 @@ def test_auto_mu_requires_noise(ground_truth_file, tmp_path):
         run_experiment(cfg)
 
 
-def test_unknown_solver_rejected(ground_truth_file, tmp_path):
-    cfg = ExperimentConfig(input_path=ground_truth_file, output_dir=tmp_path / "y", solver="ftvd5")
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("solver", "ftvd5", "unknown solver 'ftvd5'"),
+        ("kernel", "average:3", "kernel must be a KernelSpec, got 'average:3'"),
+        ("sigma", "0.01", "sigma must be a finite nonnegative real number, got '0.01'"),
+    ],
+    ids=["unknown_solver", "kernel_str", "sigma_str"],
+)
+def test_bad_config_rejected_before_output_dir(ground_truth_file, tmp_path, field, value, message):
+    cfg = ExperimentConfig(input_path=ground_truth_file, output_dir=tmp_path / "y", **{field: value})
+    with pytest.raises(ValueError, match=message):
         run_experiment(cfg)
     assert not (tmp_path / "y").exists()

@@ -64,15 +64,27 @@ def test_truncated_raster_names_file_and_byte_counts(tmp_path):
         load_image(path)
 
 
-@pytest.mark.parametrize("header", [b"P5\n2", b"P5 2 x 255\n"], ids=["truncated", "non_numeric"])
-def test_malformed_header_names_file(tmp_path, capsys, header):
+MALFORMED = "truncated or malformed PGM header"
+
+
+@pytest.mark.parametrize(
+    "header, reason",
+    [
+        (b"P5\n2", MALFORMED),
+        (b"P5 2 x 255\n", MALFORMED),
+        (b"P5\n2 2\n0\n" + bytes(4), "unsupported maxval 0"),
+        (b"P5\n2 2\n65536\n" + bytes(8), "unsupported maxval 65536"),
+    ],
+    ids=["truncated", "non_numeric", "maxval_0", "maxval_65536"],
+)
+def test_malformed_header_names_file(tmp_path, capsys, header, reason):
     path = tmp_path / "bad.pgm"
     path.write_bytes(header)
-    with pytest.raises(ValueError, match=r"bad\.pgm: truncated or malformed PGM header"):
+    with pytest.raises(ValueError, match=rf"bad\.pgm: {reason}"):
         read_pgm(path)
     out = tmp_path / "o"
     assert cli.main(["deblur", "--input-path", str(path), "--output-dir", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {path}: truncated or malformed PGM header\n"
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
     assert not out.exists()
 
 

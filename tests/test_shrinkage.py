@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tvdeblur import shrink
+from tvdeblur.shrinkage import pixel_norms
 
 
 def prox_objective(w, v, t):
@@ -138,5 +139,7 @@ def test_dispatch_variants():
     assert np.array_equal(shrink(v, 0.3)[0], shrink(v, 0.3, "iso")[0])
     assert not np.array_equal(shrink(v, 0.3, "iso")[0], shrink(v, 0.3, "aniso")[0])
     assert np.array_equal(shrink(v, 0.3, "aniso")[0], np.sign(v) * np.maximum(np.abs(v) - 0.3, 0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown tv_variant 'huber'"):
         shrink(v, 0.3, "huber")
+    with pytest.raises(ValueError, match="unknown tv_variant 'huber'"):
+        pixel_norms(v, "huber")
