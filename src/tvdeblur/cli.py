@@ -1,7 +1,8 @@
 """Command-line interface: phantom, degrade, deblur, report.
 
-Exit codes: 0 success, 1 usage error, bad input (ValueError) or I/O error
-(OSError), 2 numerical failure (FloatingPointError).
+Exit codes: 0 success, 1 usage error, bad input (ValueError), I/O error
+(OSError) or exhausted memory (MemoryError), 2 numerical failure
+(FloatingPointError).
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import math
 import sys
 from pathlib import Path
 
-from .grid_ops import KernelSpec, check_kernel_side, make_kernel, validate_image
-from .harness import ExperimentConfig, degrade, run_experiment
+from .grid_ops import KernelSpec
+from .harness import ExperimentConfig, observe, run_experiment
 from .metrics import best_index
-from .pgm import load_image, write_pgm
+from .pgm import write_pgm
 from .phantom import make_phantom
 
 
@@ -91,9 +92,7 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_degrade(args) -> int:
-    u0 = validate_image(load_image(args.input))
-    check_kernel_side(args.kernel.size, u0.shape[0])
-    f = degrade(u0, make_kernel(args.kernel), args.sigma, args.seed)
+    _, _, f = observe(args.input, args.kernel, args.sigma, args.seed)
     write_pgm(args.out, f)
     print(f"wrote degraded image to {args.out} (kernel {args.kernel}, sigma {args.sigma}, seed {args.seed})")
     return 0
@@ -106,6 +105,14 @@ def _cmd_deblur(args) -> int:
     return 0
 
 
+def _number(text: str) -> float:
+    """``float(text)``, or NaN for a cell that does not parse, so the finite check names its row."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _cmd_report(args) -> int:
     with open(args.trace, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -115,10 +122,10 @@ def _cmd_report(args) -> int:
         rows = [row for row in reader if row["snr_db"]]
     if not rows:
         raise ValueError("trace carries no snr scores")
-    snrs = [float(row["snr_db"]) for row in rows]
+    snrs = [_number(row["snr_db"]) for row in rows]
     bad = [row["stage_index"] for row, snr in zip(rows, snrs) if not math.isfinite(snr)]
     if bad:
-        raise ValueError(f"{args.trace} has a non-finite snr_db at stage {', '.join(bad)}")
+        raise ValueError(f"{args.trace} has an snr_db that is not a finite number at stage {', '.join(bad)}")
     best = best_index(snrs)
     final = len(rows) - 1
     print(f"records with snr: {len(rows)}")
@@ -145,6 +152,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation that failed; Python's own is bare
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
 
 

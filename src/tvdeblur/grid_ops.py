@@ -87,45 +87,44 @@ def divergence_adjoint(g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Description of a blurring kernel: average(m), gaussian(m, sigma), delta; m an integer, sigma a real."""
+    """A blurring kernel: delta, average(m) or gaussian(m, width), valid once it exists.
+
+    m is odd and positive (1 for a delta); only a gaussian has a width.  A bad field raises ValueError naming it.
+    """
 
     kind: str
     size: int = 1
     sigma: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in ("delta", "average", "gaussian"):
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
         if not isinstance(self.size, numbers.Integral):
             raise ValueError(f"kernel size must be an integer, got {self.size!r}")
+        if self.size % 2 == 0 or self.size < 1:
+            raise ValueError(f"kernel size must be odd and positive, got {self.size}")
+        if self.kind == "delta" and self.size != 1:
+            raise ValueError(f"a delta kernel has size 1, got {self.size}")
         if not isinstance(self.sigma, numbers.Real):
             raise ValueError(f"gaussian width must be a real number, got {self.sigma!r}")
-
-    @classmethod
-    def average(cls, size: int) -> "KernelSpec":
-        return cls("average", size)
-
-    @classmethod
-    def gaussian(cls, size: int, sigma: float) -> "KernelSpec":
-        return cls("gaussian", size, sigma)
-
-    @classmethod
-    def delta(cls) -> "KernelSpec":
-        return cls("delta", 1)
+        s = self.sigma
+        if self.kind != "gaussian" and s != 0:
+            raise ValueError(f"only a gaussian kernel has a width, got {s!r} for {self.kind}")
+        if self.kind == "gaussian" and not (s > 0 and 2.0 * s * s > 0 and math.isfinite(s)):
+            raise ValueError(f"gaussian width must be positive and finite with 2*width^2 > 0, got {s}")
 
     @classmethod
     def from_string(cls, text: str) -> "KernelSpec":
         """Parse 'delta', 'average:M' or 'gaussian:M:SIGMA' (CLI syntax)."""
-        parts = text.strip().split(":")
-        kind = parts[0]
+        kind, *tokens = text.strip().split(":")
+        converters = {"delta": (), "average": (int,), "gaussian": (int, float)}.get(kind)
+        if converters is None or len(tokens) != len(converters):
+            raise ValueError(f"unknown kernel spec {text!r}")
         try:
-            if kind == "delta" and len(parts) == 1:
-                return cls.delta()
-            if kind == "average" and len(parts) == 2:
-                return cls.average(int(parts[1]))
-            if kind == "gaussian" and len(parts) == 3:
-                return cls.gaussian(int(parts[1]), float(parts[2]))
+            fields = [convert(token) for convert, token in zip(converters, tokens)]
         except ValueError as exc:
             raise ValueError(f"cannot parse kernel spec {text!r}: {exc}") from exc
-        raise ValueError(f"unknown kernel spec {text!r}")
+        return cls(kind, *fields)
 
     def __str__(self) -> str:
         if self.kind == "delta":
@@ -142,28 +141,19 @@ def check_kernel_side(side: int, n: int) -> None:
 
 
 def make_kernel(spec: KernelSpec | str) -> np.ndarray:
-    """Realize a KernelSpec as an (m, m) tap array.
+    """Realize a KernelSpec (or its CLI string) as an (m, m) tap array.
 
-    average(m): all taps 1/m^2; gaussian(m, s): sampled isotropic Gaussian
-    renormalized to sum 1; delta: single unit tap.  Flux-1 by construction.
+    average(m): all taps 1/m^2, and a delta is its m = 1 case; gaussian(m, s):
+    sampled isotropic Gaussian renormalized to sum 1.  Flux-1 by construction.
     """
     if isinstance(spec, str):
         spec = KernelSpec.from_string(spec)
-    if spec.kind == "delta":
-        return np.ones((1, 1), dtype=np.float64)
     m = spec.size
-    if m % 2 == 0 or m < 1:
-        raise ValueError(f"kernel size must be odd and positive, got {m}")
-    if spec.kind == "average":
+    if spec.kind != "gaussian":
         return np.full((m, m), 1.0 / (m * m), dtype=np.float64)
-    if spec.kind == "gaussian":
-        s = spec.sigma
-        if not (s > 0 and 2.0 * s * s > 0) or not math.isfinite(s):
-            raise ValueError(f"gaussian width must be positive and finite with 2*width^2 > 0, got {s}")
-        c = (m - 1) // 2
-        offs = np.arange(m, dtype=np.float64) - c
-        r2 = offs[:, None] ** 2 + offs[None, :] ** 2
-        with np.errstate(over="ignore"):  # a width below ~1e-154 takes r2 / (2 s^2) to inf, and exp to the right 0
-            taps = np.exp(-r2 / (2.0 * s * s))
-        return taps / taps.sum()
-    raise ValueError(f"unknown kernel kind {spec.kind!r}")
+    s = spec.sigma
+    offs = np.arange(m, dtype=np.float64) - m // 2
+    r2 = offs[:, None] ** 2 + offs[None, :] ** 2
+    with np.errstate(over="ignore"):  # a width below ~1e-154 takes r2 / (2 s^2) to inf, and exp to the right 0
+        taps = np.exp(-r2 / (2.0 * s * s))
+    return taps / taps.sum()

@@ -47,16 +47,11 @@ class ExperimentConfig(SolverConfig):
     input_path: str | Path
     output_dir: str | Path
     solver: str = "ftvd3"
-    kernel: KernelSpec = KernelSpec.average(9)
+    kernel: KernelSpec = KernelSpec("average", 9)
     sigma: float = 0.01
     seed: int = 0
     save_intermediates: bool = False
     mu: float | str = "auto"
-
-
-def _check_sigma(sigma) -> None:
-    if not isinstance(sigma, numbers.Real) or not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be a finite nonnegative real number, got {sigma!r}")
 
 
 def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.ndarray:
@@ -67,10 +62,12 @@ def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.n
     the kernel must pass ``build_cache`` (ValueError otherwise).  The
     zero-mean noise of std ``sigma`` comes from the counter-based Philox
     generator keyed by ``seed``, so the same (u0, kernel, sigma, seed)
-    gives the same bytes on every platform; ``seed`` must be an integer
-    in [0, 2**128) (ValueError).  sigma = 0 returns exactly the blur.
+    gives the same bytes on every platform; ``sigma`` must be a finite
+    nonnegative real number and ``seed`` an integer in [0, 2**128)
+    (ValueError).  sigma = 0 returns exactly the blur.
     """
-    _check_sigma(sigma)
+    if not isinstance(sigma, numbers.Real) or not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be a finite nonnegative real number, got {sigma!r}")
     if not isinstance(seed, numbers.Integral):  # Philox would truncate 1.5 to the key 1
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**128:  # the range of a Philox key
@@ -81,6 +78,19 @@ def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.n
         return f
     gen = np.random.Generator(np.random.Philox(key=seed))
     return f + sigma * gen.standard_normal(u0.shape)
+
+
+def observe(input_path, spec: KernelSpec, sigma: float, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Load a ground truth and ``degrade`` it: ``(u0, taps, f)``, the one path from a spec and an image.
+
+    The spec's side is checked against the image before its taps exist, so an oversized spec costs no memory.
+    """
+    if not isinstance(spec, KernelSpec):
+        raise ValueError(f"kernel must be a KernelSpec, got {spec!r}")
+    u0 = validate_image(load_image(input_path))
+    check_kernel_side(spec.size, u0.shape[0])
+    taps = make_kernel(spec)
+    return u0, taps, degrade(u0, taps, sigma, seed)
 
 
 def _fmt(value) -> str:
@@ -109,12 +119,7 @@ def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
     stage's ``iter_NNNN.pgm`` is written as soon as the stage is recorded,
     so a solve that fails part-way leaves the stages it finished.
     """
-    if not isinstance(cfg.kernel, KernelSpec):
-        raise ValueError(f"kernel must be a KernelSpec, got {cfg.kernel!r}")
-    _check_sigma(cfg.sigma)
-    u0 = validate_image(load_image(cfg.input_path))
-    check_kernel_side(cfg.kernel.size, u0.shape[0])
-    kernel = make_kernel(cfg.kernel)
+    u0, kernel, f = observe(cfg.input_path, cfg.kernel, cfg.sigma, cfg.seed)
     if cfg.mu == "auto":
         # sigma^2 underflows to 0 below sigma ~1e-162, and 0.05/sigma^2 overflows below ~1.7e-155;
         # above sigma ~2.2e6 it falls below SINGULAR_FLOOR, which mu (the DC denominator for a flux-1 kernel) must reach
@@ -125,7 +130,6 @@ def run_experiment(cfg: ExperimentConfig) -> IterateTrace:
                 f"mu='auto' needs 0.05/sigma^2 in [{SINGULAR_FLOOR:g}, inf), got sigma {cfg.sigma}; pass mu explicitly"
             )
         cfg = replace(cfg, mu=mu)
-    f = degrade(u0, kernel, cfg.sigma, cfg.seed)
     out = Path(cfg.output_dir)
 
     def on_record(rec):

@@ -54,7 +54,7 @@ def pc16():
     """Small deblurring instance: 16x16 blocks, 3x3 average blur, sigma 0.005."""
     n = 16
     u0 = piecewise_constant_phantom(n)
-    kernel = make_kernel(KernelSpec.average(3))
+    kernel = make_kernel(KernelSpec("average", 3))
     f = degrade(u0, kernel, sigma=0.005, seed=7)
     return {"u0": u0, "kernel": kernel, "f": f, "n": n}
 
@@ -70,7 +70,7 @@ def pc16_oracle_mu500(pc16):
 def default_experiment():
     """The standard protocol at 128x128: 9x9 average blur, sigma 0.01, mu = 0.05/sigma^2."""
     u0 = make_phantom(128)
-    kernel = make_kernel(KernelSpec.average(9))
+    kernel = make_kernel(KernelSpec("average", 9))
     sigma = 0.01
     f = degrade(u0, kernel, sigma, seed=0)
     return {"u0": u0, "kernel": kernel, "f": f, "mu": 0.05 / sigma**2}

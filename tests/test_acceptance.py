@@ -59,7 +59,7 @@ def test_c01_operator_correctness():
         for n in (4, 8, 16):
             dmat = dense_operator("D", n)
             dtmat = dense_operator("Dt", n)
-            kernel = make_kernel(KernelSpec.average(3))
+            kernel = make_kernel(KernelSpec("average", 3))
             kmat = dense_operator("K", n, kernel)
             cache = build_cache(kernel, n)
             for _ in range(50):
@@ -90,7 +90,7 @@ def test_c03_u_subproblem_exactness():
     with _report(3, "solve_u matches dense normal equations (rel <= 1e-8)") as rep:
         rng = np.random.default_rng(103)
         n = 8
-        kernel = make_kernel(KernelSpec.gaussian(3, 0.8))
+        kernel = make_kernel(KernelSpec("gaussian", 3, 0.8))
         cache = build_cache(kernel, n)
         kmat = dense_operator("K", n, kernel)
         dmat = dense_operator("D", n)
@@ -140,7 +140,7 @@ def test_c05_penalty_descent(alternations):
         n = 16
         for _ in range(10):
             size = int(rng.choice([3, 5]))
-            kernel = make_kernel(KernelSpec.gaussian(size, float(rng.uniform(0.5, 2.0))))
+            kernel = make_kernel(KernelSpec("gaussian", size, float(rng.uniform(0.5, 2.0))))
             cache = build_cache(kernel, n)
             f = rng.random((n, n))
             mu = float(rng.uniform(10, 1000))
@@ -162,7 +162,7 @@ def test_c06_tv_solution_agreement():
         start = time.perf_counter()
         n = 16
         u0 = piecewise_constant_phantom(n)
-        kernel = make_kernel(KernelSpec.average(3))
+        kernel = make_kernel(KernelSpec("average", 3))
         sigma = 0.005
         f = degrade(u0, kernel, sigma, seed=7)
         mu = 0.05 / sigma**2
@@ -185,7 +185,7 @@ def test_c06_tv_solution_agreement():
 def test_c07_constraint_feasibility(ftvd3_default_trace):
     with _report(7, "ftvd4 final residual <= 10*tol; ftvd3 residuals fall >= 10x") as rep:
         u0 = make_phantom(128)
-        kernel = make_kernel(KernelSpec.average(9))
+        kernel = make_kernel(KernelSpec("average", 9))
         f = degrade(u0, kernel, 0.01, seed=0)
         mu = 0.05 / 0.01**2
         tol = 1e-3
@@ -203,7 +203,7 @@ def test_c08_snr_peak_before_final():
     with _report(8, "SNR argmax strictly before final stage, both solvers (<120s)") as rep:
         start = time.perf_counter()
         u0 = make_phantom(128)
-        kernel = make_kernel(KernelSpec.average(9))
+        kernel = make_kernel(KernelSpec("average", 9))
         sigma = 0.01
         f = degrade(u0, kernel, sigma, seed=0)
         mu = 0.05 / sigma**2
@@ -225,7 +225,7 @@ def test_c09_decomposition():
         rng = np.random.default_rng(109)
         for case in range(20):
             n = int(rng.choice([8, 16]))
-            cache = build_cache(make_kernel(KernelSpec.delta()), n)
+            cache = build_cache(make_kernel(KernelSpec("delta")), n)
             u = rng.random((n, n))
             w = rng.standard_normal((n, n, 2))
             u1, u2 = decompose(u, w, cache)
@@ -247,7 +247,7 @@ def test_c10_determinism(tmp_path):
                 input_path=gt,
                 output_dir=tmp_path / sub,
                 solver="ftvd3",
-                kernel=KernelSpec.average(9),
+                kernel=KernelSpec("average", 9),
                 sigma=0.01,
                 seed=4,
             )

@@ -120,16 +120,36 @@ def test_report_without_stage_column_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {trace} has no stage_index column\n"
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "abc"])
 def test_report_with_non_finite_snr_exits_one(tmp_path, capsys, bad):
-    # np.argmax would pick the NaN and report it as the best record
+    # np.argmax would pick the NaN and report it as the best record; float() alone would name neither file nor row
     trace = tmp_path / "trace.csv"
     rows = [f"{i},1,1.0,{snr},1.0,1.0,0.0,0.1" for i, snr in enumerate(("3.0", bad, "5.0"))]
     trace.write_text("\n".join([TRACE_HEADER, *rows]) + "\n")
     assert cli.main(["report", "--trace", str(trace)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {trace} has a non-finite snr_db at stage 1\n"
+    assert captured.err == f"error: {trace} has an snr_db that is not a finite number at stage 1\n"
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 26.8 GiB"), "error: out of memory: Unable to allocate 26.8 GiB"),
+        (MemoryError(), "error: out of memory"),
+    ],
+    ids=["numpy_message", "bare"],
+)
+def test_memory_exhaustion_exits_one_with_one_line(tmp_path, capsys, monkeypatch, exc, line):
+    def exhausted(size):
+        raise exc
+
+    monkeypatch.setattr(cli, "make_phantom", exhausted)
+    assert cli.main(["phantom", "--size", "60000", "--out", str(tmp_path / "p.pgm")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+    assert not (tmp_path / "p.pgm").exists()
 
 
 def test_phantom_rejects_tiny_size(tmp_path):
@@ -289,8 +309,7 @@ def test_oversized_kernel_spec_exits_one_before_building_taps(tmp_path, capsys, 
     def never(spec):
         raise AssertionError(f"make_kernel({spec}) ran for a kernel larger than the image")
 
-    monkeypatch.setattr(cli, "make_kernel", never)
-    monkeypatch.setattr(harness, "make_kernel", never)
+    monkeypatch.setattr(harness, "make_kernel", never)  # both commands reach the taps through harness.observe
     out = str(tmp_path / "o")
     argv = {
         "degrade": ["degrade", "--input", str(gt), "--out", out],
@@ -304,7 +323,7 @@ def test_oversized_kernel_spec_exits_one_before_building_taps(tmp_path, capsys, 
     "argv, code, line",
     [
         ("deblur --input-path {gt} --output-dir {out} --kernel average:4",
-         1, "error: kernel size must be odd and positive, got 4"),
+         1, "error: argument --kernel: kernel size must be odd and positive, got 4"),
         ("deblur --input-path {gt} --output-dir {out} --kernel average:17",
          1, "error: kernel side 17 exceeds grid side 16"),
         ("deblur --input-path {flat} --output-dir {out}",

@@ -13,7 +13,7 @@ from objectives import tikhonov_energy
 
 
 def _cache(n):
-    return build_cache(make_kernel(KernelSpec.delta()), n)
+    return build_cache(make_kernel(KernelSpec("delta")), n)
 
 
 def test_exact_gradient_field_goes_to_u1():

@@ -73,7 +73,7 @@ def test_divergence_adjoint_matches_dense_transpose():
 def test_identity_kernel_leaves_image_unchanged():
     rng = np.random.default_rng(14)
     u = rng.standard_normal((7, 7))
-    assert np.array_equal(convolve_periodic(u, make_kernel(KernelSpec.delta())), u)
+    assert np.array_equal(convolve_periodic(u, make_kernel(KernelSpec("delta"))), u)
 
 
 def test_flux_one_kernels_preserve_constants():
@@ -94,7 +94,7 @@ def test_convolve_matches_naive_double_loop():
 def test_operators_commute_with_cyclic_shifts():
     rng = np.random.default_rng(17)
     u = rng.standard_normal((12, 12))
-    cache = build_cache(make_kernel(KernelSpec.gaussian(5, 1.0)), 12)
+    cache = build_cache(make_kernel(KernelSpec("gaussian", 5, 1.0)), 12)
     for shift in ((1, 0), (0, 3), (5, 7)):
         shifted = np.roll(u, shift, axis=(0, 1))
         assert np.abs(forward_diff(shifted) - np.roll(forward_diff(u), shift, axis=(0, 1))).max() <= 1e-12
@@ -104,18 +104,18 @@ def test_operators_commute_with_cyclic_shifts():
 
 
 def test_make_kernel_average_9():
-    k = make_kernel(KernelSpec.average(9))
+    k = make_kernel(KernelSpec("average", 9))
     assert k.shape == (9, 9)
     assert np.all(k == 1.0 / 81.0)
     assert np.array_equal(make_kernel("average:9"), k)  # the CLI spelling builds the same taps
 
 
 def test_make_kernel_delta():
-    assert np.array_equal(make_kernel(KernelSpec.delta()), [[1.0]])
+    assert np.array_equal(make_kernel(KernelSpec("delta")), [[1.0]])
 
 
 def test_make_kernel_gaussian_symmetry_and_flux():
-    k = make_kernel(KernelSpec.gaussian(3, 0.5))
+    k = make_kernel(KernelSpec("gaussian", 3, 0.5))
     assert np.allclose(k, np.rot90(k), atol=0)
     assert abs(k.sum() - 1.0) < 1e-12
 
@@ -131,24 +131,29 @@ def test_make_kernel_gaussian_symmetry_and_flux():
         (("average", "3"), "kernel size must be an integer, got '3'"),
         (("gaussian", 3, "1.0"), "gaussian width must be a real number, got '1.0'"),
         (("box", 3), "unknown kernel kind 'box'"),
+        (("delta", 5), "a delta kernel has size 1, got 5"),
+        (("average", 3, 2.5), "only a gaussian kernel has a width, got 2.5 for average"),
     ],
-    ids=["spec0", "spec1", "spec2", "spec3", "float_size", "str_size", "str_width", "unknown_kind"],
+    ids=[
+        "spec0", "spec1", "spec2", "spec3", "float_size", "str_size", "str_width", "unknown_kind",
+        "sized_delta", "average_with_width",
+    ],
 )
-def test_make_kernel_rejects_bad_specs(fields, message):
-    # a field of the wrong type is rejected where the spec is made, a bad value where the taps are
+def test_kernel_spec_rejects_bad_fields_when_made(fields, message):
+    # every spec rule holds where the spec is made, so a spec that exists can be built
     with pytest.raises(ValueError, match=message):
-        make_kernel(KernelSpec(*fields))
+        KernelSpec(*fields)
 
 
 def test_gaussian_width_whose_square_underflows_is_rejected():
     # 2 s^2 is 0 for s = 1e-300: the taps would be 0/0, so the width is refused by name
     with pytest.raises(ValueError, match="width"):
-        make_kernel(KernelSpec.gaussian(3, 1e-300))
+        KernelSpec("gaussian", 3, 1e-300)
 
 
 def test_gaussian_width_whose_exponent_overflows_is_a_delta():
     # 2 s^2 is a subnormal > 0 for s = 1e-160, so r^2 / (2 s^2) overflows to inf off the centre tap
-    assert np.array_equal(make_kernel(KernelSpec.gaussian(3, 1e-160)), [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    assert np.array_equal(make_kernel(KernelSpec("gaussian", 3, 1e-160)), [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
 
 
 def test_kernel_spec_string_round_trip():

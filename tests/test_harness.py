@@ -29,7 +29,7 @@ def test_degrade_noiseless_matches_dense_blur():
     # delta kernel is checked to a tolerance rather than bit for bit
     rng = np.random.default_rng(91)
     u0 = rng.random((16, 16))
-    for spec in (KernelSpec.delta(), KernelSpec.average(3), KernelSpec.gaussian(5, 1.2)):
+    for spec in (KernelSpec("delta"), KernelSpec("average", 3), KernelSpec("gaussian", 5, 1.2)):
         kernel = make_kernel(spec)
         f = degrade(u0, kernel, sigma=0.0, seed=5)
         assert np.abs(f.ravel() - dense_operator("K", 16, kernel) @ u0.ravel()).max() <= 1e-14
@@ -37,7 +37,7 @@ def test_degrade_noiseless_matches_dense_blur():
 
 def test_degrade_noise_level_statistics():
     u0 = make_phantom(256)
-    k = make_kernel(KernelSpec.delta())
+    k = make_kernel(KernelSpec("delta"))
     sigma = 0.01
     f = degrade(u0, k, sigma, seed=1)
     noise = f - convolve_periodic(u0, k)
@@ -47,7 +47,7 @@ def test_degrade_noise_level_statistics():
 
 def test_degrade_is_seed_deterministic():
     u0 = make_phantom(32)
-    k = make_kernel(KernelSpec.average(3))
+    k = make_kernel(KernelSpec("average", 3))
     a = degrade(u0, k, 0.02, seed=99)
     b = degrade(u0, k, 0.02, seed=99)
     assert np.array_equal(a, b)
@@ -116,7 +116,7 @@ def test_identity_pipeline_hits_snr_cap(ground_truth_file, tmp_path):
         input_path=ground_truth_file,
         output_dir=tmp_path / "out",
         solver="ftvd3",
-        kernel=KernelSpec.delta(),
+        kernel=KernelSpec("delta"),
         sigma=0.0,
         mu=1e18, beta_schedule=(1.0,),
     )
@@ -131,7 +131,7 @@ def test_run_experiment_outputs(ground_truth_file, tmp_path):
         input_path=ground_truth_file,
         output_dir=out,
         solver="ftvd3",
-        kernel=KernelSpec.average(3),
+        kernel=KernelSpec("average", 3),
         sigma=0.01,
         save_intermediates=True,
         seed=2,
@@ -195,7 +195,7 @@ def test_trace_csv_floats_round_trip(ground_truth_file, tmp_path):
         input_path=ground_truth_file,
         output_dir=tmp_path / "rt",
         solver="ftvd4",
-        kernel=KernelSpec.average(3),
+        kernel=KernelSpec("average", 3),
         sigma=0.01,
         mu="auto", max_multiplier_updates=5, tol=1e-12,
     )
@@ -216,7 +216,7 @@ def test_run_experiment_is_deterministic(ground_truth_file, tmp_path):
             input_path=ground_truth_file,
             output_dir=tmp_path / d,
             solver="ftvd4",
-            kernel=KernelSpec.average(5),
+            kernel=KernelSpec("average", 5),
             sigma=0.01,
             seed=11,
             mu="auto", max_multiplier_updates=40,

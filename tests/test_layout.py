@@ -70,7 +70,7 @@ def test_solver_fields_stay_plane_major(monkeypatch, solve, tv_variant):
 
     monkeypatch.setattr(solvers, "_make_record", checking)
     u0 = make_phantom(32)
-    kernel = make_kernel(KernelSpec.average(5))
+    kernel = make_kernel(KernelSpec("average", 5))
     cfg = SolverConfig(mu=500.0, tv_variant=tv_variant, max_inner_iters=5, max_multiplier_updates=5)
     recorded = []  # a record holds its arrays while on_record sees it
 
@@ -97,7 +97,7 @@ def test_per_pixel_ops_do_not_depend_on_the_layout(tv_variant):
 def test_spectral_ops_do_not_depend_on_the_layout(n):
     w_planar, w_interleaved = field_pair(n, 93)
     lam_planar, lam_interleaved = field_pair(n, 94)
-    cache = build_cache(make_kernel(KernelSpec.average(3)), n)
+    cache = build_cache(make_kernel(KernelSpec("average", 3)), n)
     system = spectral.prepare_u(np.random.default_rng(95).random((n, n)), 50.0, 4.0, cache)
     for g_p, g_i in ((w_planar, w_interleaved), (w_planar - lam_planar / 4.0, w_interleaved - lam_interleaved / 4.0)):
         u_p, u_hat_p = spectral.solve_u(system, g_p)

@@ -35,7 +35,7 @@ PINNED_PEAKS = {
 def solve_peak(method, tv_variant, n):
     """The tracemalloc peak, in bytes, of one solve (spectral cache included) at n²."""
     u0 = make_phantom(n)
-    kernel = make_kernel(KernelSpec.average(9))
+    kernel = make_kernel(KernelSpec("average", 9))
     f = degrade(u0, kernel, 0.01, seed=7)
     cfg = SolverConfig(mu=500.0, tv_variant=tv_variant)
     tracemalloc.start()

@@ -1,9 +1,10 @@
-"""README's library example runs as written, so it cannot drift from the API."""
+"""README's library example and command-line block run as written, so they cannot drift from the code."""
 
 import re
+import shlex
 from pathlib import Path
 
-from tvdeblur import make_phantom, read_pgm, write_pgm
+from tvdeblur import cli, make_phantom, read_pgm, write_pgm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +21,14 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     # the last statement rebinds trace to the run_experiment result
     assert len(Path("run/trace.csv").read_text().splitlines()) == 1 + len(namespace["trace"].records)
     assert read_pgm("run/best.pgm").shape == (128, 128)
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```", text, re.DOTALL | re.MULTILINE)
+    commands = [line for line in block.group(1).replace("\\\n", " ").splitlines() if line.startswith("tvdeblur ")]
+    assert [shlex.split(line)[1] for line in commands] == ["phantom", "degrade", "deblur", "report"]
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+    assert "best record: stage " in capsys.readouterr().out

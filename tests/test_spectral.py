@@ -23,13 +23,13 @@ def quadratic_objective(u, f, w, lam, mu, beta, kernel):
 
 
 def test_delta_kernel_transfer_is_one():
-    cache = build_cache(make_kernel(KernelSpec.delta()), 8)
+    cache = build_cache(make_kernel(KernelSpec("delta")), 8)
     assert np.allclose(cache.eig_k, 1.0, atol=1e-14)
 
 
 def test_spectral_convolution_matches_spatial():
     n = 64
-    k = make_kernel(KernelSpec.average(9))
+    k = make_kernel(KernelSpec("average", 9))
     cache = build_cache(k, n)
     rng = np.random.default_rng(21)
     worst = 0.0
@@ -41,7 +41,7 @@ def test_spectral_convolution_matches_spatial():
 
 def test_difference_eigenvalues_closed_form():
     n = 16
-    cache = build_cache(make_kernel(KernelSpec.delta()), n)
+    cache = build_cache(make_kernel(KernelSpec("delta")), n)
     assert cache.eig_dtd[0, 0] == 0.0
     assert abs(cache.eig_dtd[n // 2, n // 2] - 8.0) < 1e-12
     p, q = np.meshgrid(np.arange(n), np.arange(n // 2 + 1), indexing="ij")
@@ -51,14 +51,14 @@ def test_difference_eigenvalues_closed_form():
 
 
 def test_flux_one_kernel_has_unit_dc_gain():
-    for spec in (KernelSpec.average(9), KernelSpec.gaussian(5, 1.2), KernelSpec.delta()):
+    for spec in (KernelSpec("average", 9), KernelSpec("gaussian", 5, 1.2), KernelSpec("delta")):
         cache = build_cache(make_kernel(spec), 16)
         assert abs(cache.eig_k[0, 0] - 1.0) < 1e-12
 
 
 def test_build_cache_rejects_oversized_kernel():
     with pytest.raises(ValueError, match="kernel side 9 exceeds grid side 8"):
-        build_cache(make_kernel(KernelSpec.average(9)), 8)
+        build_cache(make_kernel(KernelSpec("average", 9)), 8)
 
 
 def test_solve_u_recovers_consistent_data():
@@ -66,7 +66,7 @@ def test_solve_u_recovers_consistent_data():
     rng = np.random.default_rng(22)
     n = 16
     u_star = rng.random((n, n))
-    k = make_kernel(KernelSpec.gaussian(5, 1.0))
+    k = make_kernel(KernelSpec("gaussian", 5, 1.0))
     cache = build_cache(k, n)
     f = convolve_periodic(u_star, k)
     w = forward_diff(u_star)
@@ -77,7 +77,7 @@ def test_solve_u_recovers_consistent_data():
 def test_solve_u_matches_dense_solve():
     rng = np.random.default_rng(23)
     n = 8
-    k = make_kernel(KernelSpec.gaussian(3, 0.8))
+    k = make_kernel(KernelSpec("gaussian", 3, 0.8))
     cache = build_cache(k, n)
     kmat = dense_operator("K", n, k)
     dmat = dense_operator("D", n)
@@ -98,7 +98,7 @@ def test_solve_u_identity_kernel_special_case():
     # w = 0, lam = 0, mu = 1, beta = 1, delta kernel: u solves (I + D^T D) u = f
     rng = np.random.default_rng(24)
     n = 8
-    cache = build_cache(make_kernel(KernelSpec.delta()), n)
+    cache = build_cache(make_kernel(KernelSpec("delta")), n)
     f = rng.standard_normal((n, n))
     u, _ = solve_u(prepare_u(f, 1.0, 1.0, cache), np.zeros((n, n, 2)))
     dmat = dense_operator("D", n)
@@ -109,7 +109,7 @@ def test_solve_u_identity_kernel_special_case():
 def test_solve_u_normal_equation_residual():
     rng = np.random.default_rng(25)
     n = 16
-    k = make_kernel(KernelSpec.average(3))
+    k = make_kernel(KernelSpec("average", 3))
     cache = build_cache(k, n)
     mu, beta = 40.0, 2.5
     f = rng.random((n, n))
@@ -128,7 +128,7 @@ def test_solve_u_normal_equation_residual():
 def test_solve_u_output_is_the_minimizer():
     rng = np.random.default_rng(26)
     n = 8
-    k = make_kernel(KernelSpec.gaussian(3, 0.7))
+    k = make_kernel(KernelSpec("gaussian", 3, 0.7))
     cache = build_cache(k, n)
     mu, beta = 12.0, 3.0
     f = rng.random((n, n))
@@ -148,7 +148,7 @@ def test_solve_u_mean_consistency():
     # flux-1 kernel: D^T D kills the mean, so mean(u) must equal mean(f)
     rng = np.random.default_rng(27)
     n = 16
-    cache = build_cache(make_kernel(KernelSpec.average(5)), n)
+    cache = build_cache(make_kernel(KernelSpec("average", 5)), n)
     f = rng.random((n, n))
     u, _ = solve_u(prepare_u(f, 9.0, 4.0, cache), rng.standard_normal((n, n, 2)))
     assert abs(u.mean() - f.mean()) < 1e-10
@@ -163,7 +163,7 @@ def test_solve_u_singular_for_zero_flux_kernel():
 
 
 def test_solve_u_rejects_nonpositive_weights():
-    cache = build_cache(make_kernel(KernelSpec.delta()), 4)
+    cache = build_cache(make_kernel(KernelSpec("delta")), 4)
     z = np.zeros((4, 4))
     with pytest.raises(ValueError):
         prepare_u(z, 0.0, 1.0, cache)

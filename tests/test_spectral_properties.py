@@ -29,16 +29,27 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, d
 
 
 @st.composite
+def kernel_specs(draw, n=17):
+    """A delta, average or gaussian KernelSpec whose side fits an n x n grid."""
+    kind = draw(st.sampled_from(["delta", "average", "gaussian"]))
+    if kind == "delta":
+        return KernelSpec("delta")
+    size = draw(st.sampled_from([m for m in (1, 3, 5, 7, 9) if m <= n]))
+    return KernelSpec("average", size) if kind == "average" else KernelSpec("gaussian", size, draw(st.floats(0.5, 2.0)))
+
+
+@st.composite
 def problems(draw):
     """(n, kernel, seed): a grid side, a delta/average/gaussian kernel that fits it, a field seed."""
     n = draw(st.integers(2, 17))
-    kind = draw(st.sampled_from(["delta", "average", "gaussian"]))
-    if kind == "delta":
-        spec = KernelSpec.delta()
-    else:
-        size = draw(st.sampled_from([m for m in (1, 3, 5, 7, 9) if m <= n]))
-        spec = KernelSpec.average(size) if kind == "average" else KernelSpec.gaussian(size, draw(st.floats(0.5, 2.0)))
-    return n, make_kernel(spec), draw(st.integers(0, 2**32 - 1))
+    return n, make_kernel(draw(kernel_specs(n))), draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(kernel_specs())
+def test_kernel_spec_string_round_trips(spec):
+    # the CLI syntax is str(spec), and a summary.txt echoes it, so it must name the very spec
+    assert KernelSpec.from_string(str(spec)) == spec
 
 
 @PROPERTY_SETTINGS
