@@ -1,8 +1,9 @@
 """TV/L2 image deconvolution with every stage recorded and scored.
 
-Two solvers for the total-variation deblurring model (quadratic-penalty
-continuation and fixed-beta augmented-Lagrangian alternating direction),
-built on FFT-diagonalized periodic operators and closed-form shrinkage.
+One entry, ``solve(method, f, kernel, cfg)``, for the two solvers of the
+total-variation deblurring model (quadratic-penalty continuation, ftvd3,
+and fixed-beta augmented-Lagrangian alternating direction, ftvd4), built
+on FFT-diagonalized periodic operators and closed-form shrinkage.
 Every intermediate solution is scored when it is recorded and can be
 decomposed into a piecewise-constant plus smooth part, so the best
 mixed-regularization iterate can be selected instead of the pure-TV limit.
@@ -30,8 +31,7 @@ from .solvers import (
     IterateRecord,
     IterateTrace,
     SolverConfig,
-    ftvd3_solve,
-    ftvd4_solve,
+    solve,
 )
 from .spectral import SpectralCache, USystem, apply_kernel, build_cache, prepare_u, solve_u
 
@@ -53,8 +53,7 @@ __all__ = [
     "SolverConfig",
     "IterateRecord",
     "IterateTrace",
-    "ftvd3_solve",
-    "ftvd4_solve",
+    "solve",
     "decompose",
     "gradient_residual",
     "snr_db",

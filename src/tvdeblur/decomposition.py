@@ -23,8 +23,12 @@ def decompose(u: np.ndarray, w: np.ndarray, cache: SpectralCache) -> tuple[np.nd
     u1 is the zero-mean least-squares potential of w: the minimizer of
     sum_i ||D_i x - w_i||^2 over zero-mean images, obtained per frequency
     as FFT(D^T w) / eigDtD with the zero frequency pinned to 0.
-    u2 = u - u1 carries all of mean(u).
+    u2 = u - u1 carries all of mean(u).  Raises ValueError unless ``cache``
+    was built for u's size and w is a gradient field of it.
     """
+    cache.check_grid(u)
+    if np.shape(w) != np.shape(u) + (2,):
+        raise ValueError(f"gradient field has shape {np.shape(w)}, the image {np.shape(u)}")
     numer = np.fft.rfft2(divergence_adjoint(w))
     denom = cache.eig_dtd.copy()
     denom[0, 0] = 1.0  # zero frequency handled by convention below

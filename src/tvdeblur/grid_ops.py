@@ -99,7 +99,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("delta", "average", "gaussian"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not isinstance(self.size, numbers.Integral):
+        if not isinstance(self.size, numbers.Integral) or isinstance(self.size, bool):
             raise ValueError(f"kernel size must be an integer, got {self.size!r}")
         if self.size % 2 == 0 or self.size < 1:
             raise ValueError(f"kernel size must be odd and positive, got {self.size}")

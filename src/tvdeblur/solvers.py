@@ -1,25 +1,18 @@
-"""The FTVd iteration engine and the two solvers built on it.
+"""The FTVd iteration engine: one loop, ``solve``, for both solvers.
 
 Both solvers attack the TV/L2 model
 
     min_u  sum_i ||D_i u|| + mu/2 ||K u - f||^2
 
-through the split variable w_i = D_i u, with one loop (``solve``) whose
-stage policy is the only difference between them:
-
-- ``ftvd3_solve`` (beta continuation) replaces the constraint by a
-  beta-weighted quadratic penalty and alternates w/u steps to cfg.tol for
-  each beta of an ascending schedule, warm-starting every stage;
-- ``ftvd4_solve`` (multipliers) keeps beta fixed; each stage is one
-  alternation followed by lam <- lam - (w - D u) on lam = lambda/beta, and
-  the solve stops at the first stage whose relative change is below cfg.tol.
-
-Every stage is recorded and scored when it ends, so the best intermediate
-solution can be selected afterwards instead of the pure TV limit.
+through the split variable w_i = D_i u; ``solve`` describes the stage
+policy that tells them apart.  Every stage is recorded and scored when it
+ends, so the best intermediate solution can be selected afterwards instead
+of the pure TV limit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -56,7 +49,7 @@ class SolverConfig:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         for name in ("max_inner_iters", "max_multiplier_updates"):
             cap = getattr(self, name)
-            if not isinstance(cap, numbers.Integral) or cap < 1:
+            if not isinstance(cap, numbers.Integral) or isinstance(cap, bool) or cap < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
@@ -181,27 +174,39 @@ def _make_record(
 def solve(
     method: str,
     f: np.ndarray,
-    cache: spectral.SpectralCache,
+    kernel: np.ndarray | spectral.SpectralCache,
     cfg: SolverConfig,
     ground_truth: np.ndarray | None = None,
     on_record: Callable[[IterateRecord], None] | None = None,
 ) -> IterateTrace:
-    """The FTVd loop: run solver ``method`` ("ftvd3" or "ftvd4") on a prebuilt spectral cache.
+    """Run FTVd solver ``method``, "ftvd3" or "ftvd4", on the observation ``f``.
 
-    Starts from u = f.  ftvd3 runs one stage per beta of cfg.beta_schedule,
-    each until the relative change of u drops below cfg.tol or
-    cfg.max_inner_iters alternations are done.  ftvd4 runs stages of one
-    alternation at cfg.beta_fixed, carrying multipliers, until one ends
-    below cfg.tol or cfg.max_multiplier_updates are done.  The
-    u-subproblem is prepared once per distinct beta.  Each stage record
+    ``kernel`` is either a tap array, which must pass
+    ``spectral.build_cache``, or a prebuilt ``SpectralCache`` for ``f``'s
+    size.  Both methods start from u = f and alternate a w-step (shrink) with
+    an exact u-step; they differ in their stage policy:
+
+    - ftvd3 (beta continuation) replaces the constraint w = D u by a
+      beta-weighted quadratic penalty and runs one stage per beta of the
+      ascending cfg.beta_schedule, each until the relative change of u
+      drops below cfg.tol or cfg.max_inner_iters alternations are done,
+      warm-starting every stage from the last;
+    - ftvd4 (multipliers) keeps beta at cfg.beta_fixed and runs stages of
+      one alternation, each followed by lambda <- lambda - beta (w - D u),
+      carried as lam = lambda/beta: lam <- lam - (w - D u).  It stops at
+      the first stage below cfg.tol or after cfg.max_multiplier_updates.
+
+    The u-subproblem is prepared once per distinct beta.  Each stage record
     carries the relative change over the whole stage and goes to
     ``on_record`` as soon as it is scored; afterwards only the best record
     by SNR and the last one (without ground truth, the last one alone) keep
     their arrays.  ``ground_truth`` must be a finite image of ``f``'s
-    shape.  An invalid ``cfg``, an unknown ``method`` or a bad ground truth
-    raises ValueError before the first alternation.  Raises
-    FloatingPointError when the relative change or a score is not finite
-    (the iteration diverged), so numpy's overflow and invalid-value
+    shape.  An invalid ``f`` or ``cfg``, an unknown ``method``, a bad ground
+    truth, bad taps or a cache of another size (``prepare_u`` checks it)
+    raises ValueError before the first alternation; taps become a cache
+    only once the rest has passed.
+    Raises FloatingPointError when the relative change or a score is not
+    finite (the iteration diverged), so numpy's overflow and invalid-value
     warnings are off for the whole solve, ``on_record`` included.
     """
     f = validate_image(f)
@@ -218,6 +223,7 @@ def solve(
         if not np.isfinite(ground_truth).all():
             raise ValueError("ground truth contains NaN or Inf")
     snr = None if ground_truth is None else snr_scorer(ground_truth)
+    cache = kernel if isinstance(kernel, spectral.SpectralCache) else spectral.build_cache(kernel, f.shape[0])
     records: list[IterateRecord] = []
     kept: list[IterateRecord] = []
     u, du = f, forward_diff(f)
@@ -255,40 +261,6 @@ def solve(
     return IterateTrace(records=records, converged=converged)
 
 
-def ftvd3_solve(
-    f: np.ndarray,
-    kernel: np.ndarray,
-    cfg: SolverConfig,
-    ground_truth: np.ndarray | None = None,
-    on_record: Callable[[IterateRecord], None] | None = None,
-) -> IterateTrace:
-    """Quadratic-penalty solver with beta continuation.
-
-    Runs the alternation to cfg.tol (at most cfg.max_inner_iters times) for
-    every beta of cfg.beta_schedule, warm-starting each stage from the
-    previous solution (initial guess: the observation f), and records the
-    last iterate of every stage.  The kernel must pass
-    ``spectral.build_cache`` (ValueError otherwise).
-    """
-    f = validate_image(f)
-    return solve("ftvd3", f, spectral.build_cache(kernel, f.shape[0]), cfg, ground_truth, on_record)
-
-
-def ftvd4_solve(
-    f: np.ndarray,
-    kernel: np.ndarray,
-    cfg: SolverConfig,
-    ground_truth: np.ndarray | None = None,
-    on_record: Callable[[IterateRecord], None] | None = None,
-) -> IterateTrace:
-    """Augmented-Lagrangian solver: fixed beta, alternating direction updates.
-
-    Per cycle: w-step with the current multipliers folded in, exact u-step,
-    then lambda <- lambda - beta (w - D u), carried as lam = lambda/beta:
-    lam <- lam - (w - D u).  Every cycle is recorded; stops
-    once the relative change of u drops below cfg.tol, or after
-    cfg.max_multiplier_updates cycles.  The kernel must pass
-    ``spectral.build_cache`` (ValueError otherwise).
-    """
-    f = validate_image(f)
-    return solve("ftvd4", f, spectral.build_cache(kernel, f.shape[0]), cfg, ground_truth, on_record)
+# The old per-method entries, kept only because bench/worker.py looks them up by name; ROADMAP item 2 deletes them.
+ftvd3_solve = functools.partial(solve, "ftvd3")
+ftvd4_solve = functools.partial(solve, "ftvd4")

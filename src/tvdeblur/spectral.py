@@ -32,6 +32,12 @@ class SpectralCache:
     eig_k: np.ndarray
     eig_dtd: np.ndarray
 
+    def check_grid(self, image: np.ndarray) -> None:
+        """Raise ValueError, naming both sizes, unless ``image`` is n x n for the cache's n."""
+        n = self.eig_dtd.shape[0]
+        if np.shape(image) != (n, n):
+            raise ValueError(f"spectral cache was built for n={n}, the image is {'x'.join(map(str, np.shape(image)))}")
+
 
 def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
     """Diagonalize the kernel and D^T D on an n x n grid.
@@ -60,7 +66,8 @@ def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
 
 
 def apply_kernel(cache: SpectralCache, u: np.ndarray) -> np.ndarray:
-    """Apply the blur K through the cache (spectral multiplication)."""
+    """Apply the blur K through the cache (spectral multiplication); ``u`` must fit the cache (ValueError)."""
+    cache.check_grid(u)
     return np.fft.irfft2(cache.eig_k * np.fft.rfft2(u), s=u.shape)
 
 
@@ -84,7 +91,7 @@ class USystem:
 def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> USystem:
     """Set up the u-subproblem (mu K^T K + beta D^T D) u = mu K^T f + beta D^T g.
 
-    Raises ValueError unless mu and beta are positive, and FloatingPointError if
+    Raises ValueError unless mu and beta are positive and ``f`` fits the cache, and FloatingPointError if
     the per-frequency denominator mu |K^|^2 + beta |D^|^2 falls below 1e-14
     anywhere (a tiny mu or a zero-flux kernel).
     """
@@ -92,6 +99,7 @@ def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> US
         raise ValueError(f"mu must be positive, got {mu}")
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    cache.check_grid(f)
     denom = mu * np.abs(cache.eig_k) ** 2 + beta * cache.eig_dtd
     if denom.min() < SINGULAR_FLOOR:
         raise FloatingPointError(

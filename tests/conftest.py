@@ -5,10 +5,9 @@ from tvdeblur import (
     KernelSpec,
     SolverConfig,
     degrade,
-    ftvd3_solve,
-    ftvd4_solve,
     make_kernel,
     make_phantom,
+    solve,
 )
 from tvdeblur import spectral
 
@@ -79,10 +78,10 @@ def default_experiment():
 @pytest.fixture(scope="session")
 def ftvd3_default_trace(default_experiment):
     e = default_experiment
-    return ftvd3_solve(e["f"], e["kernel"], SolverConfig(mu=e["mu"]), ground_truth=e["u0"])
+    return solve("ftvd3", e["f"], e["kernel"], SolverConfig(mu=e["mu"]), ground_truth=e["u0"])
 
 
 @pytest.fixture(scope="session")
 def ftvd4_default_trace(default_experiment):
     e = default_experiment
-    return ftvd4_solve(e["f"], e["kernel"], SolverConfig(mu=e["mu"]), ground_truth=e["u0"])
+    return solve("ftvd4", e["f"], e["kernel"], SolverConfig(mu=e["mu"]), ground_truth=e["u0"])

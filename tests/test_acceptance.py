@@ -19,13 +19,12 @@ from tvdeblur import (
     degrade,
     divergence_adjoint,
     forward_diff,
-    ftvd3_solve,
-    ftvd4_solve,
     make_kernel,
     make_phantom,
     prepare_u,
     run_experiment,
     shrink,
+    solve,
     solve_u,
     write_pgm,
 )
@@ -149,7 +148,7 @@ def test_c05_penalty_descent(alternations):
             # one continuation stage at this beta, cold-started from f; the
             # fixture records (u, w) after every inner alternation
             alternations.clear()
-            ftvd3_solve(f, kernel, cfg)
+            solve("ftvd3", f, kernel, cfg)
             values = [eval_penalty_objective(u, w, f, cache, mu, beta) for u, w in alternations]
             assert len(values) >= 2
             for prev, cur in zip(values, values[1:]):
@@ -167,8 +166,8 @@ def test_c06_tv_solution_agreement():
         f = degrade(u0, kernel, sigma, seed=7)
         mu = 0.05 / sigma**2
 
-        tr3 = ftvd3_solve(f, kernel, SolverConfig(mu=mu, tol=1e-6, max_inner_iters=500))
-        tr4 = ftvd4_solve(f, kernel, SolverConfig(mu=mu, tol=1e-8, max_multiplier_updates=2000))
+        tr3 = solve("ftvd3", f, kernel, SolverConfig(mu=mu, tol=1e-6, max_inner_iters=500))
+        tr4 = solve("ftvd4", f, kernel, SolverConfig(mu=mu, tol=1e-8, max_multiplier_updates=2000))
         u_ref = reference_tv_solve(f, kernel, mu)
 
         u3 = tr3.records[-1].u
@@ -189,7 +188,7 @@ def test_c07_constraint_feasibility(ftvd3_default_trace):
         f = degrade(u0, kernel, 0.01, seed=0)
         mu = 0.05 / 0.01**2
         tol = 1e-3
-        tr4 = ftvd4_solve(f, kernel, SolverConfig(mu=mu, tol=tol), ground_truth=u0)
+        tr4 = solve("ftvd4", f, kernel, SolverConfig(mu=mu, tol=tol), ground_truth=u0)
         assert tr4.converged
         assert tr4.records[-1].constraint_residual <= 10 * tol
 
@@ -208,8 +207,8 @@ def test_c08_snr_peak_before_final():
         f = degrade(u0, kernel, sigma, seed=0)
         mu = 0.05 / sigma**2
 
-        for solver in (ftvd3_solve, ftvd4_solve):
-            trace = solver(f, kernel, SolverConfig(mu=mu), ground_truth=u0)
+        for method in ("ftvd3", "ftvd4"):
+            trace = solve(method, f, kernel, SolverConfig(mu=mu), ground_truth=u0)
             snrs = [r.snr_db for r in trace.records]
             best = best_iterate(trace)
             last = len(snrs) - 1

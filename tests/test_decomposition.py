@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tvdeblur import (
     KernelSpec,
@@ -14,6 +15,21 @@ from objectives import tikhonov_energy
 
 def _cache(n):
     return build_cache(make_kernel(KernelSpec("delta")), n)
+
+
+@pytest.mark.parametrize(
+    "n_cache, u_shape, w_shape, message",
+    [
+        (32, (16, 16), (16, 16, 2), "spectral cache was built for n=32, the image is 16x16"),
+        (16, (17, 17), (17, 17, 2), "spectral cache was built for n=16, the image is 17x17"),
+        (16, (16,), (16, 2), r"spectral cache was built for n=16, the image is 16$"),
+        (16, (16, 16), (32, 32, 2), r"gradient field has shape \(32, 32, 2\), the image \(16, 16\)"),
+    ],
+    ids=["cache_for_a_larger_grid", "cache_for_a_smaller_grid", "one_dimensional_image", "field_of_another_size"],
+)
+def test_mismatched_sizes_are_rejected_by_name(n_cache, u_shape, w_shape, message):
+    with pytest.raises(ValueError, match=message):
+        decompose(np.zeros(u_shape), np.zeros(w_shape), _cache(n_cache))
 
 
 def test_exact_gradient_field_goes_to_u1():

@@ -129,13 +129,14 @@ def test_make_kernel_gaussian_symmetry_and_flux():
         (("gaussian", 3, -1.0), "gaussian width must be positive and finite"),
         (("average", 3.0), "kernel size must be an integer, got 3.0"),
         (("average", "3"), "kernel size must be an integer, got '3'"),
+        (("average", True), "kernel size must be an integer, got True"),  # would print as average:True
         (("gaussian", 3, "1.0"), "gaussian width must be a real number, got '1.0'"),
         (("box", 3), "unknown kernel kind 'box'"),
         (("delta", 5), "a delta kernel has size 1, got 5"),
         (("average", 3, 2.5), "only a gaussian kernel has a width, got 2.5 for average"),
     ],
     ids=[
-        "spec0", "spec1", "spec2", "spec3", "float_size", "str_size", "str_width", "unknown_kind",
+        "spec0", "spec1", "spec2", "spec3", "float_size", "str_size", "bool_size", "str_width", "unknown_kind",
         "sized_delta", "average_with_width",
     ],
 )

@@ -10,12 +10,11 @@ from tvdeblur import (
     best_iterate,
     build_cache,
     degrade,
-    ftvd3_solve,
-    ftvd4_solve,
     make_kernel,
     make_phantom,
     read_pgm,
     run_experiment,
+    solve,
     write_pgm,
 )
 from tvdeblur import harness, spectral
@@ -82,8 +81,8 @@ def test_degrade_rejects_negative_sigma():
 
 ENTRY_POINTS = {
     "degrade": lambda u0, kernel: degrade(u0, kernel, 0.0, seed=0),
-    "ftvd3_solve": lambda u0, kernel: ftvd3_solve(u0, kernel, SolverConfig(mu=1.0)),
-    "ftvd4_solve": lambda u0, kernel: ftvd4_solve(u0, kernel, SolverConfig(mu=1.0)),
+    "solve-ftvd3": lambda u0, kernel: solve("ftvd3", u0, kernel, SolverConfig(mu=1.0)),
+    "solve-ftvd4": lambda u0, kernel: solve("ftvd4", u0, kernel, SolverConfig(mu=1.0)),
     "build_cache": lambda u0, kernel: build_cache(kernel, u0.shape[0]),
 }
 

@@ -20,9 +20,8 @@ import tracemalloc
 
 import pytest
 
-from tvdeblur import KernelSpec, SolverConfig, degrade, ftvd3_solve, ftvd4_solve, make_kernel, make_phantom
+from tvdeblur import KernelSpec, SolverConfig, degrade, make_kernel, make_phantom, solve
 
-SOLVERS = {"ftvd3": ftvd3_solve, "ftvd4": ftvd4_solve}
 PINNED_PEAKS = {
     ("ftvd3", "iso", 128): 2_711_103,
     ("ftvd3", "aniso", 128): 2_704_840,
@@ -40,7 +39,7 @@ def solve_peak(method, tv_variant, n):
     cfg = SolverConfig(mu=500.0, tv_variant=tv_variant)
     tracemalloc.start()
     try:
-        SOLVERS[method](f, kernel, cfg, ground_truth=u0)
+        solve(method, f, kernel, cfg, ground_truth=u0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -103,7 +103,7 @@ def test_reference_solver_rejects_bad_args():
 def test_reference_solution_is_the_lowest_objective(pc16, pc16_oracle_mu500):
     # the minimizer's smoothed objective must undercut the objective at f
     # and at both solvers' outputs (up to smoothing bias)
-    from tvdeblur import SolverConfig, ftvd3_solve, ftvd4_solve
+    from tvdeblur import SolverConfig, solve
 
     eps2 = 1e-12
     kernel, f = pc16["kernel"], pc16["f"]
@@ -116,8 +116,8 @@ def test_reference_solution_is_the_lowest_objective(pc16, pc16_oracle_mu500):
 
     ref_value = smoothed_objective(pc16_oracle_mu500)
     assert ref_value < smoothed_objective(f)
-    u3 = ftvd3_solve(f, kernel, SolverConfig(mu=500.0, tol=1e-6, max_inner_iters=500)).stage_records[-1].u
-    u4 = ftvd4_solve(f, kernel, SolverConfig(mu=500.0, tol=1e-8, max_multiplier_updates=2000)).stage_records[-1].u
+    u3 = solve("ftvd3", f, kernel, SolverConfig(mu=500.0, tol=1e-6, max_inner_iters=500)).stage_records[-1].u
+    u4 = solve("ftvd4", f, kernel, SolverConfig(mu=500.0, tol=1e-8, max_multiplier_updates=2000)).stage_records[-1].u
     assert ref_value <= smoothed_objective(u3) + 1e-6
     assert ref_value <= smoothed_objective(u4) + 1e-6
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tvdeblur
 from tvdeblur import (
     KernelSpec,
     SolverConfig,
@@ -9,15 +10,14 @@ from tvdeblur import (
     degrade,
     divergence_adjoint,
     forward_diff,
-    ftvd3_solve,
-    ftvd4_solve,
     gradient_residual,
     make_kernel,
     make_phantom,
     rel_change,
     snr_db,
+    solve,
 )
-from tvdeblur import spectral
+from tvdeblur import solvers, spectral
 from tvdeblur.shrinkage import shrink
 
 from objectives import eval_penalty_objective, eval_tv_objective
@@ -32,7 +32,7 @@ def test_penalty_loop_constant_fixed_point():
     n = 8
     f = np.full((n, n), 0.42)
     kernel = make_kernel(KernelSpec("delta"))
-    trace = ftvd3_solve(f, kernel, SolverConfig(mu=5.0, beta_schedule=(3.0,)))
+    trace = solve("ftvd3", f, kernel, SolverConfig(mu=5.0, beta_schedule=(3.0,)))
     assert trace.converged
     assert trace.records[0].inner_iter <= 2
     assert np.allclose(trace.records[0].u, f, atol=1e-12)
@@ -46,7 +46,7 @@ def test_penalty_objective_nonincreasing(alternations):
     f = rng.random((n, n))
     mu, beta = 300.0, 8.0
     cfg = SolverConfig(mu=mu, tol=1e-8, max_inner_iters=200, beta_schedule=(beta,))
-    ftvd3_solve(f, kernel, cfg)
+    solve("ftvd3", f, kernel, cfg)
     values = [eval_penalty_objective(u, w, f, cache, mu, beta) for u, w in alternations]
     assert len(values) > 3
     for prev, cur in zip(values, values[1:]):
@@ -55,7 +55,7 @@ def test_penalty_objective_nonincreasing(alternations):
 
 def test_penalty_loop_cold_start_matches_oracle(pc16, pc16_oracle_mu500):
     cfg = SolverConfig(mu=500.0, tol=1e-7, max_inner_iters=6000, beta_schedule=(2.0**10,))
-    trace = ftvd3_solve(pc16["f"], pc16["kernel"], cfg)
+    trace = solve("ftvd3", pc16["f"], pc16["kernel"], cfg)
     assert trace.converged
     assert rel(trace.records[0].u, pc16_oracle_mu500) < 5e-3
 
@@ -63,7 +63,7 @@ def test_penalty_loop_cold_start_matches_oracle(pc16, pc16_oracle_mu500):
 def test_ftvd3_single_stage_equals_inner_loop(pc16, alternations):
     # the stage record holds the last alternation of the engine at that beta
     cfg = SolverConfig(mu=500.0, beta_schedule=(8.0,))
-    trace = ftvd3_solve(pc16["f"], pc16["kernel"], cfg)
+    trace = solve("ftvd3", pc16["f"], pc16["kernel"], cfg)
     assert trace.records[-1].inner_iter == len(alternations)
     u, w = alternations[-1]
     assert np.array_equal(trace.records[-1].u, u)
@@ -72,17 +72,17 @@ def test_ftvd3_single_stage_equals_inner_loop(pc16, alternations):
 
 def test_ftvd3_final_matches_oracle(pc16, pc16_oracle_mu500):
     cfg = SolverConfig(mu=500.0, tol=1e-6, max_inner_iters=500)
-    trace = ftvd3_solve(pc16["f"], pc16["kernel"], cfg, ground_truth=pc16["u0"])
+    trace = solve("ftvd3", pc16["f"], pc16["kernel"], cfg, ground_truth=pc16["u0"])
     assert rel(trace.records[-1].u, pc16_oracle_mu500) < 5e-3
 
 
 def test_ftvd4_final_matches_oracle_and_ftvd3(pc16, pc16_oracle_mu500):
     cfg4 = SolverConfig(mu=500.0, tol=1e-8, max_multiplier_updates=2000)
-    tr4 = ftvd4_solve(pc16["f"], pc16["kernel"], cfg4, ground_truth=pc16["u0"])
+    tr4 = solve("ftvd4", pc16["f"], pc16["kernel"], cfg4, ground_truth=pc16["u0"])
     u4 = tr4.records[-1].u
     assert rel(u4, pc16_oracle_mu500) < 5e-3
     cfg3 = SolverConfig(mu=500.0, tol=1e-6, max_inner_iters=500)
-    tr3 = ftvd3_solve(pc16["f"], pc16["kernel"], cfg3)
+    tr3 = solve("ftvd3", pc16["f"], pc16["kernel"], cfg3)
     assert rel(tr3.records[-1].u, u4) < 1e-2
 
 
@@ -95,8 +95,8 @@ def test_solver_agreement_on_random_block_images():
         u0[n // 2 :, : n // 2] = rng.uniform(0.0, 0.2)
         f = degrade(u0, kernel, 0.005, seed=int(rng.integers(1 << 31)))
         mu = 0.05 / 0.005**2
-        u3 = ftvd3_solve(f, kernel, SolverConfig(mu=mu, tol=1e-6, max_inner_iters=500)).records[-1].u
-        u4 = ftvd4_solve(f, kernel, SolverConfig(mu=mu, tol=1e-8, max_multiplier_updates=3000)).records[-1].u
+        u3 = solve("ftvd3", f, kernel, SolverConfig(mu=mu, tol=1e-6, max_inner_iters=500)).records[-1].u
+        u4 = solve("ftvd4", f, kernel, SolverConfig(mu=mu, tol=1e-8, max_multiplier_updates=3000)).records[-1].u
         assert rel(u3, u4) <= 1e-2
 
 
@@ -128,7 +128,7 @@ def test_ftvd4_constant_image_is_fixed_point():
     kernel = make_kernel(KernelSpec("average", 3))
     f = degrade(u_star, kernel, 0.0, seed=0)  # noiseless blur of a constant
     cfg = SolverConfig(mu=20.0)
-    trace = ftvd4_solve(f, kernel, cfg)
+    trace = solve("ftvd4", f, kernel, cfg)
     assert trace.converged
     assert len(trace.records) <= 3
     assert np.allclose(trace.records[-1].u, u_star, atol=1e-12)
@@ -150,7 +150,7 @@ def test_ftvd4_records_carry_the_scaled_multiplier(pc16):
     # follows the unscaled update lambda <- lambda - beta (w - D u), run here alongside
     seen = []
     cfg = SolverConfig(mu=500.0, max_multiplier_updates=12)
-    ftvd4_solve(pc16["f"], pc16["kernel"], cfg, on_record=lambda r: seen.append((r.beta, r.u, r.w, r.lam)))
+    solve("ftvd4", pc16["f"], pc16["kernel"], cfg, on_record=lambda r: seen.append((r.beta, r.u, r.w, r.lam)))
     assert len(seen) == 12
     lam_prev, unscaled = 0.0, 0.0
     for beta, u, w, lam in seen:
@@ -163,10 +163,10 @@ def test_ftvd4_records_carry_the_scaled_multiplier(pc16):
 
 def test_trace_completeness(pc16):
     cfg3 = SolverConfig(mu=500.0)
-    tr3 = ftvd3_solve(pc16["f"], pc16["kernel"], cfg3)
+    tr3 = solve("ftvd3", pc16["f"], pc16["kernel"], cfg3)
     assert len(tr3.records) == len(cfg3.beta_schedule)
     cfg4 = SolverConfig(mu=500.0, max_multiplier_updates=7, tol=1e-14)
-    tr4 = ftvd4_solve(pc16["f"], pc16["kernel"], cfg4)
+    tr4 = solve("ftvd4", pc16["f"], pc16["kernel"], cfg4)
     assert len(tr4.records) == 7  # ran to the cap, one record per update
 
 
@@ -175,8 +175,9 @@ def test_record_scores_equal_the_reference_definitions(pc16, tv_variant):
     f, kernel, mu = pc16["f"], pc16["kernel"], 500.0
     cache = build_cache(kernel, pc16["n"])
     seen = []  # (record, u, w): a trace keeps arrays only on its best and last records
-    for solve in (ftvd3_solve, ftvd4_solve):
-        solve(f, kernel, SolverConfig(mu=mu, tv_variant=tv_variant), on_record=lambda r: seen.append((r, r.u, r.w)))
+    for method in ("ftvd3", "ftvd4"):
+        cfg = SolverConfig(mu=mu, tv_variant=tv_variant)
+        solve(method, f, kernel, cfg, on_record=lambda r: seen.append((r, r.u, r.w)))
     assert len(seen) > 20
     for r, u, w in seen:
         expected = (
@@ -198,9 +199,10 @@ def test_solves_never_blur_in_space(pc16, monkeypatch):
         return original(cache, u)
 
     monkeypatch.setattr(spectral, "apply_kernel", counting)
-    for solve in (ftvd3_solve, ftvd4_solve):
+    for method in ("ftvd3", "ftvd4"):
         for tv_variant in ("iso", "aniso"):
-            trace = solve(pc16["f"], pc16["kernel"], SolverConfig(mu=500.0, tv_variant=tv_variant), ground_truth=pc16["u0"])
+            cfg = SolverConfig(mu=500.0, tv_variant=tv_variant)
+            trace = solve(method, pc16["f"], pc16["kernel"], cfg, ground_truth=pc16["u0"])
             assert trace.records
     assert calls == []
 
@@ -226,7 +228,7 @@ def test_ftvd3_stages_are_stationary_for_their_huber_models(n, spec, tv_variant)
     f = degrade(u0, kernel, 0.01, seed=0)
     cfg = SolverConfig(mu=mu, tv_variant=tv_variant, tol=1e-8, max_inner_iters=300)
     seen = []
-    ftvd3_solve(f, kernel, cfg, on_record=lambda r: seen.append((r, r.u)))
+    solve("ftvd3", f, kernel, cfg, on_record=lambda r: seen.append((r, r.u)))
     converged = [(r, u) for r, u in seen if r.inner_iter < cfg.max_inner_iters]
     assert len(converged) >= 5
     for r, u in converged:
@@ -240,12 +242,12 @@ def test_ftvd3_stages_are_stationary_for_their_huber_models(n, spec, tv_variant)
         assert rel(u, minimizer) <= 1e-6, (r.stage_index, r.beta, rel(u, minimizer))
 
 
-@pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
-def test_record_snr_equals_snr_db(pc16, solve):
+@pytest.mark.parametrize("method", ["ftvd3", "ftvd4"])
+def test_record_snr_equals_snr_db(pc16, method):
     # the solve centres the ground truth once; every record must still equal snr_db bit for bit
     seen = []
     on_record = lambda r: seen.append((r.snr_db, r.u))
-    solve(pc16["f"], pc16["kernel"], SolverConfig(mu=500.0), ground_truth=pc16["u0"], on_record=on_record)
+    solve(method, pc16["f"], pc16["kernel"], SolverConfig(mu=500.0), ground_truth=pc16["u0"], on_record=on_record)
     assert len(seen) > 5
     for snr, u in seen:
         assert snr == snr_db(u, pc16["u0"])
@@ -284,7 +286,7 @@ def test_aniso_tv_dominates_iso():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ftvd3_solve(np.zeros((4, 4)), np.ones((1, 1)), SolverConfig(mu=-1.0))
+        solve("ftvd3", np.zeros((4, 4)), np.ones((1, 1)), SolverConfig(mu=-1.0))
     with pytest.raises(ValueError):
         SolverConfig(mu=1.0, beta_schedule=(4.0, 2.0)).validate()
     with pytest.raises(ValueError):
@@ -306,6 +308,8 @@ def test_config_validation():
         ("beta_schedule", 2.0),
         ("max_inner_iters", 2.5),
         ("max_multiplier_updates", np.float64(3.0)),
+        ("max_inner_iters", True),  # a bool is an Integral, but no count
+        ("max_multiplier_updates", True),
     ]
     for name, value in not_numbers:
         with pytest.raises(ValueError, match=name):
@@ -318,7 +322,7 @@ def test_ftvd4_cycle_cap_is_not_materialized():
     # a cap no machine could hold as a list of stages: the solve still returns after its
     # first cycle, which converges at once on a constant image
     cfg = SolverConfig(mu=1.0, max_multiplier_updates=10**12)
-    trace = ftvd4_solve(np.full((8, 8), 0.5), make_kernel(KernelSpec("average", 3)), cfg)
+    trace = solve("ftvd4", np.full((8, 8), 0.5), make_kernel(KernelSpec("average", 3)), cfg)
     assert len(trace.records) == 1
     assert trace.converged
 
@@ -328,7 +332,7 @@ def test_stage_rel_change_spans_the_whole_stage():
     u0, kernel, f = phantom32_average3()
     ends = []
     cfg = SolverConfig(mu=500.0, beta_schedule=(1.0, 2.0, 4.0))
-    trace = ftvd3_solve(f, kernel, cfg, on_record=lambda r: ends.append(r.u))
+    trace = solve("ftvd3", f, kernel, cfg, on_record=lambda r: ends.append(r.u))
     assert all(r.inner_iter > 1 for r in trace.records)
     for r, start, end in zip(trace.records, [f] + ends[:-1], ends):
         assert r.rel_change == rel_change(end, start)
@@ -338,16 +342,16 @@ def test_ftvd3_converges_only_if_every_stage_reaches_tol():
     # stage 0 stops at the cap, the last stage below tol after 2 of its 3 alternations
     u0, kernel, f = phantom32_average3()
     cfg = SolverConfig(mu=500.0, tol=1e-3, beta_schedule=(4.0, 4.0001), max_inner_iters=3)
-    trace = ftvd3_solve(f, kernel, cfg)
+    trace = solve("ftvd3", f, kernel, cfg)
     assert [r.inner_iter for r in trace.records] == [3, 2]
     assert not trace.converged
 
 
-@pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
-def test_divergence_raises_floating_point_error(pc16, solve):
+@pytest.mark.parametrize("method", ["ftvd3", "ftvd4"])
+def test_divergence_raises_floating_point_error(pc16, method):
     # mu = 1e308 is finite, but mu * |K|^2 overflows and the u-step returns NaN
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="diverged"):
-        solve(pc16["f"], pc16["kernel"], SolverConfig(mu=1e308))
+        solve(method, pc16["f"], pc16["kernel"], SolverConfig(mu=1e308))
 
 
 def phantom32_average3():
@@ -356,50 +360,90 @@ def phantom32_average3():
     return u0, kernel, degrade(u0, kernel, 0.01, seed=0)
 
 
-@pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
+@pytest.mark.parametrize("method", ["ftvd3", "ftvd4"])
 @pytest.mark.parametrize("scale", [1e153, 1.3e154])
-def test_overflowing_scores_raise_floating_point_error(solve, scale):
+def test_overflowing_scores_raise_floating_point_error(method, scale):
     # at n = 32 an input this large overflows ||u|| in rel_change; near 1.3e154 the
     # per-pixel sqrt(dx^2 + dy^2) overflows too.  Neither may end as "converged".
     u0, kernel, f = phantom32_average3()
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="nan"):
-        solve(scale * f, kernel, SolverConfig(mu=500.0), ground_truth=scale * u0)
+        solve(method, scale * f, kernel, SolverConfig(mu=500.0), ground_truth=scale * u0)
 
 
-@pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
-def test_large_finite_input_keeps_finite_scores(solve):
+@pytest.mark.parametrize("method", ["ftvd3", "ftvd4"])
+def test_large_finite_input_keeps_finite_scores(method):
     # one decade below the overflow every norm is finite and the solve completes
     u0, kernel, f = phantom32_average3()
-    trace = solve(1e152 * f, kernel, SolverConfig(mu=500.0, max_multiplier_updates=5), ground_truth=1e152 * u0)
+    trace = solve(method, 1e152 * f, kernel, SolverConfig(mu=500.0, max_multiplier_updates=5), ground_truth=1e152 * u0)
     assert all(np.isfinite([r.snr_db, r.objective_tv, r.rel_change]).all() for r in trace.records)
 
 
-@pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
-def test_non_finite_snr_raises_floating_point_error(pc16, solve):
+@pytest.mark.parametrize("method", ["ftvd3", "ftvd4"])
+def test_non_finite_snr_raises_floating_point_error(pc16, method):
     # the iterates stay finite, but the ground truth's energy overflows: the record check catches it
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="snr_db nan"):
-        solve(pc16["f"], pc16["kernel"], SolverConfig(mu=500.0), ground_truth=1e155 * pc16["u0"])
+        solve(method, pc16["f"], pc16["kernel"], SolverConfig(mu=500.0), ground_truth=1e155 * pc16["u0"])
 
 
-@pytest.mark.parametrize("solve", [ftvd3_solve, ftvd4_solve])
+@pytest.mark.parametrize("method", ["ftvd3", "ftvd4"])
 @pytest.mark.parametrize(
-    "bad_truth, message",
+    "bad_input, message",
     [
-        (lambda u0: np.where(u0 == u0.max(), np.nan, u0), "ground truth contains NaN or Inf"),
-        (lambda u0: u0[0], r"ground truth has shape \(32,\)"),
-        (lambda u0: make_phantom(u0.shape[0] + 1), r"ground truth has shape \(33, 33\)"),
-        (lambda u0: np.full_like(u0, 0.5), "reference image is constant"),  # its SNR has no signal energy
+        (lambda u0, k, f: (f, k, np.where(u0 == u0.max(), np.nan, u0)), "ground truth contains NaN or Inf"),
+        (lambda u0, k, f: (f, k, u0[0]), r"ground truth has shape \(32,\)"),
+        (lambda u0, k, f: (f, k, make_phantom(u0.shape[0] + 1)), r"ground truth has shape \(33, 33\)"),
+        (lambda u0, k, f: (f, k, np.full_like(u0, 0.5)), "reference image is constant"),  # its SNR has no signal energy
+        (lambda u0, k, f: (f[:16, :16], build_cache(k, 32), None), "spectral cache was built for n=32, the image is 16x16"),
+        (lambda u0, k, f: (f[:17, :17], build_cache(k, 16), None), "spectral cache was built for n=16, the image is 17x17"),
     ],
-    ids=["nan", "one_dimensional", "wrong_size", "constant"],
+    ids=["nan", "one_dimensional", "wrong_size", "constant", "cache_for_a_larger_grid", "cache_for_a_smaller_grid"],
 )
-def test_bad_ground_truth_is_rejected_before_the_solve(monkeypatch, solve, bad_truth, message):
+def test_bad_input_is_rejected_before_the_solve(monkeypatch, method, bad_input, message):
+    # (observation, taps or cache, ground truth); taps would become a cache only after every other check
     def no_alternation(*args):
         raise AssertionError("the solve started")
 
-    u0, kernel, f = phantom32_average3()
+    def no_cache(*args):
+        raise AssertionError("the taps became a cache")
+
+    f, kernel, ground_truth = bad_input(*phantom32_average3())
     monkeypatch.setattr(spectral, "solve_u", no_alternation)
+    monkeypatch.setattr(spectral, "build_cache", no_cache)
     with pytest.raises(ValueError, match=message):
-        solve(f, kernel, SolverConfig(mu=500.0), ground_truth=bad_truth(u0))
+        solve(method, f, kernel, SolverConfig(mu=500.0), ground_truth=ground_truth)
+
+
+@pytest.mark.parametrize("method", ["ftvd3", "ftvd4"])
+@pytest.mark.parametrize("tv_variant", ["iso", "aniso"])
+def test_solve_takes_taps_or_a_cache_and_the_old_names_only_delegate(pc16, method, tv_variant):
+    f, kernel, u0 = pc16["f"], pc16["kernel"], pc16["u0"]
+    cfg = SolverConfig(mu=500.0, tv_variant=tv_variant)
+    traces = [
+        solve(method, f, kernel, cfg, ground_truth=u0),
+        solve(method, f, build_cache(kernel, pc16["n"]), cfg, ground_truth=u0),
+        getattr(solvers, f"{method}_solve")(f, kernel, cfg, ground_truth=u0),  # the name bench/worker.py looks up
+    ]
+    scalar_names = ("stage_index", "inner_iter", "beta", "snr_db", "objective_tv", "penalty_objective",
+                    "constraint_residual", "rel_change")
+
+    def scalars(trace):
+        return trace.converged, [tuple(getattr(r, name) for name in scalar_names) for r in trace.records]
+
+    def kept(trace):
+        return [(r.stage_index, name, getattr(r, name)) for r in trace.records for name in ("u", "w", "lam")
+                if getattr(r, name) is not None]
+
+    assert len(traces[0].records) > 1
+    for trace in traces[1:]:
+        assert scalars(trace) == scalars(traces[0])
+        assert len(kept(trace)) == len(kept(traces[0])) >= 2
+        for (stage, name, array), (stage0, name0, array0) in zip(kept(trace), kept(traces[0])):
+            assert (stage, name) == (stage0, name0)
+            assert np.array_equal(array, array0)
+    assert "solve" in tvdeblur.__all__
+    for old in ("ftvd3_solve", "ftvd4_solve"):
+        assert old not in tvdeblur.__all__
+        assert not hasattr(tvdeblur, old)
 
 
 @pytest.mark.parametrize(
@@ -409,8 +453,8 @@ def test_trace_keeps_arrays_on_best_and_final_only(request, name):
     if name.endswith("_no_ground_truth"):
         # nothing is scored, so there is no best: only the last record keeps its arrays
         u0, kernel, f = phantom32_average3()
-        solve = ftvd3_solve if name.startswith("ftvd3") else ftvd4_solve
-        trace = solve(f, kernel, SolverConfig(mu=500.0))
+        method = name.split("_")[0]
+        trace = solve(method, f, kernel, SolverConfig(mu=500.0))
         best = len(trace.records) - 1
         assert best > 0
     else:

@@ -61,6 +61,14 @@ def test_build_cache_rejects_oversized_kernel():
         build_cache(make_kernel(KernelSpec("average", 9)), 8)
 
 
+@pytest.mark.parametrize("entry", ["apply_kernel", "prepare_u"])
+def test_cache_of_another_size_is_rejected_by_name(entry):
+    cache = build_cache(make_kernel(KernelSpec("average", 3)), 32)
+    image = np.zeros((16, 16))
+    with pytest.raises(ValueError, match="spectral cache was built for n=32, the image is 16x16"):
+        apply_kernel(cache, image) if entry == "apply_kernel" else prepare_u(image, 1.0, 1.0, cache)
+
+
 def test_solve_u_recovers_consistent_data():
     # w = D u*, lam = 0, f = K u*: the quadratic is minimized exactly at u*
     rng = np.random.default_rng(22)
