@@ -1,4 +1,4 @@
-"""Periodic-boundary difference operators and blur kernels on square images.
+"""The package's number and image rules, periodic differences and blur kernels.
 
 Conventions used throughout the package:
 
@@ -29,18 +29,25 @@ DX = 0
 DY = 1
 
 
-def validate_image(u: np.ndarray) -> np.ndarray:
-    """Check the square-image invariants and return ``u`` as float64.
+def is_number(value, integer: bool = False) -> bool:
+    """The one number rule: a real number, or with ``integer`` an integer; numpy scalars count, a bool is neither."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral if integer else numbers.Real)
 
-    Raises ValueError on non-square shapes, n < 2, or non-finite entries.
+
+def validate_image(u: np.ndarray, name: str = "image") -> np.ndarray:
+    """The one image rule: check the square-image invariants and return ``u`` as float64.
+
+    Raises ValueError, calling the input ``name``, on complex or non-finite entries, non-square shapes, or n < 2.
     """
+    if np.iscomplexobj(u):  # the float64 cast would drop the imaginary part with a ComplexWarning
+        raise ValueError(f"{name} must be real, got complex values")
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"image must be square 2-D, got shape {u.shape}")
+        raise ValueError(f"{name} must be square 2-D, got shape {u.shape}")
     if u.shape[0] < 2:
-        raise ValueError("image side must be at least 2 pixels")
+        raise ValueError(f"{name} side must be at least 2 pixels")
     if not np.isfinite(u).all():
-        raise ValueError("image contains NaN or Inf")
+        raise ValueError(f"{name} contains NaN or Inf")
     return u
 
 
@@ -99,13 +106,13 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("delta", "average", "gaussian"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not isinstance(self.size, numbers.Integral) or isinstance(self.size, bool):
+        if not is_number(self.size, integer=True):
             raise ValueError(f"kernel size must be an integer, got {self.size!r}")
         if self.size % 2 == 0 or self.size < 1:
             raise ValueError(f"kernel size must be odd and positive, got {self.size}")
         if self.kind == "delta" and self.size != 1:
             raise ValueError(f"a delta kernel has size 1, got {self.size}")
-        if not isinstance(self.sigma, numbers.Real):
+        if not is_number(self.sigma):
             raise ValueError(f"gaussian width must be a real number, got {self.sigma!r}")
         s = self.sigma
         if self.kind != "gaussian" and s != 0:

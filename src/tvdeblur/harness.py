@@ -10,14 +10,13 @@ piecewise-constant/smooth splits) as 16-bit PGM, and a plain-text summary.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .decomposition import decompose, gradient_residual
-from .grid_ops import KernelSpec, check_kernel_side, make_kernel, validate_image
+from .grid_ops import KernelSpec, check_kernel_side, is_number, make_kernel, validate_image
 from .metrics import best_iterate
 from .pgm import load_image, write_pgm
 from .solvers import IterateTrace, SolverConfig, solve
@@ -66,9 +65,9 @@ def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.n
     nonnegative real number and ``seed`` an integer in [0, 2**128)
     (ValueError).  sigma = 0 returns exactly the blur.
     """
-    if not isinstance(sigma, numbers.Real) or not 0 <= sigma < math.inf:
+    if not is_number(sigma) or not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be a finite nonnegative real number, got {sigma!r}")
-    if not isinstance(seed, numbers.Integral):  # Philox would truncate 1.5 to the key 1
+    if not is_number(seed, integer=True):  # Philox would truncate 1.5 to the key 1
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**128:  # the range of a Philox key
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")

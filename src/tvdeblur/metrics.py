@@ -12,15 +12,15 @@ from .grid_ops import validate_image
 SNR_CAP_DB = 300.0
 
 
-def snr_scorer(reference: np.ndarray) -> Callable[[np.ndarray], float]:
+def snr_scorer(reference: np.ndarray, name: str = "reference") -> Callable[[np.ndarray], float]:
     """Return ``u -> snr_db(u, reference)`` with the reference's energy computed once.
 
     A solve scores every record against the same ground truth, so the
     centred reference and its energy are formed here, not per record.
-    The reference must pass ``validate_image`` and must not be constant
-    (ValueError otherwise).
+    The reference must pass ``validate_image``, which names it ``name`` in
+    its ValueError, and must not be constant (ValueError otherwise).
     """
-    reference = validate_image(reference)
+    reference = validate_image(reference, name)
     signal = reference - reference.mean()
     signal_energy = float((signal * signal).sum())
     if signal_energy == 0.0:

@@ -21,8 +21,12 @@ _HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def write_pgm(path, img: np.ndarray) -> None:
-    """Write an image as 16-bit big-endian binary PGM, clamping to [0, 1]."""
+    """Write a 2-D image as 16-bit big-endian binary PGM, clamping to [0, 1] (+-inf too); ValueError for a NaN."""
     img = np.asarray(img, dtype=np.float64)
+    if img.ndim != 2:
+        raise ValueError(f"{path}: a PGM image must be 2-D, got shape {img.shape}")
+    if np.isnan(img).any():  # the cast would write it as 0
+        raise ValueError(f"{path}: image contains NaN")
     h, w = img.shape
     scaled = np.rint(np.clip(img, 0.0, 1.0) * PGM_MAXVAL).astype(">u2")
     with open(path, "wb") as fh:

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid_ops import is_number
+
 
 def make_phantom(n: int) -> np.ndarray:
-    """Build the n x n phantom, grey levels in [0, 1].  Pure function of n."""
-    if n < 4:
-        raise ValueError(f"phantom needs n >= 4, got {n}")
+    """Build the n x n phantom, grey levels in [0, 1].  Pure function of the integer n >= 4 (ValueError otherwise)."""
+    if not is_number(n, integer=True) or n < 4:
+        raise ValueError(f"phantom needs n >= 4, got {n!r}")
     yy, xx = np.mgrid[0:n, 0:n].astype(np.float64) / n
 
     # smooth shading: diagonal ramp plus a broad hill

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid_ops import is_number
+
 
 def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
     """Per-pixel norm of an (n, n, 2) field: the 2-norm for 'iso', the 1-norm for 'aniso'.
@@ -41,10 +43,10 @@ def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> tuple[np.ndarray
     becomes +0.0).  Returns (out, s): for 'iso', s = sum_i ||out_i|| =
     sum_i max(||v_i|| - t, 0), summed before that buffer becomes the radial
     factor; for 'aniso', whose prox forms no norm, s is None.  Raises
-    ValueError unless t > 0.
+    ValueError unless t is a real number > 0.
     """
-    if not t > 0:
-        raise ValueError(f"shrinkage threshold must be > 0, got {t}")
+    if not is_number(t) or not t > 0:
+        raise ValueError(f"shrinkage threshold must be > 0, got {t!r}")
     if tv_variant == "iso":
         scale = pixel_norms(v)
         denom = np.maximum(scale, t)

@@ -15,14 +15,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .grid_ops import forward_diff, validate_image
+from .grid_ops import forward_diff, is_number, validate_image
 from .metrics import best_index, rel_change, snr_scorer
 from .shrinkage import pixel_norms, shrink
 
@@ -45,11 +44,11 @@ class SolverConfig:
         """Raise ValueError, naming the field, for a value no solver can run with."""
         for name in ("mu", "tol", "beta_fixed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if not is_number(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         for name in ("max_inner_iters", "max_multiplier_updates"):
             cap = getattr(self, name)
-            if not isinstance(cap, numbers.Integral) or isinstance(cap, bool) or cap < 1:
+            if not is_number(cap, integer=True) or cap < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
@@ -57,13 +56,14 @@ class SolverConfig:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if self.tv_variant not in ("iso", "aniso"):
             raise ValueError(f"unknown tv_variant {self.tv_variant!r}")
-        if not isinstance(self.beta_schedule, Collection) or len(self.beta_schedule) == 0:
-            raise ValueError(f"beta_schedule must be a nonempty sequence of real numbers, got {self.beta_schedule!r}")
-        if not all(isinstance(b, numbers.Real) for b in self.beta_schedule):
-            raise ValueError(f"beta_schedule entries must be real numbers, got {self.beta_schedule!r}")
-        if not all(0 < b < math.inf for b in self.beta_schedule):
-            raise ValueError(f"beta_schedule entries must be positive and finite, got {self.beta_schedule}")
-        if any(b1 >= b2 for b1, b2 in zip(self.beta_schedule, self.beta_schedule[1:])):
+        betas = self.beta_schedule  # ordered: a set or a dict has no order to check, a 0-d array no entries
+        if not (isinstance(betas, Sequence) or isinstance(betas, np.ndarray) and betas.ndim == 1) or len(betas) == 0:
+            raise ValueError(f"beta_schedule must be a nonempty sequence of real numbers, got {betas!r}")
+        if not all(is_number(b) for b in betas):
+            raise ValueError(f"beta_schedule entries must be real numbers, got {betas!r}")
+        if not all(0 < b < math.inf for b in betas):
+            raise ValueError(f"beta_schedule entries must be positive and finite, got {betas}")
+        if any(b1 >= b2 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("beta_schedule must be strictly ascending")
         if not 0 < self.beta_fixed < math.inf:
             raise ValueError(f"beta_fixed must be positive and finite, got {self.beta_fixed}")
@@ -217,12 +217,9 @@ def solve(
         betas, max_inner, multipliers = itertools.repeat(cfg.beta_fixed, cfg.max_multiplier_updates), 1, True
     else:
         raise ValueError(f"unknown solver {method!r} (expected 'ftvd3' or 'ftvd4')")
-    if ground_truth is not None:
-        if np.shape(ground_truth) != f.shape:
-            raise ValueError(f"ground truth has shape {np.shape(ground_truth)}, the observation {f.shape}")
-        if not np.isfinite(ground_truth).all():
-            raise ValueError("ground truth contains NaN or Inf")
-    snr = None if ground_truth is None else snr_scorer(ground_truth)
+    if ground_truth is not None and np.shape(ground_truth) != f.shape:
+        raise ValueError(f"ground truth has shape {np.shape(ground_truth)}, the observation {f.shape}")
+    snr = None if ground_truth is None else snr_scorer(ground_truth, "ground truth")
     cache = kernel if isinstance(kernel, spectral.SpectralCache) else spectral.build_cache(kernel, f.shape[0])
     records: list[IterateRecord] = []
     kept: list[IterateRecord] = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_ops import check_kernel_side, divergence_adjoint
+from .grid_ops import check_kernel_side, divergence_adjoint, is_number
 
 SINGULAR_FLOOR = 1e-14
 
@@ -43,12 +43,14 @@ def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
     """Diagonalize the kernel and D^T D on an n x n grid.
 
     Every kernel the package uses passes here, so these are its rules: a
-    2-D square array of finite taps with an odd side no larger than n
-    (ValueError otherwise).  K's eigenvalues are the real 2-D DFT of its n x n
+    2-D square array of finite taps with an odd side no larger than the
+    integer n (ValueError otherwise).  K's eigenvalues are the real 2-D DFT of its n x n
     circulant embedding, where the tap at offset (a, b) from the centre sits
     at (a mod n, b mod n), no two on one index.  D^T D has eigenvalue
     4 sin^2(pi p/n) + 4 sin^2(pi q/n) at frequency (p, q).
     """
+    if not is_number(n, integer=True):
+        raise ValueError(f"grid side n must be an integer, got {n!r}")
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise ValueError(f"kernel must be a square 2-D array, got shape {kernel.shape}")
@@ -91,14 +93,14 @@ class USystem:
 def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> USystem:
     """Set up the u-subproblem (mu K^T K + beta D^T D) u = mu K^T f + beta D^T g.
 
-    Raises ValueError unless mu and beta are positive and ``f`` fits the cache, and FloatingPointError if
+    Raises ValueError unless mu and beta are positive real numbers and ``f`` fits the cache, and FloatingPointError if
     the per-frequency denominator mu |K^|^2 + beta |D^|^2 falls below 1e-14
     anywhere (a tiny mu or a zero-flux kernel).
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not is_number(mu) or not mu > 0:
+        raise ValueError(f"mu must be a positive real number, got {mu!r}")
+    if not is_number(beta) or not beta > 0:
+        raise ValueError(f"beta must be a positive real number, got {beta!r}")
     cache.check_grid(f)
     denom = mu * np.abs(cache.eig_k) ** 2 + beta * cache.eig_dtd
     if denom.min() < SINGULAR_FLOOR:

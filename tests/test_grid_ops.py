@@ -1,3 +1,7 @@
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,11 @@ from tvdeblur import (
     build_cache,
     divergence_adjoint,
     forward_diff,
+    grid_ops,
     make_kernel,
+    make_phantom,
+    prepare_u,
+    shrink,
     validate_image,
 )
 
@@ -131,13 +139,14 @@ def test_make_kernel_gaussian_symmetry_and_flux():
         (("average", "3"), "kernel size must be an integer, got '3'"),
         (("average", True), "kernel size must be an integer, got True"),  # would print as average:True
         (("gaussian", 3, "1.0"), "gaussian width must be a real number, got '1.0'"),
+        (("gaussian", 3, True), "gaussian width must be a real number, got True"),
         (("box", 3), "unknown kernel kind 'box'"),
         (("delta", 5), "a delta kernel has size 1, got 5"),
         (("average", 3, 2.5), "only a gaussian kernel has a width, got 2.5 for average"),
     ],
     ids=[
-        "spec0", "spec1", "spec2", "spec3", "float_size", "str_size", "bool_size", "str_width", "unknown_kind",
-        "sized_delta", "average_with_width",
+        "spec0", "spec1", "spec2", "spec3", "float_size", "str_size", "bool_size", "str_width", "bool_width",
+        "unknown_kind", "sized_delta", "average_with_width",
     ],
 )
 def test_kernel_spec_rejects_bad_fields_when_made(fields, message):
@@ -176,3 +185,52 @@ def test_validate_image_invariants():
     bad[1, 1] = np.nan
     with pytest.raises(ValueError):
         validate_image(bad)
+    with pytest.raises(ValueError, match="observation contains NaN or Inf"):
+        validate_image(bad, "observation")
+    # the float64 cast would keep only the real part
+    with pytest.raises(ValueError, match="ground truth must be real, got complex values"):
+        validate_image(np.zeros((3, 3)) + 1j, "ground truth")
+
+
+def test_numbers_have_one_rule():
+    # numbers.Real and numbers.Integral appear in the package only inside grid_ops.is_number
+    pattern = re.compile(r"numbers\.(?:Real|Integral)|from numbers import")
+    in_rule = len(pattern.findall(inspect.getsource(grid_ops.is_number)))
+    assert in_rule == 2
+    for path in Path(grid_ops.__file__).parent.glob("*.py"):
+        expected = in_rule if path.name == "grid_ops.py" else 0
+        assert len(pattern.findall(path.read_text(encoding="utf-8"))) == expected, path.name
+
+
+def prepare_4x4(mu, beta):
+    return prepare_u(np.zeros((4, 4)), mu, beta, build_cache(np.ones((1, 1)), 4))
+
+
+# entry: (call with the value, words naming the field, whether the field is an integer)
+NUMBER_ENTRIES = {
+    "shrink-t": (lambda v: shrink(np.zeros((4, 4, 2)), v), "shrinkage threshold", False),
+    "prepare_u-mu": (lambda v: prepare_4x4(v, 1.0), "mu must be", False),
+    "prepare_u-beta": (lambda v: prepare_4x4(1.0, v), "beta must be", False),
+    "build_cache-n": (lambda v: build_cache(np.ones((1, 1)), v), "grid side n must be an integer", True),
+    "make_phantom-n": (make_phantom, "phantom needs n >= 4", True),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        (entry, value)
+        for entry, (_, _, integer) in NUMBER_ENTRIES.items()
+        for value in (True, "1", None) + ((1.5,) if integer else ())
+    ],
+)
+def test_entries_refuse_what_is_not_a_number_by_name(entry, value):
+    call, field, _ = NUMBER_ENTRIES[entry]
+    with pytest.raises(ValueError, match=field):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", NUMBER_ENTRIES)
+def test_entries_take_numpy_scalars(entry):
+    call, _, integer = NUMBER_ENTRIES[entry]
+    call(np.int64(8) if integer else np.float64(1.0))

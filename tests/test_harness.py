@@ -62,7 +62,7 @@ def test_degrade_rejects_seeds_outside_the_philox_key_range():
     assert np.isfinite(degrade(u0, kernel, 0.01, 2**128 - 1)).all()
 
 
-@pytest.mark.parametrize("seed", [1.5, None, np.int64(3)], ids=["float", "none", "numpy_int64"])
+@pytest.mark.parametrize("seed", [1.5, None, True, np.int64(3)], ids=["float", "none", "bool", "numpy_int64"])
 def test_degrade_takes_only_integer_seeds(seed):
     # Philox would truncate the key 1.5 to 1 and give seed 1's bytes
     u0, kernel = make_phantom(8), np.ones((1, 1))
@@ -74,7 +74,7 @@ def test_degrade_takes_only_integer_seeds(seed):
 
 
 def test_degrade_rejects_negative_sigma():
-    for sigma in (-0.1, float("nan"), float("inf"), "0.01"):
+    for sigma in (-0.1, float("nan"), float("inf"), "0.01", True):
         with pytest.raises(ValueError, match=f"sigma must be a finite nonnegative real number, got {sigma!r}"):
             degrade(np.zeros((4, 4)), np.ones((1, 1)), sigma, seed=0)
 

@@ -25,6 +25,28 @@ def test_write_clamps_out_of_range(tmp_path):
     assert abs(back[0, 1] - 0.25) <= 1.0 / 65535
 
 
+def test_write_clamps_infinities(tmp_path):
+    path = tmp_path / "inf.pgm"
+    write_pgm(path, np.array([[-np.inf, np.inf], [0.0, 1.0]]))
+    assert np.array_equal(read_pgm(path), [[0.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "img, reason",
+    [
+        (np.array([[0.5, np.nan], [0.0, 1.0]]), "image contains NaN"),  # the cast would write it as 0
+        (np.zeros((2, 2, 2)), r"a PGM image must be 2-D, got shape \(2, 2, 2\)"),
+        (np.zeros(4), r"a PGM image must be 2-D, got shape \(4,\)"),
+    ],
+    ids=["nan", "three_d", "one_d"],
+)
+def test_write_rejects_what_it_cannot_write_before_opening(tmp_path, img, reason):
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(ValueError, match=rf"bad\.pgm: {reason}"):
+        write_pgm(path, img)
+    assert not path.exists()
+
+
 def test_header_comments_are_skipped(tmp_path):
     raster = np.arange(4, dtype=">u2") * 1000
     path = tmp_path / "c.pgm"

@@ -310,12 +310,20 @@ def test_config_validation():
         ("max_multiplier_updates", np.float64(3.0)),
         ("max_inner_iters", True),  # a bool is an Integral, but no count
         ("max_multiplier_updates", True),
+        ("mu", True),  # nor is it a real number
+        ("tol", True),
+        ("beta_fixed", True),
+        ("beta_schedule", (True,)),
+        ("beta_schedule", {1.0, 2.0}),  # unordered: no ascent to check
+        ("beta_schedule", {1.0: None, 2.0: None}),
     ]
     for name, value in not_numbers:
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{"mu": 1.0, name: value}).validate()
     # numpy scalars are numbers
     SolverConfig(mu=np.float64(1.0), tol=np.float32(1e-3), beta_schedule=(np.float64(2.0),), max_inner_iters=np.int64(5)).validate()
+    for schedule in ([1.0, 2.0], np.array([1.0, 2.0])):  # ordered sequences
+        SolverConfig(mu=1.0, beta_schedule=schedule).validate()
 
 
 def test_ftvd4_cycle_cap_is_not_materialized():
