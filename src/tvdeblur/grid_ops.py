@@ -34,13 +34,18 @@ def is_number(value, integer: bool = False) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral if integer else numbers.Real)
 
 
+def check_real(a, name: str) -> None:
+    """Raise ValueError, calling the input ``name``, when ``a`` is complex; a dtype check, not a pass over the data."""
+    if np.iscomplexobj(a):  # a float64 cast would drop the imaginary part with a ComplexWarning
+        raise ValueError(f"{name} must be real, got complex values")
+
+
 def validate_image(u: np.ndarray, name: str = "image") -> np.ndarray:
     """The one image rule: check the square-image invariants and return ``u`` as float64.
 
     Raises ValueError, calling the input ``name``, on complex or non-finite entries, non-square shapes, or n < 2.
     """
-    if np.iscomplexobj(u):  # the float64 cast would drop the imaginary part with a ComplexWarning
-        raise ValueError(f"{name} must be real, got complex values")
+    check_real(u, name)
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{name} must be square 2-D, got shape {u.shape}")

@@ -63,7 +63,8 @@ def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.n
     generator keyed by ``seed``, so the same (u0, kernel, sigma, seed)
     gives the same bytes on every platform; ``sigma`` must be a finite
     nonnegative real number and ``seed`` an integer in [0, 2**128)
-    (ValueError).  sigma = 0 returns exactly the blur.
+    (ValueError), and a sigma so large that the noisy observation
+    overflows raises ValueError too.  sigma = 0 returns exactly the blur.
     """
     if not is_number(sigma) or not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be a finite nonnegative real number, got {sigma!r}")
@@ -76,7 +77,11 @@ def degrade(u0: np.ndarray, kernel: np.ndarray, sigma: float, seed: int) -> np.n
     if sigma == 0:
         return f
     gen = np.random.Generator(np.random.Philox(key=seed))
-    return f + sigma * gen.standard_normal(u0.shape)
+    with np.errstate(over="ignore"):  # a finite sigma near the float64 maximum overflows; refused below
+        f = f + sigma * gen.standard_normal(u0.shape)
+    if not np.isfinite(f).all():
+        raise ValueError(f"sigma {sigma!r} is too large: the noisy observation overflows")
+    return f
 
 
 def observe(input_path, spec: KernelSpec, sigma: float, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .grid_ops import validate_image
+from .grid_ops import check_real, validate_image
 
 SNR_CAP_DB = 300.0
 
@@ -18,7 +18,8 @@ def snr_scorer(reference: np.ndarray, name: str = "reference") -> Callable[[np.n
     A solve scores every record against the same ground truth, so the
     centred reference and its energy are formed here, not per record.
     The reference must pass ``validate_image``, which names it ``name`` in
-    its ValueError, and must not be constant (ValueError otherwise).
+    its ValueError, and must not be constant (ValueError otherwise); a
+    complex image to score raises ValueError as well.
     """
     reference = validate_image(reference, name)
     signal = reference - reference.mean()
@@ -27,6 +28,7 @@ def snr_scorer(reference: np.ndarray, name: str = "reference") -> Callable[[np.n
         raise ValueError("reference image is constant")
 
     def score(u: np.ndarray) -> float:
+        check_real(u, "scored image")
         err = np.asarray(u, dtype=np.float64) - reference
         err_energy = float(np.einsum("ij,ij->", err, err))  # summed in a fixed order, as in rel_change
         if err_energy == 0.0:
@@ -51,8 +53,10 @@ def rel_change(u_new: np.ndarray, u_old: np.ndarray) -> float:
     The squares are summed by ``einsum`` in a fixed order, not by BLAS,
     whose threaded dot product would make the value depend on the BLAS
     thread count.  NaN when ||u_old|| overflows: the ratio would read 0 and
-    mean nothing.
+    mean nothing.  A complex argument raises ValueError naming it.
     """
+    check_real(u_new, "u_new")
+    check_real(u_old, "u_old")
     diff = u_new - u_old
     num = math.sqrt(np.einsum("ij,ij->", diff, diff))
     den = max(math.sqrt(np.einsum("ij,ij->", u_old, u_old)), 1e-12)

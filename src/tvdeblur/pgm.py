@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .grid_ops import check_real
+
 PGM_MAXVAL = 65535
 
 # magic, then width, height and maxval, each after whitespace or comment
@@ -21,7 +23,8 @@ _HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def write_pgm(path, img: np.ndarray) -> None:
-    """Write a 2-D image as 16-bit big-endian binary PGM, clamping to [0, 1] (+-inf too); ValueError for a NaN."""
+    """Write a 2-D image as 16-bit big-endian PGM, clamping to [0, 1] (+-inf too); ValueError for NaN or complex."""
+    check_real(img, f"{path}: image")
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"{path}: a PGM image must be 2-D, got shape {img.shape}")

@@ -12,6 +12,7 @@ of the pure TV limit.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
@@ -26,6 +27,33 @@ from .metrics import best_index, rel_change, snr_scorer
 from .shrinkage import pixel_norms, shrink
 
 DEFAULT_BETA_SCHEDULE = tuple(2.0**k for k in range(11))
+
+
+def _keep_freed_heap() -> None:
+    """Make glibc keep the heap a solve frees, so the next alternation reuses it without page faults.
+
+    With glibc's defaults the heap top is trimmed whenever 128 KB or more
+    is free there, and the next pass faults the pages back in: a repeated
+    512² solve took 21.7k–27.5k (ftvd3) and 15.2k–25.2k (ftvd4) minor page
+    faults.  With the mmap threshold at 32 MiB (the ceiling glibc documents
+    on 64-bit) and the trim threshold at 1 GiB it takes 0–2, and in
+    separate processes of 5 solves ftvd3 ran 6–15% faster (3 of 3 seeds).
+    Both are needed: setting the trim threshold alone also pins the mmap
+    threshold at 128 KB, so every array is mmapped (676k faults per ftvd3
+    solve), and a 16 MiB trim threshold brings back 7k–10k faults.  The
+    price is that a process keeps the heap it freed.  Where there is no
+    ``mallopt`` (not glibc), this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt in the C library, or no C library to load
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 @dataclass(kw_only=True)
@@ -75,9 +103,11 @@ class IterateRecord:
 
     ``u``, ``w`` and ``lam`` (None for ftvd3) are set when the record is
     passed to ``on_record``.  ``lam`` is the scaled multiplier lambda/beta:
-    the paper's lambda is ``beta * lam``.  A returned trace keeps them only
-    on its best record by SNR (earliest on ties) and its last record, or,
-    without ground truth, on its last record only; elsewhere they are None.
+    the paper's lambda is ``beta * lam``.  ``solve`` drops them by one rule:
+    when a stage starts, the last record gives them up unless it is the
+    best so far by SNR (earliest on ties; there is none without ground
+    truth), and when a new record beats the best, the old best gives them
+    up.  A returned trace thus keeps them on its best and last records only.
     """
 
     stage_index: int
@@ -119,7 +149,6 @@ def _make_record(
     system: spectral.USystem,
     cfg: SolverConfig,
     snr: Callable[[np.ndarray], float] | None,
-    kept: list[IterateRecord],
 ) -> IterateRecord:
     """Score one iterate in one pass.
 
@@ -131,20 +160,8 @@ def _make_record(
     per-pixel sums of gap's squares serve the last two; sum ||w_i|| is
     ``shrink``'s ``w_norm_sum``, or taken from ``pixel_norms(w)`` when None.
     ``u_hat`` is overwritten.  ``snr`` is a ``metrics.snr_scorer`` or None.
-
-    ``kept`` holds the best record so far by SNR (earliest on ties; none
-    without ``snr``) and the last one, and is updated in place to the best
-    and the new record.  As soon as the SNR is known, records that drop out
-    of it lose their arrays, so their memory is free before the other scores
-    are formed.  Raises FloatingPointError when a score is not finite.
+    Raises FloatingPointError when a score is not finite.
     """
-    snr_db = None if snr is None else snr(u)
-    best = kept[0] if kept else None
-    if snr_db is None or best is None or best_index((best.snr_db, snr_db)) == 1:
-        best = None  # the new record is the best, or nothing is scored: it alone keeps its arrays
-    for old in kept:  # dropped before scoring: after it, +2.1 to +4.2 MB of tracemalloc peak at 512²
-        if old is not best:
-            old.u = old.w = old.lam = None
     beta = system.beta
     fidelity = 0.5 * cfg.mu * spectral.residual_sq(system, u_hat)
     gap_sq = np.einsum("ijk,ijk->ij", gap, gap)  # ||w_i - D_i u||^2 per pixel, in one pass
@@ -153,7 +170,7 @@ def _make_record(
     w_tv = float(pixel_norms(w, cfg.tv_variant).sum()) if w_norm_sum is None else w_norm_sum
     penalty = w_tv + 0.5 * beta * float(gap_sq.sum())
     scores = {
-        "snr_db": snr_db,
+        "snr_db": None if snr is None else snr(u),
         "objective_tv": float(pixel_norms(du, cfg.tv_variant).sum()) + fidelity,
         "penalty_objective": penalty + fidelity,
         "constraint_residual": constraint,
@@ -165,9 +182,7 @@ def _make_record(
             f"non-finite scores at stage {stage_index}, inner iteration {inner_iter} ({', '.join(bad)}): "
             "the solve diverged or overflowed"
         )
-    record = IterateRecord(stage_index=stage_index, inner_iter=inner_iter, beta=beta, u=u, w=w, lam=lam, **scores)
-    kept[:] = [record] if best is None else [best, record]
-    return record
+    return IterateRecord(stage_index=stage_index, inner_iter=inner_iter, beta=beta, u=u, w=w, lam=lam, **scores)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate or score is detected below and raised
@@ -198,9 +213,9 @@ def solve(
 
     The u-subproblem is prepared once per distinct beta.  Each stage record
     carries the relative change over the whole stage and goes to
-    ``on_record`` as soon as it is scored; afterwards only the best record
-    by SNR and the last one (without ground truth, the last one alone) keep
-    their arrays.  ``ground_truth`` must be a finite image of ``f``'s
+    ``on_record`` as soon as it is scored, when it and the best record so
+    far are the only ones holding arrays (``IterateRecord`` states the
+    retention rule).  ``ground_truth`` must be a finite image of ``f``'s
     shape.  An invalid ``f`` or ``cfg``, an unknown ``method``, a bad ground
     truth, bad taps or a cache of another size (``prepare_u`` checks it)
     raises ValueError before the first alternation; taps become a cache
@@ -222,12 +237,14 @@ def solve(
     snr = None if ground_truth is None else snr_scorer(ground_truth, "ground truth")
     cache = kernel if isinstance(kernel, spectral.SpectralCache) else spectral.build_cache(kernel, f.shape[0])
     records: list[IterateRecord] = []
-    kept: list[IterateRecord] = []
+    best = None  # the best record so far by SNR, earliest on ties; none without ground truth
     u, du = f, forward_diff(f)
     lam = 0.0 if multipliers else None  # lambda/beta; the first multiplier update makes it a field
     system = None
     converged = True
     for stage, beta in enumerate(betas):
+        if records and records[-1] is not best:  # the retention rule, in two parts: this one and the new best's below
+            records[-1].u = records[-1].w = records[-1].lam = None
         if system is None or system.beta != beta:
             system = spectral.prepare_u(f, cfg.mu, beta, cache)
         stage_start = u
@@ -246,10 +263,15 @@ def solve(
         converged = stage_converged and (converged or multipliers)
         gap = w - du
         if multipliers:
-            lam = lam - gap  # a new array: the last record holds the old lam
+            lam = lam - gap  # a new array: the best record may hold the old lam
         stage_rc = rc if it == 1 else rel_change(u, stage_start)  # after one alternation they are equal
-        record = _make_record(stage, it, u, u_hat, du, w, w_norm_sum, gap, lam, stage_rc, system, cfg, snr, kept)
-        u_hat = gap = None  # kept into the next stage: +4.2 MB (ftvd3), +2.1 MB (ftvd4) of tracemalloc peak at 512²
+        record = _make_record(stage, it, u, u_hat, du, w, w_norm_sum, gap, lam, stage_rc, system, cfg, snr)
+        # kept into the next stage, they would add 4.2 MB (ftvd3-iso) and 6.3 MB (ftvd4-iso) of tracemalloc peak at 512²
+        u_hat = gap = None
+        if snr is not None and (best is None or best_index((best.snr_db, record.snr_db)) == 1):
+            if best is not None:
+                best.u = best.w = best.lam = None
+            best = record
         records.append(record)
         if on_record is not None:
             on_record(record)

@@ -268,6 +268,25 @@ def test_bad_kernel_width_or_seed_exits_one_and_writes_nothing(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["degrade", "--input", "{gt}", "--out", "{out}"],
+        ["deblur", "--input-path", "{gt}", "--output-dir", "{out}", "--mu", "1"],
+    ],
+    ids=["degrade", "deblur"],
+)
+def test_overflowing_sigma_exits_one_naming_sigma_and_writes_nothing(tmp_path, capsys, argv):
+    # sigma 1e308 is finite, but its noise overflows to inf
+    gt, out = tmp_path / "gt.pgm", tmp_path / "o"
+    cli.main(["phantom", "--size", "16", "--out", str(gt)])
+    capsys.readouterr()
+    assert cli.main([arg.format(gt=gt, out=out) for arg in argv] + ["--sigma", "1e308"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sigma ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "extra, cause",
     [(["--mu", "1e-300"], "mu 1e-300"), (["--sigma", "1e200", "--mu", "1"], "diverged at stage 0")],
     ids=["tiny_mu", "huge_sigma"],

@@ -1,4 +1,4 @@
-"""Each solve's allocation peak, pinned.
+"""Each solve's allocation peak, pinned, and the page faults of a repeated solve.
 
 The four solves (ftvd3/ftvd4 x iso/aniso) run the standard protocol at 128²
 (phantom, ``average:9``, sigma 0.01, mu 500, seed 7) under ``tracemalloc``,
@@ -10,24 +10,39 @@ most a quarter plane (one plane is n²·8 bytes).  ftvd3-aniso runs at 256²
 as well: at 128² its peak is not set in the w-step, so a w-step that
 allocates one plane more shows only at the larger size.
 
+Importing the solver raises glibc's trim and mmap thresholds, so a
+process keeps the heap a solve frees: under glibc, a repeated solve takes
+next to no minor page faults (``ru_minflt``), where glibc's defaults cost
+thousands.
+
 The pins were measured with numpy 2.4.6 on Python 3.11.7.  To re-pin them
 (after a change that lowers a peak, or on another numpy), run
 ``PYTHONPATH=src python tests/test_memory.py`` and copy the printed bytes
 into ``PINNED_PEAKS``.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import tvdeblur
 from tvdeblur import KernelSpec, SolverConfig, degrade, make_kernel, make_phantom, solve
 
+try:
+    GLIBC = bool(os.confstr("CS_GNU_LIBC_VERSION"))
+except (AttributeError, ValueError, OSError):  # no confstr (Windows), or no such name (not glibc)
+    GLIBC = False
+
 PINNED_PEAKS = {
-    ("ftvd3", "iso", 128): 2_711_103,
-    ("ftvd3", "aniso", 128): 2_704_840,
-    ("ftvd4", "iso", 128): 3_312_736,
-    ("ftvd4", "aniso", 128): 3_320_920,
-    ("ftvd3", "aniso", 256): 10_186_496,
+    ("ftvd3", "iso", 128): 2_447_746,
+    ("ftvd3", "aniso", 128): 2_637_904,
+    ("ftvd4", "iso", 128): 2_918_080,
+    ("ftvd4", "aniso", 128): 3_187_160,
+    ("ftvd3", "aniso", 256): 9_987_960,
 }
 
 
@@ -49,6 +64,31 @@ def solve_peak(method, tv_variant, n):
 def test_solve_allocation_peak_is_pinned(method, tv_variant, n):
     peak, pinned, plane = solve_peak(method, tv_variant, n), PINNED_PEAKS[method, tv_variant, n], n * n * 8
     assert peak <= pinned + plane // 4, f"peak {peak / plane:.2f} planes, pinned {pinned / plane:.2f}"
+
+
+# Two identical solves in one fresh process: in the test process, glibc's dynamic thresholds, raised by
+# whatever earlier tests freed, could hide the faults.
+REPEATED_SOLVE = """
+import resource
+from tvdeblur import KernelSpec, SolverConfig, degrade, make_kernel, make_phantom, solve
+u0 = make_phantom(128)
+kernel = make_kernel(KernelSpec("average", 9))
+f = degrade(u0, kernel, 0.01, seed=7)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    solve("ftvd4", f, kernel, SolverConfig(mu=500.0, tv_variant="aniso"), ground_truth=u0)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not GLIBC, reason="the solver tunes the heap through glibc's mallopt only")
+def test_a_repeated_solve_takes_no_page_faults():
+    env = {**os.environ, "PYTHONPATH": str(Path(tvdeblur.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", REPEATED_SOLVE], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    faults = [int(line) for line in run.stdout.split()]
+    # with glibc's default thresholds the second solve faults its trimmed heap back in: about 11.6k faults
+    assert faults[1] <= 50, faults
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tvdeblur
-from tvdeblur import IterateRecord, IterateTrace, best_iterate, rel_change, snr_db
+from tvdeblur import IterateRecord, IterateTrace, best_iterate, make_phantom, rel_change, snr_db, write_pgm
 
 
 def test_equal_images_hit_the_cap():
@@ -148,3 +148,20 @@ def test_best_iterate_missing_scores():
         best_iterate(_fake_trace([3.0, None, 5.0]))
     with pytest.raises(ValueError):
         best_iterate(_fake_trace([]))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda u, tmp: write_pgm(tmp / "c.pgm", u + 1j), "image"),
+        (lambda u, tmp: snr_db(u + 1j, u), "scored image"),
+        (lambda u, tmp: rel_change(u + 1j, u), "u_new"),
+        (lambda u, tmp: rel_change(u, u + 1j), "u_old"),
+    ],
+    ids=["write_pgm", "snr_db", "rel_change_new", "rel_change_old"],
+)
+def test_complex_arrays_are_refused_by_name(tmp_path, call, name):
+    # without the check, the float64 cast drops the imaginary part with only a ComplexWarning
+    with pytest.raises(ValueError, match=f"{name} must be real"):
+        call(make_phantom(8), tmp_path)
+    assert not (tmp_path / "c.pgm").exists()

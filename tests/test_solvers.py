@@ -3,6 +3,7 @@ import pytest
 
 import tvdeblur
 from tvdeblur import (
+    IterateTrace,
     KernelSpec,
     SolverConfig,
     best_iterate,
@@ -474,6 +475,29 @@ def test_trace_keeps_arrays_on_best_and_final_only(request, name):
         kept = i in (best, len(trace.records) - 1)
         assert (r.u is not None, r.w is not None) == (kept, kept)
         assert (r.lam is not None) == (kept and name.startswith("ftvd4"))
+
+
+@pytest.mark.parametrize("with_truth", [True, False], ids=["ground_truth", "no_ground_truth"])
+@pytest.mark.parametrize("variant", ["iso", "aniso"])
+@pytest.mark.parametrize("method", ["ftvd3", "ftvd4"])
+def test_on_record_sees_arrays_on_the_best_so_far_and_the_current_record_only(method, variant, with_truth):
+    u0, kernel, f = phantom32_average3()
+    seen, holders = [], []
+
+    def on_record(r):
+        seen.append(r)
+        best = best_iterate(IterateTrace(seen, False)) if with_truth else None
+        expected = {best, len(seen) - 1} - {None}
+        for i, s in enumerate(seen):
+            assert (s.u is not None, s.w is not None) == (i in expected, i in expected), (i, expected)
+            assert (s.lam is not None) == (i in expected and method == "ftvd4")
+        holders.append(expected)
+
+    solve(method, f, kernel, SolverConfig(mu=500.0, tv_variant=variant), ground_truth=u0 if with_truth else None,
+          on_record=on_record)
+    assert len(seen) > 2
+    # with ground truth, a best record is held while later ones come and go
+    assert any(len(h) == 2 for h in holders) == with_truth
 
 
 def test_best_iterate_on_default_run(ftvd3_default_trace):
