@@ -63,9 +63,15 @@ def load_image(path) -> np.ndarray:
     """Load a grey-scale image normalized to [0, 1].
 
     PGM is handled natively; anything else goes through Pillow when it is
-    installed (the 'png' extra), and raises ValueError when it is not.
+    installed (the 'png' extra), and raises ValueError when it is not.  A
+    directory, or a path with no suffix to tell the format by, raises
+    ValueError naming the path.
     """
     path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"{path}: is a directory, not an image file")
+    if not path.suffix:
+        raise ValueError(f"{path}: has no image suffix (.pgm, or .png and the like with Pillow)")
     if path.suffix.lower() == ".pgm":
         return read_pgm(path)
     try:

@@ -50,10 +50,10 @@ def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> tuple[np.ndarray
     if tv_variant == "iso":
         scale = pixel_norms(v)
         denom = np.maximum(scale, t)
-        scale -= t  # in the norm's buffer: a fresh one adds 2.1 MB of tracemalloc peak (ftvd3-iso, 512²)
-        np.maximum(scale, 0.0, out=scale)
+        np.subtract(denom, t, out=scale)  # max(||v_i||, t) - t is max(||v_i|| - t, 0), bit for bit, in one pass
         norm_sum = float(scale.sum())
         scale /= denom
+        del denom
         return v * scale[..., None], norm_sum
     if tv_variant == "aniso":
         out = np.clip(v, -t, t)

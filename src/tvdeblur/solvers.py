@@ -106,8 +106,9 @@ class IterateRecord:
     the paper's lambda is ``beta * lam``.  ``solve`` drops them by one rule:
     when a stage starts, the last record gives them up unless it is the
     best so far by SNR (earliest on ties; there is none without ground
-    truth), and when a new record beats the best, the old best gives them
-    up.  A returned trace thus keeps them on its best and last records only.
+    truth), and as soon as a stage's SNR beats the best, the old best gives
+    them up.  A returned trace thus keeps them on its best and last records
+    only.
     """
 
     stage_index: int
@@ -139,38 +140,34 @@ def _make_record(
     stage_index: int,
     inner_iter: int,
     u: np.ndarray,
-    u_hat: np.ndarray,
     du: np.ndarray,
     w: np.ndarray,
     w_norm_sum: float | None,
-    gap: np.ndarray,
+    gap_sq: np.ndarray,
+    fidelity: float,
     lam: np.ndarray | None,
     rc: float,
-    system: spectral.USystem,
+    beta: float,
     cfg: SolverConfig,
-    snr: Callable[[np.ndarray], float] | None,
+    snr_db: float | None,
 ) -> IterateRecord:
-    """Score one iterate in one pass.
+    """Score one iterate and make its record.
 
-    ``u_hat`` is u's half spectrum from ``solve_u``; the fidelity
-    mu/2 ||K u - f||^2 is taken from it by Parseval and shared, with D u
-    and gap = w - D u (passed in), by the three scores: the TV objective,
-    the penalty objective sum ||w_i|| + beta/2 ||w - D u||^2 +
-    mu/2 ||K u - f||^2, and the largest per-pixel ||w_i - D_i u||.  The
-    per-pixel sums of gap's squares serve the last two; sum ||w_i|| is
-    ``shrink``'s ``w_norm_sum``, or taken from ``pixel_norms(w)`` when None.
-    ``u_hat`` is overwritten.  ``snr`` is a ``metrics.snr_scorer`` or None.
-    Raises FloatingPointError when a score is not finite.
+    ``solve`` forms ``fidelity`` (mu/2 ||K u - f||^2), ``gap_sq`` (the
+    per-pixel ||w_i - D_i u||^2) and ``snr_db`` (None without ground truth)
+    where it can drop the arrays they are read from.  gap_sq and D u serve
+    the other scores: the TV objective, the penalty objective
+    sum ||w_i|| + beta/2 ||w - D u||^2 + mu/2 ||K u - f||^2, and the
+    largest per-pixel ||w_i - D_i u||.  sum ||w_i|| is ``shrink``'s
+    ``w_norm_sum``, or taken from ``pixel_norms(w)`` when None.  Raises
+    FloatingPointError when a score is not finite.
     """
-    beta = system.beta
-    fidelity = 0.5 * cfg.mu * spectral.residual_sq(system, u_hat)
-    gap_sq = np.einsum("ijk,ijk->ij", gap, gap)  # ||w_i - D_i u||^2 per pixel, in one pass
     # the largest iso norm: sqrt is monotone, so it is the root of the largest dx^2 + dy^2
     constraint = math.sqrt(gap_sq.max())
     w_tv = float(pixel_norms(w, cfg.tv_variant).sum()) if w_norm_sum is None else w_norm_sum
     penalty = w_tv + 0.5 * beta * float(gap_sq.sum())
     scores = {
-        "snr_db": None if snr is None else snr(u),
+        "snr_db": snr_db,
         "objective_tv": float(pixel_norms(du, cfg.tv_variant).sum()) + fidelity,
         "penalty_objective": penalty + fidelity,
         "constraint_residual": constraint,
@@ -242,6 +239,11 @@ def solve(
     lam = 0.0 if multipliers else None  # lambda/beta; the first multiplier update makes it a field
     system = None
     converged = True
+    # Liveness: every array is unbound (del) at its last read, so each step allocates while only what
+    # a later step reads is live, and a read past that point raises instead of holding memory.  The
+    # old best record's arrays go as soon as the stage's SNR beats it, before the gap field is formed.
+    # Without these releases the tracemalloc peak at 512² (phantom, average:9, seed 7) is 17.0 planes
+    # rather than 13.1 (ftvd3-iso) and 22.0 rather than 19.0 (ftvd4-iso); tests/test_memory.py pins it.
     for stage, beta in enumerate(betas):
         if records and records[-1] is not best:  # the retention rule, in two parts: this one and the new best's below
             records[-1].u = records[-1].w = records[-1].lam = None
@@ -250,27 +252,36 @@ def solve(
         stage_start = u
         for it in range(1, max_inner + 1):
             w, w_norm_sum = shrink(du if lam is None else lam + du, 1.0 / beta, cfg.tv_variant)
+            del du
             u_new, u_hat = spectral.solve_u(system, w if lam is None else w - lam)
             rc = rel_change(u_new, u)
             if not math.isfinite(rc):
                 raise FloatingPointError(
                     f"the solve diverged at stage {stage} (beta {beta}), inner iteration {it}: relative change {rc}"
                 )
-            u, du = u_new, forward_diff(u_new)
-            if rc < cfg.tol:
+            u = u_new
+            du = forward_diff(u)
+            if rc < cfg.tol or it == max_inner:
                 break
+            del w, u_hat
         stage_converged = rc < cfg.tol
         converged = stage_converged and (converged or multipliers)
-        gap = w - du
-        if multipliers:
-            lam = lam - gap  # a new array: the best record may hold the old lam
+        fidelity = 0.5 * cfg.mu * spectral.residual_sq(system, u_hat)  # mu/2 ||K u - f||^2, in u^'s buffer
+        del u_hat
         stage_rc = rc if it == 1 else rel_change(u, stage_start)  # after one alternation they are equal
-        record = _make_record(stage, it, u, u_hat, du, w, w_norm_sum, gap, lam, stage_rc, system, cfg, snr)
-        # kept into the next stage, they would add 4.2 MB (ftvd3-iso) and 6.3 MB (ftvd4-iso) of tracemalloc peak at 512²
-        u_hat = gap = None
-        if snr is not None and (best is None or best_index((best.snr_db, record.snr_db)) == 1):
-            if best is not None:
-                best.u = best.w = best.lam = None
+        del stage_start
+        snr_db = None if snr is None else snr(u)
+        if best is not None and best_index((best.snr_db, snr_db)) == 1:
+            best.u = best.w = best.lam = None
+            best = None
+        gap = w - du
+        gap_sq = np.einsum("ijk,ijk->ij", gap, gap)  # ||w_i - D_i u||^2 per pixel, in one pass
+        if multipliers:
+            lam = np.subtract(lam, gap, out=gap)  # in gap's buffer, not the old lam's: the best record may hold that
+        del gap
+        record = _make_record(stage, it, u, du, w, w_norm_sum, gap_sq, fidelity, lam, stage_rc, beta, cfg, snr_db)
+        del w, gap_sq
+        if snr is not None and best is None:
             best = record
         records.append(record)
         if on_record is not None:

@@ -385,6 +385,22 @@ def test_png_input_without_pillow_exits_one(tmp_path, capsys):
     assert "error: loading .png files requires Pillow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "arg, message",
+    [
+        ("{d}/", "{d}: is a directory, not an image file"),
+        ("{d}/gt", "{d}/gt: has no image suffix (.pgm, or .png and the like with Pillow)"),
+    ],
+    ids=["directory", "no_suffix"],
+)
+def test_input_path_that_names_no_image_file_exits_one_naming_it(tmp_path, capsys, arg, message):
+    write_pgm(tmp_path / "gt", tvdeblur.make_phantom(16))  # a PGM by content, but no suffix tells the format
+    out = tmp_path / "o"
+    assert cli.main(["deblur", "--input-path", arg.format(d=tmp_path), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(d=tmp_path)}\n"
+    assert not out.exists()
+
+
 def test_import_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(tvdeblur.__file__).resolve().parents[1])}
     code = "import sys, tvdeblur; sys.exit('scipy' in sys.modules)"

@@ -6,6 +6,7 @@ from a caller must give the same values.
 """
 
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from tvdeblur import (
     make_phantom,
     solve,
 )
-from tvdeblur import solvers, spectral
+from tvdeblur import spectral
 from tvdeblur.shrinkage import pixel_norms, shrink
 
 
@@ -57,17 +58,19 @@ def test_a_mixed_layout_op_falls_back_to_interleaved():
 
 @pytest.mark.parametrize("method", ["ftvd3", "ftvd4"])
 @pytest.mark.parametrize("tv_variant", ["iso", "aniso"])
-def test_solver_fields_stay_plane_major(monkeypatch, method, tv_variant):
-    seen = []
-    original = solvers._make_record
-    signature = inspect.signature(original)
+def test_solver_fields_stay_plane_major(method, tv_variant):
+    # the fields live in solve's own locals, each only up to its last read, so a line tracer on
+    # solve's frame looks at every one of them on every line it is bound
+    layouts = {}
+    code = inspect.unwrap(solve).__code__
 
-    def checking(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs).arguments
-        seen.append({name: plane_major(bound[name]) for name in ("du", "w", "gap", "lam") if bound[name] is not None})
-        return original(*args, **kwargs)
+    def check_locals(frame, event, arg):
+        for name in ("du", "w", "gap", "lam"):
+            field = frame.f_locals.get(name)
+            if isinstance(field, np.ndarray):  # lam starts as the scalar 0.0
+                layouts.setdefault(name, set()).add(plane_major(field))
+        return check_locals
 
-    monkeypatch.setattr(solvers, "_make_record", checking)
     u0 = make_phantom(32)
     kernel = make_kernel(KernelSpec("average", 5))
     cfg = SolverConfig(mu=500.0, tv_variant=tv_variant, max_inner_iters=5, max_multiplier_updates=5)
@@ -76,11 +79,15 @@ def test_solver_fields_stay_plane_major(monkeypatch, method, tv_variant):
     def on_record(r):
         recorded.append(plane_major(r.w) and (r.lam is None or plane_major(r.lam)))
 
-    solve(method, degrade(u0, kernel, 0.01, seed=0), kernel, cfg, ground_truth=u0, on_record=on_record)
-    assert len(seen) == len(recorded) > 1
-    expected = {"du", "w", "gap", "lam"} if method == "ftvd4" else {"du", "w", "gap"}
-    assert all(checks == dict.fromkeys(expected, True) for checks in seen)
-    assert all(recorded)
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: check_locals if frame.f_code is code else None)
+    try:
+        solve(method, degrade(u0, kernel, 0.01, seed=0), kernel, cfg, ground_truth=u0, on_record=on_record)
+    finally:
+        sys.settrace(previous)
+    expected = ("du", "w", "gap", "lam") if method == "ftvd4" else ("du", "w", "gap")
+    assert layouts == {name: {True} for name in expected}
+    assert len(recorded) > 1 and all(recorded)
 
 
 @pytest.mark.parametrize("tv_variant", ["iso", "aniso"])

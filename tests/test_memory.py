@@ -1,14 +1,16 @@
 """Each solve's allocation peak, pinned, and the page faults of a repeated solve.
 
 The four solves (ftvd3/ftvd4 x iso/aniso) run the standard protocol at 128²
-(phantom, ``average:9``, sigma 0.01, mu 500, seed 7) under ``tracemalloc``,
-which counts every block numpy and Python allocate.  That peak repeats to
-within about 10 KB in every process, whereas the process RSS moves by
-megabytes with allocation order alone, so a change that raises a peak fails
-here instead of hiding in RSS noise.  Each peak may exceed its pin by at
-most a quarter plane (one plane is n²·8 bytes).  ftvd3-aniso runs at 256²
-as well: at 128² its peak is not set in the w-step, so a w-step that
-allocates one plane more shows only at the larger size.
+and 256² (phantom, ``average:9``, sigma 0.01, mu 500, seed 7) under
+``tracemalloc``, which counts every block numpy and Python allocate.  That
+peak repeats to within about 10 KB in every process, whereas the process
+RSS moves by megabytes with allocation order alone, so a change that raises
+a peak fails here instead of hiding in RSS noise.  Each peak may exceed its
+pin by at most a quarter plane (one plane is n²·8 bytes).  Both sizes are
+pinned because the peak sits at a different step at each (whether a stage's
+SNR beats the best record's decides which arrays are live), so some of
+``solve``'s releases show at one size only; undoing any one of them, or
+``shrink``'s, fails at least one pin.
 
 Importing the solver raises glibc's trim and mmap thresholds, so a
 process keeps the heap a solve frees: under glibc, a repeated solve takes
@@ -38,11 +40,14 @@ except (AttributeError, ValueError, OSError):  # no confstr (Windows), or no suc
     GLIBC = False
 
 PINNED_PEAKS = {
-    ("ftvd3", "iso", 128): 2_447_746,
-    ("ftvd3", "aniso", 128): 2_637_904,
-    ("ftvd4", "iso", 128): 2_918_080,
-    ("ftvd4", "aniso", 128): 3_187_160,
-    ("ftvd3", "aniso", 256): 9_987_960,
+    ("ftvd3", "iso", 128): 2_054_185,
+    ("ftvd3", "aniso", 128): 2_111_216,
+    ("ftvd4", "iso", 128): 2_588_768,
+    ("ftvd4", "aniso", 128): 2_660_488,
+    ("ftvd3", "iso", 256): 7_887_444,
+    ("ftvd3", "aniso", 256): 7_887_492,
+    ("ftvd4", "iso", 256): 8_435_912,
+    ("ftvd4", "aniso", 256): 10_018_136,
 }
 
 
