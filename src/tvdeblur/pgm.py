@@ -65,7 +65,8 @@ def load_image(path) -> np.ndarray:
     PGM is handled natively; anything else goes through Pillow when it is
     installed (the 'png' extra), and raises ValueError when it is not.  A
     directory, or a path with no suffix to tell the format by, raises
-    ValueError naming the path.
+    ValueError naming the path; a missing file raises FileNotFoundError
+    naming it, whatever its suffix.
     """
     path = Path(path)
     if path.is_dir():
@@ -74,6 +75,7 @@ def load_image(path) -> np.ndarray:
         raise ValueError(f"{path}: has no image suffix (.pgm, or .png and the like with Pillow)")
     if path.suffix.lower() == ".pgm":
         return read_pgm(path)
+    path.stat()  # a missing file raises FileNotFoundError naming it, not the ImportError below
     try:
         from PIL import Image
     except ImportError as exc:

@@ -11,6 +11,8 @@ t = 1/beta.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grid_ops import is_number
@@ -32,7 +34,7 @@ def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
 
 
 def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> tuple[np.ndarray, float | None]:
-    """The w-step: the per-pixel prox of ``pixel_norms`` at threshold t > 0, and the sum of its norms.
+    """The w-step: the per-pixel prox of ``pixel_norms`` at a finite threshold t > 0, and the sum of its norms.
 
     'iso' is radial 2-vector shrinkage, out_i = v_i * max(||v_i|| - t, 0) /
     max(||v_i||, t): the usual radial factor where ||v_i|| > t, and exactly
@@ -43,10 +45,10 @@ def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> tuple[np.ndarray
     becomes +0.0).  Returns (out, s): for 'iso', s = sum_i ||out_i|| =
     sum_i max(||v_i|| - t, 0), summed before that buffer becomes the radial
     factor; for 'aniso', whose prox forms no norm, s is None.  Raises
-    ValueError unless t is a real number > 0.
+    ValueError unless t is a finite real number > 0.
     """
-    if not is_number(t) or not t > 0:
-        raise ValueError(f"shrinkage threshold must be > 0, got {t!r}")
+    if not is_number(t) or not 0 < t < math.inf:  # an infinite t makes the iso prox inf - inf, NaN
+        raise ValueError(f"shrinkage threshold must be > 0 and finite, got {t!r}")
     if tv_variant == "iso":
         scale = pixel_norms(v)
         denom = np.maximum(scale, t)

@@ -33,16 +33,14 @@ def _keep_freed_heap() -> None:
     """Make glibc keep the heap a solve frees, so the next alternation reuses it without page faults.
 
     With glibc's defaults the heap top is trimmed whenever 128 KB or more
-    is free there, and the next pass faults the pages back in: a repeated
-    512² solve took 21.7k–27.5k (ftvd3) and 15.2k–25.2k (ftvd4) minor page
-    faults.  With the mmap threshold at 32 MiB (the ceiling glibc documents
-    on 64-bit) and the trim threshold at 1 GiB it takes 0–2, and in
-    separate processes of 5 solves ftvd3 ran 6–15% faster (3 of 3 seeds).
-    Both are needed: setting the trim threshold alone also pins the mmap
-    threshold at 128 KB, so every array is mmapped (676k faults per ftvd3
-    solve), and a 16 MiB trim threshold brings back 7k–10k faults.  The
-    price is that a process keeps the heap it freed.  Where there is no
-    ``mallopt`` (not glibc), this does nothing.
+    is free there, and a repeated 512² solve faults 15k–27k pages back in.
+    With the mmap threshold at 32 MiB (glibc's 64-bit ceiling) and the trim
+    threshold at 1 GiB it takes 0–2; on a 2-vCPU Xeon the bench's median
+    ``wall_s`` falls 1.324 → 1.186 s (ftvd3-512), 1.112 → 1.052 s (ftvd4-512)
+    and 0.263 → 0.252 s (cli-128), in 8–9 of 10 pairs (BENCH_allocator.json).
+    The trim threshold alone would pin the mmap threshold at 128 KB and
+    mmap every array.  README states the cost to a host process.  Where
+    there is no ``mallopt`` (not glibc), this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -89,18 +87,25 @@ class SolverConfig:
             raise ValueError(f"beta_schedule must be a nonempty sequence of real numbers, got {betas!r}")
         if not all(is_number(b) for b in betas):
             raise ValueError(f"beta_schedule entries must be real numbers, got {betas!r}")
-        if not all(0 < b < math.inf for b in betas):
-            raise ValueError(f"beta_schedule entries must be positive and finite, got {betas}")
+        if not all(2.0**-1024 < b < math.inf for b in betas):  # at or below 2^-1024, shrink's 1/beta overflows
+            raise ValueError(f"beta_schedule entries must be positive and finite with 1/beta finite, got {betas}")
         if any(b1 >= b2 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("beta_schedule must be strictly ascending")
-        if not 0 < self.beta_fixed < math.inf:
-            raise ValueError(f"beta_fixed must be positive and finite, got {self.beta_fixed}")
+        if not 2.0**-1024 < self.beta_fixed < math.inf:
+            raise ValueError(f"beta_fixed must be positive and finite with 1/beta finite, got {self.beta_fixed}")
 
 
 @dataclass
 class IterateRecord:
     """One recorded stage: its scores, its metadata and, while kept, its arrays.
 
+    The scores are those of the stage's last iterate, with ||.|| per pixel as
+    in ``pixel_norms`` (2-norm for iso, 1-norm for aniso): ``snr_db`` is u's
+    SNR against the ground truth (None without one), ``objective_tv`` is
+    sum_i ||D_i u|| + mu/2 ||K u - f||^2, ``penalty_objective`` is
+    (sum_i ||w_i|| + beta/2 ||w - D u||^2) + mu/2 ||K u - f||^2,
+    ``constraint_residual`` the largest per-pixel 2-norm ||w_i - D_i u||_2
+    (either variant) and ``rel_change`` the ``rel_change`` of u over the stage.
     ``u``, ``w`` and ``lam`` (None for ftvd3) are set when the record is
     passed to ``on_record``.  ``lam`` is the scaled multiplier lambda/beta:
     the paper's lambda is ``beta * lam``.  ``solve`` drops them by one rule:
@@ -136,52 +141,6 @@ class IterateTrace:
         return self.records
 
 
-def _make_record(
-    stage_index: int,
-    inner_iter: int,
-    u: np.ndarray,
-    du: np.ndarray,
-    w: np.ndarray,
-    w_norm_sum: float | None,
-    gap_sq: np.ndarray,
-    fidelity: float,
-    lam: np.ndarray | None,
-    rc: float,
-    beta: float,
-    cfg: SolverConfig,
-    snr_db: float | None,
-) -> IterateRecord:
-    """Score one iterate and make its record.
-
-    ``solve`` forms ``fidelity`` (mu/2 ||K u - f||^2), ``gap_sq`` (the
-    per-pixel ||w_i - D_i u||^2) and ``snr_db`` (None without ground truth)
-    where it can drop the arrays they are read from.  gap_sq and D u serve
-    the other scores: the TV objective, the penalty objective
-    sum ||w_i|| + beta/2 ||w - D u||^2 + mu/2 ||K u - f||^2, and the
-    largest per-pixel ||w_i - D_i u||.  sum ||w_i|| is ``shrink``'s
-    ``w_norm_sum``, or taken from ``pixel_norms(w)`` when None.  Raises
-    FloatingPointError when a score is not finite.
-    """
-    # the largest iso norm: sqrt is monotone, so it is the root of the largest dx^2 + dy^2
-    constraint = math.sqrt(gap_sq.max())
-    w_tv = float(pixel_norms(w, cfg.tv_variant).sum()) if w_norm_sum is None else w_norm_sum
-    penalty = w_tv + 0.5 * beta * float(gap_sq.sum())
-    scores = {
-        "snr_db": snr_db,
-        "objective_tv": float(pixel_norms(du, cfg.tv_variant).sum()) + fidelity,
-        "penalty_objective": penalty + fidelity,
-        "constraint_residual": constraint,
-        "rel_change": rc,
-    }
-    bad = [f"{name} {value}" for name, value in scores.items() if value is not None and not math.isfinite(value)]
-    if bad:
-        raise FloatingPointError(
-            f"non-finite scores at stage {stage_index}, inner iteration {inner_iter} ({', '.join(bad)}): "
-            "the solve diverged or overflowed"
-        )
-    return IterateRecord(stage_index=stage_index, inner_iter=inner_iter, beta=beta, u=u, w=w, lam=lam, **scores)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate or score is detected below and raised
 def solve(
     method: str,
@@ -209,14 +168,13 @@ def solve(
       the first stage below cfg.tol or after cfg.max_multiplier_updates.
 
     The u-subproblem is prepared once per distinct beta.  Each stage record
-    carries the relative change over the whole stage and goes to
-    ``on_record`` as soon as it is scored, when it and the best record so
-    far are the only ones holding arrays (``IterateRecord`` states the
-    retention rule).  ``ground_truth`` must be a finite image of ``f``'s
-    shape.  An invalid ``f`` or ``cfg``, an unknown ``method``, a bad ground
-    truth, bad taps or a cache of another size (``prepare_u`` checks it)
-    raises ValueError before the first alternation; taps become a cache
-    only once the rest has passed.
+    goes to ``on_record`` as soon as it is scored, when it and the best
+    record so far are the only ones holding arrays (``IterateRecord``
+    defines the scores and states the retention rule).  ``ground_truth``
+    must be a finite image of ``f``'s shape.  An invalid ``f`` or ``cfg``,
+    an unknown ``method``, a bad ground truth, bad taps or a cache of
+    another size (``prepare_u`` checks it) raises ValueError before the
+    first alternation; taps become a cache only once the rest has passed.
     Raises FloatingPointError when the relative change or a score is not
     finite (the iteration diverged), so numpy's overflow and invalid-value
     warnings are off for the whole solve, ``on_record`` included.
@@ -279,8 +237,25 @@ def solve(
         if multipliers:
             lam = np.subtract(lam, gap, out=gap)  # in gap's buffer, not the old lam's: the best record may hold that
         del gap
-        record = _make_record(stage, it, u, du, w, w_norm_sum, gap_sq, fidelity, lam, stage_rc, beta, cfg, snr_db)
-        del w, gap_sq
+        constraint = math.sqrt(gap_sq.max())  # the largest iso norm, as sqrt is monotone: no per-pixel root
+        gap_term = 0.5 * beta * float(gap_sq.sum())
+        del gap_sq
+        w_tv = float(pixel_norms(w, cfg.tv_variant).sum()) if w_norm_sum is None else w_norm_sum
+        scores = {
+            "snr_db": snr_db,
+            "objective_tv": float(pixel_norms(du, cfg.tv_variant).sum()) + fidelity,
+            "penalty_objective": (w_tv + gap_term) + fidelity,
+            "constraint_residual": constraint,
+            "rel_change": stage_rc,
+        }
+        bad = [f"{name} {value}" for name, value in scores.items() if value is not None and not math.isfinite(value)]
+        if bad:
+            raise FloatingPointError(
+                f"non-finite scores at stage {stage}, inner iteration {it} ({', '.join(bad)}): "
+                "the solve diverged or overflowed"
+            )
+        record = IterateRecord(stage_index=stage, inner_iter=it, beta=beta, u=u, w=w, lam=lam, **scores)
+        del w
         if snr is not None and best is None:
             best = record
         records.append(record)

@@ -28,10 +28,17 @@ from tvdeblur import (
     solve_u,
     write_pgm,
 )
+from tvdeblur.spectral import residual_sq
 
 from conftest import piecewise_constant_phantom, stack_field
 from objectives import eval_penalty_objective
 from oracle import dense_operator, reference_tv_solve
+
+# A flux-1 blur that is not point-symmetric, so K^ is complex and K^T is not K: a u-step that
+# drops conj(K^) passes with every KernelSpec kind (all symmetric) but fails c03 with this one.
+SKEWED_TAPS = np.random.default_rng(5).uniform(0.0, 1.0, (5, 5))
+SKEWED_TAPS /= SKEWED_TAPS.sum()
+assert not np.allclose(SKEWED_TAPS, SKEWED_TAPS[::-1, ::-1])
 
 
 def _report(index, name):
@@ -58,15 +65,15 @@ def test_c01_operator_correctness():
         for n in (4, 8, 16):
             dmat = dense_operator("D", n)
             dtmat = dense_operator("Dt", n)
-            kernel = make_kernel(KernelSpec("average", 3))
-            kmat = dense_operator("K", n, kernel)
-            cache = build_cache(kernel, n)
+            kernels = (make_kernel(KernelSpec("average", 3)), SKEWED_TAPS)
+            blurs = [(build_cache(k, n), dense_operator("K", n, k)) for k in kernels if k.shape[0] <= n]
             for _ in range(50):
                 u = rng.standard_normal((n, n))
                 g = rng.standard_normal((n, n, 2))
                 assert np.abs(stack_field(forward_diff(u)) - dmat @ u.ravel()).max() <= 1e-10
                 assert np.abs(divergence_adjoint(g).ravel() - dtmat @ stack_field(g)).max() <= 1e-10
-                assert np.abs(apply_kernel(cache, u).ravel() - kmat @ u.ravel()).max() <= 1e-10
+                for cache, kmat in blurs:
+                    assert np.abs(apply_kernel(cache, u).ravel() - kmat @ u.ravel()).max() <= 1e-10
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0
         rep.passed()
@@ -89,21 +96,25 @@ def test_c03_u_subproblem_exactness():
     with _report(3, "solve_u matches dense normal equations (rel <= 1e-8)") as rep:
         rng = np.random.default_rng(103)
         n = 8
-        kernel = make_kernel(KernelSpec("gaussian", 3, 0.8))
-        cache = build_cache(kernel, n)
-        kmat = dense_operator("K", n, kernel)
         dmat = dense_operator("D", n)
-        for _ in range(20):
-            mu = float(10 ** rng.uniform(-1, 3))
-            beta = float(10 ** rng.uniform(-1, 3))
-            f = rng.standard_normal((n, n))
-            w = rng.standard_normal((n, n, 2))
-            lam = rng.standard_normal((n, n, 2))
-            u, _ = solve_u(prepare_u(f, mu, beta, cache), w - lam / beta)
-            a = mu * kmat.T @ kmat + beta * dmat.T @ dmat
-            rhs = mu * kmat.T @ f.ravel() + dmat.T @ (beta * stack_field(w) - stack_field(lam))
-            u_dense = np.linalg.solve(a, rhs)
-            assert np.linalg.norm(u.ravel() - u_dense) <= 1e-8 * np.linalg.norm(u_dense)
+        for kernel in (make_kernel(KernelSpec("gaussian", 3, 0.8)), SKEWED_TAPS):
+            cache = build_cache(kernel, n)
+            kmat = dense_operator("K", n, kernel)
+            for _ in range(20):
+                mu = float(10 ** rng.uniform(-1, 3))
+                beta = float(10 ** rng.uniform(-1, 3))
+                f = rng.standard_normal((n, n))
+                w = rng.standard_normal((n, n, 2))
+                lam = rng.standard_normal((n, n, 2))
+                system = prepare_u(f, mu, beta, cache)
+                u, u_hat = solve_u(system, w - lam / beta)
+                a = mu * kmat.T @ kmat + beta * dmat.T @ dmat
+                rhs = mu * kmat.T @ f.ravel() + dmat.T @ (beta * stack_field(w) - stack_field(lam))
+                u_dense = np.linalg.solve(a, rhs)
+                assert np.linalg.norm(u.ravel() - u_dense) <= 1e-8 * np.linalg.norm(u_dense)
+                # the fidelity a solve records, from the same u^: ||K u - f||^2 by Parseval
+                r = kmat @ u.ravel() - f.ravel()
+                assert abs(residual_sq(system, u_hat) - r @ r) <= 1e-10 * (r @ r)
         rep.passed()
 
 

@@ -82,9 +82,12 @@ def test_help_still_prints_and_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: tvdeblur deblur")
 
 
-def test_missing_input_file_returns_one(tmp_path):
-    rc = cli.main(["degrade", "--input", str(tmp_path / "nope.pgm"), "--out", str(tmp_path / "f.pgm")])
-    assert rc == 1
+def test_missing_input_file_returns_one(tmp_path, capsys):
+    # a missing .png is named as missing, as a .pgm is, not blamed on Pillow, whether or not that is installed
+    for missing in (tmp_path / "nope.pgm", tmp_path / "nope.png"):
+        rc = cli.main(["degrade", "--input", str(missing), "--out", str(tmp_path / "f.pgm")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_numerical_failure_returns_two(tmp_path, monkeypatch):
@@ -215,6 +218,8 @@ def test_degrade_defaults_are_the_deblur_defaults(monkeypatch):
         (["--mu", "inf"], "mu"),
         (["--beta-fixed", "inf"], "beta_fixed"),
         (["--beta-schedule", "1,inf"], "beta_schedule"),
+        (["--beta-fixed", "1e-320"], "beta_fixed"),  # finite, but shrink's threshold 1/beta is not
+        (["--beta-schedule", "1e-320,1"], "beta_schedule"),
         (["--mu", "500", "--sigma", "nan"], "sigma"),
     ],
 )
@@ -390,8 +395,9 @@ def test_png_input_without_pillow_exits_one(tmp_path, capsys):
     [
         ("{d}/", "{d}: is a directory, not an image file"),
         ("{d}/gt", "{d}/gt: has no image suffix (.pgm, or .png and the like with Pillow)"),
+        ("{d}/missing.png", "[Errno 2] No such file or directory: '{d}/missing.png'"),
     ],
-    ids=["directory", "no_suffix"],
+    ids=["directory", "no_suffix", "missing_png"],
 )
 def test_input_path_that_names_no_image_file_exits_one_naming_it(tmp_path, capsys, arg, message):
     write_pgm(tmp_path / "gt", tvdeblur.make_phantom(16))  # a PGM by content, but no suffix tells the format

@@ -41,9 +41,9 @@ except (AttributeError, ValueError, OSError):  # no confstr (Windows), or no suc
 
 PINNED_PEAKS = {
     ("ftvd3", "iso", 128): 2_054_185,
-    ("ftvd3", "aniso", 128): 2_111_216,
+    ("ftvd3", "aniso", 128): 2_047_816,
     ("ftvd4", "iso", 128): 2_588_768,
-    ("ftvd4", "aniso", 128): 2_660_488,
+    ("ftvd4", "aniso", 128): 2_597_032,
     ("ftvd3", "iso", 256): 7_887_444,
     ("ftvd3", "aniso", 256): 7_887_492,
     ("ftvd4", "iso", 256): 8_435_912,

@@ -125,10 +125,10 @@ def test_prox_optimality_on_random_cloud():
 
 def test_threshold_must_be_positive():
     v = np.zeros((3, 3, 2))
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError, match=f"shrinkage threshold must be > 0, got {bad}"):
+    for bad in (0.0, -1.0, np.inf):  # an infinite one would make the iso prox inf - inf, NaN, where it is 0
+        with pytest.raises(ValueError, match=f"shrinkage threshold must be > 0 and finite, got {bad}"):
             shrink(v, bad, "iso")
-        with pytest.raises(ValueError, match=f"shrinkage threshold must be > 0, got {bad}"):
+        with pytest.raises(ValueError, match=f"shrinkage threshold must be > 0 and finite, got {bad}"):
             shrink(v, bad, "aniso")
 
 

@@ -298,7 +298,8 @@ def test_config_validation():
         SolverConfig(mu=1.0, tv_variant="huber").validate()
     with pytest.raises(ValueError):
         SolverConfig(mu=1.0, beta_fixed=0.0).validate()
-    for bad in ({"mu": np.inf}, {"mu": np.nan}, {"beta_fixed": np.inf}, {"beta_schedule": (1.0, np.inf)}):
+    for bad in ({"mu": np.inf}, {"mu": np.nan}, {"beta_fixed": np.inf}, {"beta_schedule": (1.0, np.inf)},
+                {"beta_fixed": 1e-320}, {"beta_schedule": (np.float64(1e-320), 1.0)}):  # 1/beta overflows
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(**{"mu": 1.0, **bad}).validate()
     not_numbers = [
@@ -390,7 +391,8 @@ def test_large_finite_input_keeps_finite_scores(method):
 @pytest.mark.parametrize("method", ["ftvd3", "ftvd4"])
 def test_non_finite_snr_raises_floating_point_error(pc16, method):
     # the iterates stay finite, but the ground truth's energy overflows: the record check catches it
-    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="snr_db nan"):
+    message = r"^non-finite scores at stage 0, inner iteration \d+ \(snr_db nan\): the solve diverged or overflowed$"
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=message):
         solve(method, pc16["f"], pc16["kernel"], SolverConfig(mu=500.0), ground_truth=1e155 * pc16["u0"])
 
 
