@@ -30,8 +30,15 @@ DY = 1
 
 
 def is_number(value, integer: bool = False) -> bool:
-    """The one number rule: a real number, or with ``integer`` an integer; numpy scalars count, a bool is neither."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral if integer else numbers.Real)
+    """The one number rule: a real a float64 holds, or with ``integer`` any integer; numpy scalars count, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        return False
+    if not integer:
+        try:
+            float(value)  # a real past the float64 range (a huge int) would raise OverflowError where it is used
+        except OverflowError:
+            return False
+    return True
 
 
 def check_real(a, name: str) -> None:

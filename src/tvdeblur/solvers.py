@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -183,8 +182,8 @@ def solve(
     cfg.validate()
     if method == "ftvd3":
         betas, max_inner, multipliers = cfg.beta_schedule, cfg.max_inner_iters, False
-    elif method == "ftvd4":  # a lazy repeat, so a cycle cap costs nothing up front
-        betas, max_inner, multipliers = itertools.repeat(cfg.beta_fixed, cfg.max_multiplier_updates), 1, True
+    elif method == "ftvd4":  # a lazy generator over range, so a cycle cap of any size costs nothing up front
+        betas, max_inner, multipliers = (cfg.beta_fixed for _ in range(cfg.max_multiplier_updates)), 1, True
     else:
         raise ValueError(f"unknown solver {method!r} (expected 'ftvd3' or 'ftvd4')")
     if ground_truth is not None and np.shape(ground_truth) != f.shape:

@@ -6,6 +6,9 @@ one would otherwise show only as a failed bench run.
 
 import dataclasses
 import importlib
+import importlib.util
+import sys
+from pathlib import Path
 
 # ROADMAP item 2 moves the bench to the current names (solve, records, snr_scorer) and removes the
 # entries it no longer reads from this list in the same change.
@@ -49,3 +52,15 @@ def test_every_name_the_bench_looks_up_exists():
                     break
                 owner = getattr(owner, part, None)
     assert not missing, f"bench/ looks up names the package no longer has: {missing}"
+
+
+def test_cli_128_jobs_pass_the_bench_checks_at_seed_0(tmp_path, monkeypatch):
+    # bench/worker.py's own checks: the seed-0 counts and SNRs in bench/reference.json, summary.txt against
+    # trace.csv, and the shape of every PGM; each job's output directory is made and removed under tmp_path
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # so loading worker.py leaves no __pycache__ in bench/
+    spec = importlib.util.spec_from_file_location("bench_worker", Path(__file__).parents[1] / "bench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    load = worker.CliWorkload("cli-128", 0, tmp_path)
+    for job in worker.CLI_JOBS:
+        load.inprocess_job(job)

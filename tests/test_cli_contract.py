@@ -1,4 +1,4 @@
-"""The command-line contract of `tvdeblur deblur`, property-tested.
+"""The command-line contract: property-tested for `tvdeblur deblur`, and one table of refusals.
 
 Whatever the options, a run exits 0, 1 (bad input) or 2 (numerical
 failure).  A failure prints exactly one `error:` or `numerical failure:`
@@ -7,9 +7,13 @@ directory.  A successful run scores finite SNRs, and rerunning it gives
 byte-identical files.  Examples are derandomized so that every run checks
 the same cases; temp dirs come from `tempfile`, since one function-scoped
 `tmp_path` would be shared by all examples.
+
+``REFUSALS`` lists every refusal of every command by its exact stderr line:
+a new one is a row there, not a test of its own.
 """
 
 import contextlib
+import importlib.util
 import io
 import math
 import tempfile
@@ -22,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvdeblur import cli, make_phantom, write_pgm
+from tvdeblur.harness import TRACE_HEADER
 
 CONTRACT_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -131,47 +136,117 @@ def test_deblur_exits_cleanly_on_any_options(n, image_seed, opts, edge, save):
         assert snapshot(rerun) == snapshot(out)
 
 
-BASE = "deblur --input-path {gt} --output-dir {out} --kernel average:3"
+DEBLUR = "deblur --input-path {d}/gt.pgm --output-dir {d}/o"
+BASE = DEBLUR + " --kernel average:3"
+DEGRADE = "degrade --input {d}/gt.pgm --out {d}/o"
+# The traces the report rows read, by their snr_db cells, one per stage
+TRACES = {
+    "header_only.csv": [], "unscored.csv": [""], **{f"snr_{bad}.csv": ["3.0", bad, "5.0"] for bad in ("nan", "inf", "abc")},
+}
+
+# Every refusal the CLI makes: the argv, its exit code and its one stderr line.  {d} is the test's
+# directory, which holds the inputs written below; {d}/o is the output that must never appear.
+REFUSALS = [
+    ("deblur --output-dir {d}/o", 1, "error: the following arguments are required: --input-path"),
+    (BASE + " --bogus 1", 1, "error: unrecognized arguments: --bogus 1"),
+    (BASE + " --sigma", 1, "error: argument --sigma: expected one argument"),
+    (BASE + " --solver ftvd5", 1, "error: argument --solver: invalid choice: 'ftvd5' (choose from 'ftvd3', 'ftvd4')"),
+    (BASE + " --tv-variant huber", 1, "error: argument --tv-variant: invalid choice: 'huber' (choose from 'iso', 'aniso')"),
+    (BASE + " --kernel box:3", 1, "error: argument --kernel: unknown kernel spec 'box:3'"),
+    (DEBLUR + " --kernel average:4", 1, "error: argument --kernel: kernel size must be odd and positive, got 4"),
+    (DEBLUR + " --kernel average:17", 1, "error: kernel side 17 exceeds grid side 16"),
+    (DEBLUR + " --kernel gaussian:3:1e-300", 1,
+     "error: argument --kernel: gaussian width must be positive and finite with 2*width^2 > 0, got 1e-300"),
+    (BASE + " --sigma abc", 1, "error: argument --sigma: invalid float value: 'abc'"),
+    (BASE + " --sigma -1", 1, "error: sigma must be a finite nonnegative real number, got -1.0"),
+    (DEBLUR + " --mu 500 --sigma nan", 1, "error: sigma must be a finite nonnegative real number, got nan"),
+    # sigma 1e308 is finite, but its noise overflows to inf
+    (DEBLUR + " --mu 1 --sigma 1e308", 1, "error: sigma 1e+308 is too large: the noisy observation overflows"),
+    (BASE + " --sigma 1e-300", 1,
+     "error: mu='auto' needs 0.05/sigma^2 in [1e-14, inf), got sigma 1e-300; pass mu explicitly"),
+    (BASE + " --sigma 1e-160", 1,
+     "error: mu='auto' needs 0.05/sigma^2 in [1e-14, inf), got sigma 1e-160; pass mu explicitly"),
+    (BASE + " --sigma 1e7", 1,
+     "error: mu='auto' needs 0.05/sigma^2 in [1e-14, inf), got sigma 10000000.0; pass mu explicitly"),
+    (BASE + " --mu abc", 1, "error: argument --mu: could not convert string to float: 'abc'"),
+    (BASE + " --mu 0", 1, "error: mu must be positive and finite, got 0.0"),
+    (BASE + " --mu -inf", 1, "error: argument --mu: expected one argument"),
+    (DEBLUR + " --mu inf", 1, "error: mu must be positive and finite, got inf"),
+    (BASE + " --beta-schedule 1,x", 1, "error: argument --beta-schedule: could not convert string to float: 'x'"),
+    (DEBLUR + " --beta-schedule 4,2", 1, "error: beta_schedule must be strictly ascending"),
+    (BASE + " --beta-schedule ,", 1, "error: beta_schedule must be a nonempty sequence of real numbers, got ()"),
+    (DEBLUR + " --beta-schedule 1,inf", 1,
+     "error: beta_schedule entries must be positive and finite with 1/beta finite, got (1.0, inf)"),
+    # finite, but shrink's threshold 1/beta is not
+    (DEBLUR + " --beta-schedule 1e-320,1", 1,
+     "error: beta_schedule entries must be positive and finite with 1/beta finite, got (1e-320, 1.0)"),
+    (BASE + " --beta-fixed x", 1, "error: argument --beta-fixed: invalid float value: 'x'"),
+    (BASE + " --beta-fixed 0", 1, "error: beta_fixed must be positive and finite with 1/beta finite, got 0.0"),
+    (DEBLUR + " --beta-fixed inf", 1, "error: beta_fixed must be positive and finite with 1/beta finite, got inf"),
+    (DEBLUR + " --beta-fixed 1e-320", 1, "error: beta_fixed must be positive and finite with 1/beta finite, got 1e-320"),
+    (BASE + " --tol x", 1, "error: argument --tol: invalid float value: 'x'"),
+    (DEBLUR + " --tol 0", 1, "error: tol must lie in (0, 1), got 0.0"),
+    (BASE + " --tol 1", 1, "error: tol must lie in (0, 1), got 1.0"),
+    (BASE + " --max-inner-iters 1.5", 1, "error: argument --max-inner-iters: invalid int value: '1.5'"),
+    (BASE + " --max-inner-iters 0", 1, "error: max_inner_iters must be an integer of at least 1, got 0"),
+    (BASE + " --max-multiplier-updates 0", 1, "error: max_multiplier_updates must be an integer of at least 1, got 0"),
+    (BASE + " --seed x", 1, "error: argument --seed: invalid int value: 'x'"),
+    (DEBLUR + " --seed -1", 1, "error: seed must lie in [0, 2**128), got -1"),
+    (DEBLUR + f" --seed {2**128}", 1, f"error: seed must lie in [0, 2**128), got {2**128}"),
+    ("deblur --input-path {d}/flat.pgm --output-dir {d}/o", 1, "error: reference image is constant"),
+    ("deblur --input-path {d}/truncated.pgm --output-dir {d}/o", 1,
+     "error: {d}/truncated.pgm: truncated PGM raster: expected 512 bytes for 16x16, found 100"),
+    ("deblur --input-path {d}/ --output-dir {d}/o", 1, "error: {d}: is a directory, not an image file"),
+    # a PGM by content, but no suffix tells the format
+    ("deblur --input-path {d}/gt --output-dir {d}/o", 1,
+     "error: {d}/gt: has no image suffix (.pgm, or .png and the like with Pillow)"),
+    # a missing .png is named as missing, as a .pgm is, not blamed on Pillow, whether or not that is installed
+    ("deblur --input-path {d}/missing.png --output-dir {d}/o", 1,
+     "error: [Errno 2] No such file or directory: '{d}/missing.png'"),
+    pytest.param(
+        "deblur --input-path {d}/empty.png --output-dir {d}/o", 1,
+        "error: loading .png files requires Pillow (pip install tvdeblur[png])",
+        marks=pytest.mark.skipif(importlib.util.find_spec("PIL") is not None, reason="Pillow is installed"),
+    ),
+    (DEBLUR + " --mu 1e-300", 2,
+     "numerical failure: frequency-domain denominator mu |K^|^2 + beta |D^|^2 reaches 1.000e-300 at mu 1e-300, beta 1.0: "
+     "mu is too small or the kernel has (near-)zero flux"),
+    (DEBLUR + " --sigma 1e200 --mu 1", 2,
+     "numerical failure: the solve diverged at stage 0 (beta 1.0), inner iteration 1: relative change nan"),
+    (DEBLUR + " --mu 1e308", 2,
+     "numerical failure: the solve diverged at stage 0 (beta 1.0), inner iteration 1: relative change nan"),
+    ("degrade --input {d}/nope.pgm --out {d}/o", 1, "error: [Errno 2] No such file or directory: '{d}/nope.pgm'"),
+    ("degrade --input {d}/nope.png --out {d}/o", 1, "error: [Errno 2] No such file or directory: '{d}/nope.png'"),
+    (DEGRADE + " --kernel box:3", 1, "error: argument --kernel: unknown kernel spec 'box:3'"),
+    (DEGRADE + " --kernel gaussian:3:1e-300", 1,
+     "error: argument --kernel: gaussian width must be positive and finite with 2*width^2 > 0, got 1e-300"),
+    (DEGRADE + " --sigma 1e308", 1, "error: sigma 1e+308 is too large: the noisy observation overflows"),
+    (DEGRADE + " --seed -1", 1, "error: seed must lie in [0, 2**128), got -1"),
+    (DEGRADE + f" --seed {2**128}", 1, f"error: seed must lie in [0, 2**128), got {2**128}"),
+    ("phantom --size 2 --out {d}/o", 1, "error: phantom needs n >= 4, got 2"),
+    ("report --trace {d}/header_only.csv", 1, "error: trace carries no snr scores"),
+    ("report --trace {d}/unscored.csv", 1, "error: trace carries no snr scores"),
+    ("report --trace {d}/no_stage.csv", 1, "error: {d}/no_stage.csv has no stage_index column"),
+    # np.argmax would pick the NaN and report it as the best record; float() alone would name neither file nor row
+    ("report --trace {d}/snr_nan.csv", 1, "error: {d}/snr_nan.csv has an snr_db that is not a finite number at stage 1"),
+    ("report --trace {d}/snr_inf.csv", 1, "error: {d}/snr_inf.csv has an snr_db that is not a finite number at stage 1"),
+    ("report --trace {d}/snr_abc.csv", 1, "error: {d}/snr_abc.csv has an snr_db that is not a finite number at stage 1"),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, name",
-    [
-        ("deblur --output-dir {out}", "--input-path"),
-        (BASE + " --bogus 1", "--bogus"),
-        (BASE + " --sigma", "--sigma"),
-        (BASE + " --solver ftvd5", "--solver"),
-        (BASE + " --tv-variant huber", "--tv-variant"),
-        (BASE + " --kernel box:3", "--kernel"),
-        (BASE + " --kernel average:4", "kernel"),
-        (BASE + " --kernel average:17", "kernel"),
-        (BASE + " --sigma abc", "--sigma"),
-        (BASE + " --sigma -1", "sigma"),
-        (BASE + " --sigma 1e-300", "sigma"),
-        (BASE + " --sigma nan --mu 500", "sigma"),
-        (BASE + " --mu abc", "--mu"),
-        (BASE + " --mu 0", "mu"),
-        (BASE + " --mu -inf", "mu"),
-        (BASE + " --beta-schedule 1,x", "--beta-schedule"),
-        (BASE + " --beta-schedule 4,2", "beta_schedule"),
-        (BASE + " --beta-schedule ,", "beta_schedule"),
-        (BASE + " --beta-fixed x", "--beta-fixed"),
-        (BASE + " --beta-fixed 0", "beta_fixed"),
-        (BASE + " --tol x", "--tol"),
-        (BASE + " --tol 1", "tol"),
-        (BASE + " --max-inner-iters 1.5", "--max-inner-iters"),
-        (BASE + " --max-inner-iters 0", "max_inner_iters"),
-        (BASE + " --max-multiplier-updates 0", "max_multiplier_updates"),
-        (BASE + " --seed x", "--seed"),
-        (BASE + " --seed -1", "seed"),
-        (BASE + f" --seed {2**128}", "seed"),
-    ],
-)
-def test_one_bad_option_gives_one_line_naming_it(tmp_path, argv, name):
-    paths = {"gt": tmp_path / "gt.pgm", "out": tmp_path / "o"}
-    write_pgm(paths["gt"], make_phantom(16))
-    code, stdout, stderr, caught = run_cli([arg.format(**paths) for arg in argv.split()])
-    assert (code, stdout, caught) == (1, "", [])
-    lines = stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
-    assert not paths["out"].exists()
+@pytest.mark.parametrize("argv, code, line", REFUSALS)
+def test_refused_input_exits_with_one_line_and_writes_nothing(tmp_path, argv, code, line):
+    # ValueError, OSError and a usage error are bad input (exit 1), FloatingPointError a numerical failure (exit 2)
+    write_pgm(tmp_path / "gt.pgm", make_phantom(16))
+    write_pgm(tmp_path / "gt", make_phantom(16))
+    write_pgm(tmp_path / "flat.pgm", np.full((16, 16), 0.5))
+    (tmp_path / "truncated.pgm").write_bytes(b"P5\n16 16\n65535\n" + bytes(100))
+    (tmp_path / "empty.png").write_bytes(b"")
+    for name, snrs in TRACES.items():
+        rows = [f"{i},1,1.0,{snr},1.0,1.0,0.0,0.1" for i, snr in enumerate(snrs)]
+        (tmp_path / name).write_text("\n".join([TRACE_HEADER, *rows]) + "\n")
+    (tmp_path / "no_stage.csv").write_text("snr_db,rel_change\n7.0,0.1\n")
+    inputs = sorted(tmp_path.iterdir())
+    result = run_cli([arg.format(d=tmp_path) for arg in argv.split()])
+    assert result == (code, "", line.format(d=tmp_path) + "\n", [])
+    assert sorted(tmp_path.iterdir()) == inputs

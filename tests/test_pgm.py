@@ -1,3 +1,6 @@
+import sys
+import types
+
 import numpy as np
 import pytest
 
@@ -118,6 +121,36 @@ def test_load_image_png_via_pillow(tmp_path):
     PIL.fromarray(img8, mode="L").save(path)
     loaded = load_image(path)
     assert np.abs(loaded - img8 / 255.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("mode, convert_to, maxval", [("I;16", "I", 65535), ("L", "L", 255)])
+def test_load_image_scales_pillow_images_by_their_bit_depth(tmp_path, monkeypatch, mode, convert_to, maxval):
+    # a stand-in PIL package, so the branch runs whether or not Pillow is installed
+    raster = np.array([[0, 1], [maxval - 1, maxval]])
+    path = tmp_path / "img.png"
+    path.write_bytes(b"")
+
+    class FakeImage:
+        def __init__(self):
+            self.mode, self.state = mode, "made"
+
+        def __enter__(self):
+            self.state = "open"
+            return self
+
+        def __exit__(self, *exc_info):
+            self.state = "closed"
+
+        def convert(self, to):
+            assert (to, self.state) == (convert_to, "open")
+            return raster
+
+    image = FakeImage()
+    fake_pil = types.ModuleType("PIL")
+    fake_pil.Image = types.SimpleNamespace(open=lambda p: image if p == path else None)
+    monkeypatch.setitem(sys.modules, "PIL", fake_pil)
+    assert np.array_equal(load_image(path), raster / maxval)
+    assert image.state == "closed"
 
 
 def test_phantom_properties():
