@@ -207,22 +207,29 @@ def solver_config(**field):
 # Every public entry that takes a number: (call with the value, words naming the field, whether the field is an integer)
 NUMBER_ENTRIES = {
     "shrink-t": (lambda v: shrink(np.zeros((4, 4, 2)), v), "shrinkage threshold", False),
-    "prepare_u-mu": (lambda v: prepare_4x4(v, 1.0), "mu must be", False),
-    "prepare_u-beta": (lambda v: prepare_4x4(1.0, v), "beta must be", False),
+    "prepare_u-mu": (lambda v: prepare_4x4(v, 1.0), "mu must be a positive real number", False),
+    "prepare_u-beta": (lambda v: prepare_4x4(1.0, v), "beta must be a positive real number", False),
     "build_cache-n": (lambda v: build_cache(np.ones((1, 1)), v), "grid side n must be an integer", True),
     "make_phantom-n": (make_phantom, "phantom needs n >= 4", True),
-    "SolverConfig-mu": (lambda v: solver_config(mu=v), "mu must be", False),
-    "SolverConfig-tol": (lambda v: solver_config(tol=v), "tol must be", False),
-    "SolverConfig-beta_fixed": (lambda v: solver_config(beta_fixed=v), "beta_fixed must be", False),
-    "SolverConfig-beta_schedule": (lambda v: solver_config(beta_schedule=(v,)), "beta_schedule entries must be", False),
-    "SolverConfig-max_inner_iters": (lambda v: solver_config(max_inner_iters=v), "max_inner_iters must be", True),
-    "SolverConfig-max_multiplier_updates": (
-        lambda v: solver_config(max_multiplier_updates=v), "max_multiplier_updates must be", True,
+    "SolverConfig-mu": (lambda v: solver_config(mu=v), "mu must be a real number", False),
+    "SolverConfig-tol": (lambda v: solver_config(tol=v), "tol must be a real number", False),
+    "SolverConfig-beta_fixed": (lambda v: solver_config(beta_fixed=v), "beta_fixed must be a real number", False),
+    # the value as the second entry: a rule that checked only the first would let it through
+    "SolverConfig-beta_schedule": (
+        lambda v: solver_config(beta_schedule=(1e-3, v)), "beta_schedule entries must be real numbers", False,
     ),
-    "degrade-sigma": (lambda v: degrade(np.zeros((4, 4)), np.ones((1, 1)), v, 0), "sigma must be", False),
-    "degrade-seed": (lambda v: degrade(np.zeros((4, 4)), np.ones((1, 1)), 0.01, v), "seed must be", True),
-    "KernelSpec-size": (lambda v: KernelSpec("average", v), "kernel size must be", True),
-    "KernelSpec-width": (lambda v: KernelSpec("gaussian", 3, v), "gaussian width must be", False),
+    "SolverConfig-max_inner_iters": (
+        lambda v: solver_config(max_inner_iters=v), "max_inner_iters must be an integer", True,
+    ),
+    "SolverConfig-max_multiplier_updates": (
+        lambda v: solver_config(max_multiplier_updates=v), "max_multiplier_updates must be an integer", True,
+    ),
+    "degrade-sigma": (
+        lambda v: degrade(np.zeros((4, 4)), np.ones((1, 1)), v, 0), "sigma must be a finite nonnegative real number", False,
+    ),
+    "degrade-seed": (lambda v: degrade(np.zeros((4, 4)), np.ones((1, 1)), 0.01, v), "seed must be an integer", True),
+    "KernelSpec-size": (lambda v: KernelSpec("average", v), "kernel size must be an integer", True),
+    "KernelSpec-width": (lambda v: KernelSpec("gaussian", 3, v), "gaussian width must be a real number", False),
 }
 
 
@@ -241,7 +248,13 @@ def test_entries_refuse_what_is_not_a_number_by_name(entry, value):
         call(value)
 
 
-@pytest.mark.parametrize("entry", NUMBER_ENTRIES)
-def test_entries_take_numpy_scalars(entry):
-    call, _, integer = NUMBER_ENTRIES[entry]
-    call(np.int64(9) if integer else np.float64(0.5))
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        (entry, value)
+        for entry, (_, _, integer) in NUMBER_ENTRIES.items()
+        for value in ((np.int64(9), np.int32(9)) if integer else (np.float64(0.5), np.float32(0.5)))
+    ],
+)
+def test_entries_take_numpy_scalars(entry, value):
+    NUMBER_ENTRIES[entry][0](value)
