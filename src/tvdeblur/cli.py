@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -21,7 +22,16 @@ from .phantom import make_phantom
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is bad input: it leaves through ``main`` as a ValueError, one line and exit 1."""
+    """A usage error is bad input: it leaves through ``main`` as a ValueError, one line and exit 1.
+
+    A negative number in exponent or ``inf`` form (``--mu -1e-3``, ``--mu
+    -inf``) is a value, so it reaches its option's rule; argparse's own
+    pattern takes only ``-1`` and ``-.5`` and would read it as an option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 
     def error(self, message):
         raise ValueError(message)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid_ops import divergence_adjoint, forward_diff
 from .shrinkage import pixel_norms
-from .spectral import SpectralCache
+from .spectral import SpectralCache, _irfft2, _rfft2
 
 
 def decompose(u: np.ndarray, w: np.ndarray, cache: SpectralCache) -> tuple[np.ndarray, np.ndarray]:
@@ -29,12 +29,12 @@ def decompose(u: np.ndarray, w: np.ndarray, cache: SpectralCache) -> tuple[np.nd
     cache.check_grid(u)
     if np.shape(w) != np.shape(u) + (2,):
         raise ValueError(f"gradient field has shape {np.shape(w)}, the image {np.shape(u)}")
-    numer = np.fft.rfft2(divergence_adjoint(w))
+    numer = _rfft2(divergence_adjoint(w))
     denom = cache.eig_dtd.copy()
     denom[0, 0] = 1.0  # zero frequency handled by convention below
     x_hat = numer / denom
     x_hat[0, 0] = 0.0
-    u1 = np.fft.irfft2(x_hat, s=u.shape)
+    u1 = _irfft2(x_hat)
     u2 = u - u1
     return u1, u2
 

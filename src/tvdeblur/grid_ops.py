@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import halves
+
 DX = 0
 DY = 1
 
@@ -72,36 +74,61 @@ def forward_diff(u: np.ndarray) -> np.ndarray:
     Returns an (n, n, 2) gradient field; [..., 0] is dx, [..., 1] is dy.
     This is the one place that decides the storage order: the field is
     plane-major, each component a C-contiguous plane.  Each plane is written
-    in place: the interior, then the wrap column/row.
+    in place, on row halves (``halves.run``).
     """
+    u = np.ascontiguousarray(u)
     g = np.empty((2,) + u.shape, dtype=np.float64).transpose(1, 2, 0)
-    dx = g[..., DX]
-    dy = g[..., DY]
-    np.subtract(u[:, 1:], u[:, :-1], out=dx[:, :-1])
-    np.subtract(u[:, :1], u[:, -1:], out=dx[:, -1:])
-    np.subtract(u[1:], u[:-1], out=dy[:-1])
-    np.subtract(u[:1], u[-1:], out=dy[-1:])
+    halves.run(lambda lo, hi: _diff_rows(u, g, lo, hi), u.shape[0], u.size)
     return g
 
 
+# The row kernels below pass numpy only 1-D runs or whole-row blocks: a strided 2-D operand makes
+# numpy allocate ~0.2 MB of iteration buffers per call, which both halves would hold at once.
+
+
+def _diff_rows(u: np.ndarray, g: np.ndarray, lo: int, hi: int) -> None:
+    """Rows [lo, hi) of ``forward_diff(u)`` into g; dy reads row hi (mod n) as its halo."""
+    dx = g[..., DX]
+    dy = g[..., DY]
+    first, stop = lo * u.shape[1], hi * u.shape[1]
+    flat = u.reshape(-1)
+    # u(i, j+1) - u(i, j) along the flat rows; each row's last entry is then overwritten by its wrap
+    np.subtract(flat[first + 1 : stop], flat[first : stop - 1], out=dx.reshape(-1)[first : stop - 1])
+    np.subtract(u[lo:hi, 0], u[lo:hi, -1], out=dx[lo:hi, -1])
+    last = min(hi, u.shape[0] - 1)
+    np.subtract(u[lo + 1 : last + 1], u[lo:last], out=dy[lo:last])
+    if last < hi:
+        np.subtract(u[0], u[-1], out=dy[-1])
+
+
 def divergence_adjoint(g: np.ndarray) -> np.ndarray:
-    """Exact adjoint D^T of ``forward_diff``.
+    """Exact adjoint D^T of ``forward_diff``, on row halves (``halves.run``).
 
     Satisfies <forward_diff(u), g> == <u, divergence_adjoint(g)> for all
     u, g (this is the negative discrete divergence of the field):
 
         (gx(i, j-1) - gx(i, j)) + (gy(i-1, j) - gy(i, j)), indices mod n.
     """
+    gx_flat = g[..., DX].reshape(-1)  # a view for both field layouts
+    out = np.empty(g.shape[:2], dtype=np.float64)
+    ydiff = np.empty_like(out)
+    halves.run(lambda lo, hi: _adjoint_rows(g, gx_flat, out, ydiff, lo, hi), out.shape[0], out.size)
+    return out
+
+
+def _adjoint_rows(g: np.ndarray, gx_flat: np.ndarray, out: np.ndarray, ydiff: np.ndarray, lo: int, hi: int) -> None:
+    """Rows [lo, hi) of ``divergence_adjoint(g)`` into out, through ydiff; gy reads row lo - 1 (mod n) as its halo."""
     gx = g[..., DX]
     gy = g[..., DY]
-    out = np.empty(gx.shape, dtype=np.float64)
-    np.subtract(gx[:, :-1], gx[:, 1:], out=out[:, 1:])
-    np.subtract(gx[:, -1:], gx[:, :1], out=out[:, :1])
-    ydiff = np.empty_like(out)
-    np.subtract(gy[:-1], gy[1:], out=ydiff[1:])
-    np.subtract(gy[-1:], gy[:1], out=ydiff[:1])
-    out += ydiff
-    return out
+    first, stop = lo * out.shape[1], hi * out.shape[1]
+    # gx(i, j-1) - gx(i, j) along the flat rows; each row's first entry is then overwritten by its wrap
+    np.subtract(gx_flat[first : stop - 1], gx_flat[first + 1 : stop], out=out.reshape(-1)[first + 1 : stop])
+    np.subtract(gx[lo:hi, -1], gx[lo:hi, 0], out=out[lo:hi, 0])
+    top = max(lo, 1)
+    np.subtract(gy[top - 1 : hi - 1], gy[top:hi], out=ydiff[top:hi])
+    if top > lo:
+        np.subtract(gy[-1], gy[0], out=ydiff[0])
+    out[lo:hi] += ydiff[lo:hi]
 
 
 @dataclass(frozen=True)

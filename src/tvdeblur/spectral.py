@@ -4,9 +4,11 @@ Under periodic boundaries both the convolution K and the forward differences
 Dx, Dy are circulant, so the 2-D DFT diagonalizes them.  Images are real, so
 only the half spectrum of ``numpy.fft.rfft2`` is kept: every per-frequency
 array here has shape (n, n//2 + 1), and ``irfft2(..., s=(n, n))`` maps back
-(the ``s`` is needed for odd n).  The cache built here holds the
-eigenvalues; ``prepare_u`` and ``solve_u`` turn them into the closed-form
-u-subproblem solve shared by both solvers.
+(the ``s`` is needed for odd n).  Every 2-D transform of the package goes
+through ``_rfft2`` and ``_irfft2``, which compute exactly those two, bit for
+bit, from numpy's 1-D transforms on row and column halves (``halves.run``).
+The cache built here holds the eigenvalues; ``prepare_u`` and ``solve_u``
+turn them into the closed-form u-subproblem solve shared by both solvers.
 """
 
 from __future__ import annotations
@@ -15,9 +17,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import halves
 from .grid_ops import check_kernel_side, divergence_adjoint, is_number
 
 SINGULAR_FLOOR = 1e-14
+
+
+def _rfft2(x: np.ndarray) -> np.ndarray:
+    """``np.fft.rfft2(x)`` of a real (n, n) image, bit for bit: row rffts, then column ffts in place."""
+    n = x.shape[0]
+    spec = np.empty((n, n // 2 + 1), dtype=np.complex128)
+    halves.run(lambda lo, hi: np.fft.rfft(x[lo:hi], axis=1, out=spec[lo:hi]), n, x.size)
+    cols = spec.shape[1]
+    halves.run(lambda lo, hi: np.fft.fft(spec[:, lo:hi], axis=0, out=spec[:, lo:hi]), cols, x.size)
+    return spec
+
+
+def _irfft2(spec: np.ndarray) -> np.ndarray:
+    """``np.fft.irfft2(spec, s=(n, n))`` of an (n, n//2 + 1) half spectrum, bit for bit: column iffts, then row irffts."""
+    n = spec.shape[0]
+    cols = np.empty_like(spec)
+    halves.run(lambda lo, hi: np.fft.ifft(spec[:, lo:hi], axis=0, out=cols[:, lo:hi]), spec.shape[1], n * n)
+    u = np.empty((n, n))
+    halves.run(lambda lo, hi: np.fft.irfft(cols[lo:hi], n, axis=1, out=u[lo:hi]), n, n * n)
+    return u
 
 
 @dataclass(frozen=True)
@@ -64,13 +87,13 @@ def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
     pad[np.ix_(offsets, offsets)] = kernel
     rows = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
     cols = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
-    return SpectralCache(eig_k=np.fft.rfft2(pad), eig_dtd=rows[:, None] + cols[None, :])
+    return SpectralCache(eig_k=_rfft2(pad), eig_dtd=rows[:, None] + cols[None, :])
 
 
 def apply_kernel(cache: SpectralCache, u: np.ndarray) -> np.ndarray:
     """Apply the blur K through the cache (spectral multiplication); ``u`` must fit the cache (ValueError)."""
     cache.check_grid(u)
-    return np.fft.irfft2(cache.eig_k * np.fft.rfft2(u), s=u.shape)
+    return _irfft2(cache.eig_k * _rfft2(u))
 
 
 @dataclass(frozen=True)
@@ -109,7 +132,7 @@ def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> US
             f"at mu {mu!r}, beta {beta!r}: mu is too small or the kernel has (near-)zero flux"
         )
     denom /= beta
-    f_hat = np.fft.rfft2(f)
+    f_hat = _rfft2(f)
     data_hat = mu / beta * np.conj(cache.eig_k) * f_hat
     return USystem(beta=beta, eig_k=cache.eig_k, f_hat=f_hat, data_hat=data_hat, denom=denom)
 
@@ -123,10 +146,20 @@ def solve_u(system: USystem, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``prepare_u`` divided the system by beta, no pass scales g.  Returns
     (u, u^): the caller may hand u^ to ``residual_sq``, which overwrites it.
     """
-    u_hat = np.fft.rfft2(divergence_adjoint(g))
-    u_hat += system.data_hat
-    u_hat /= system.denom
-    return np.fft.irfft2(u_hat, s=g.shape[:2]), u_hat
+    u_hat = _rfft2(divergence_adjoint(g))
+    halves.run(lambda lo, hi: _update_rows(system, u_hat, lo, hi), g.shape[0], g.shape[0] * g.shape[1])
+    return _irfft2(u_hat), u_hat
+
+
+def _update_rows(system: USystem, u_hat: np.ndarray, lo: int, hi: int) -> None:
+    """Rows [lo, hi) of the u-step's per-frequency solve, u^ <- (u^ + data^) / denom.
+
+    On rows, not columns: a column slice is strided, and numpy would buffer
+    each half's complex and float operands, adding 0.4 MB of peak at 512².
+    """
+    part = u_hat[lo:hi]
+    part += system.data_hat[lo:hi]
+    part /= system.denom[lo:hi]
 
 
 def residual_sq(system: USystem, u_hat: np.ndarray) -> float:

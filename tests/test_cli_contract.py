@@ -159,6 +159,7 @@ REFUSALS = [
      "error: argument --kernel: gaussian width must be positive and finite with 2*width^2 > 0, got 1e-300"),
     (BASE + " --sigma abc", 1, "error: argument --sigma: invalid float value: 'abc'"),
     (BASE + " --sigma -1", 1, "error: sigma must be a finite nonnegative real number, got -1.0"),
+    (BASE + " --sigma -1e5", 1, "error: sigma must be a finite nonnegative real number, got -100000.0"),
     (DEBLUR + " --mu 500 --sigma nan", 1, "error: sigma must be a finite nonnegative real number, got nan"),
     # sigma 1e308 is finite, but its noise overflows to inf
     (DEBLUR + " --mu 1 --sigma 1e308", 1, "error: sigma 1e+308 is too large: the noisy observation overflows"),
@@ -170,7 +171,9 @@ REFUSALS = [
      "error: mu='auto' needs 0.05/sigma^2 in [1e-14, inf), got sigma 10000000.0; pass mu explicitly"),
     (BASE + " --mu abc", 1, "error: argument --mu: could not convert string to float: 'abc'"),
     (BASE + " --mu 0", 1, "error: mu must be positive and finite, got 0.0"),
-    (BASE + " --mu -inf", 1, "error: argument --mu: expected one argument"),
+    # a negative number in exponent or inf form is a value that reaches its rule, not an unknown option
+    (BASE + " --mu -inf", 1, "error: mu must be positive and finite, got -inf"),
+    (BASE + " --mu -1e-3", 1, "error: mu must be positive and finite, got -0.001"),
     (DEBLUR + " --mu inf", 1, "error: mu must be positive and finite, got inf"),
     (BASE + " --beta-schedule 1,x", 1, "error: argument --beta-schedule: could not convert string to float: 'x'"),
     (DEBLUR + " --beta-schedule 4,2", 1, "error: beta_schedule must be strictly ascending"),
@@ -182,6 +185,7 @@ REFUSALS = [
      "error: beta_schedule entries must be positive and finite with 1/beta finite, got (1e-320, 1.0)"),
     (BASE + " --beta-fixed x", 1, "error: argument --beta-fixed: invalid float value: 'x'"),
     (BASE + " --beta-fixed 0", 1, "error: beta_fixed must be positive and finite with 1/beta finite, got 0.0"),
+    (BASE + " --beta-fixed -1e2", 1, "error: beta_fixed must be positive and finite with 1/beta finite, got -100.0"),
     (DEBLUR + " --beta-fixed inf", 1, "error: beta_fixed must be positive and finite with 1/beta finite, got inf"),
     (DEBLUR + " --beta-fixed 1e-320", 1, "error: beta_fixed must be positive and finite with 1/beta finite, got 1e-320"),
     (BASE + " --tol x", 1, "error: argument --tol: invalid float value: 'x'"),

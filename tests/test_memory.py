@@ -10,7 +10,9 @@ pin by at most a quarter plane (one plane is n²·8 bytes).  Both sizes are
 pinned because the peak sits at a different step at each (whether a stage's
 SNR beats the best record's decides which arrays are live), so some of
 ``solve``'s releases show at one size only; undoing any one of them, or
-``shrink``'s, fails at least one pin.
+``shrink``'s, fails at least one pin.  Each pin is checked twice: inline, as
+these sizes run by default, and with the two-halves split of
+``tvdeblur.halves`` forced, whose halves run at the same time.
 
 Importing the solver raises glibc's trim and mmap thresholds, so a
 process keeps the heap a solve frees: under glibc, a repeated solve takes
@@ -32,7 +34,7 @@ from pathlib import Path
 import pytest
 
 import tvdeblur
-from tvdeblur import KernelSpec, SolverConfig, degrade, make_kernel, make_phantom, solve
+from tvdeblur import KernelSpec, SolverConfig, degrade, halves, make_kernel, make_phantom, solve
 
 try:
     GLIBC = bool(os.confstr("CS_GNU_LIBC_VERSION"))
@@ -65,8 +67,14 @@ def solve_peak(method, tv_variant, n):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["inline", "split"])
 @pytest.mark.parametrize("method, tv_variant, n", PINNED_PEAKS, ids=[f"{m}-{v}-{n}" for m, v, n in PINNED_PEAKS])
-def test_solve_allocation_peak_is_pinned(method, tv_variant, n):
+def test_solve_allocation_peak_is_pinned(monkeypatch, method, tv_variant, n, split):
+    # with the split forced, both halves of a pass run at once, so a buffer either half allocated, or one
+    # the worker let go late, would show; the pins are those of the one-thread solve
+    if split:
+        monkeypatch.setattr(halves, "SPLIT_MIN_PIXELS", 0)
+        monkeypatch.setattr(halves, "_cpus", lambda: 2)
     peak, pinned, plane = solve_peak(method, tv_variant, n), PINNED_PEAKS[method, tv_variant, n], n * n * 8
     assert peak <= pinned + plane // 4, f"peak {peak / plane:.2f} planes, pinned {pinned / plane:.2f}"
 
