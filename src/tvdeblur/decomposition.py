@@ -27,8 +27,7 @@ def decompose(u: np.ndarray, w: np.ndarray, cache: SpectralCache) -> tuple[np.nd
     was built for u's size and w is a gradient field of it.
     """
     cache.check_grid(u)
-    if np.shape(w) != np.shape(u) + (2,):
-        raise ValueError(f"gradient field has shape {np.shape(w)}, the image {np.shape(u)}")
+    _check_pair(w, u)
     numer = _rfft2(divergence_adjoint(w))
     denom = cache.eig_dtd.copy()
     denom[0, 0] = 1.0  # zero frequency handled by convention below
@@ -40,6 +39,12 @@ def decompose(u: np.ndarray, w: np.ndarray, cache: SpectralCache) -> tuple[np.nd
 
 
 def gradient_residual(w: np.ndarray, u1: np.ndarray) -> float:
-    """max over pixels of ||w_i - D_i u1||_2: how far w is from a gradient field."""
+    """max over pixels of ||w_i - D_i u1||_2: how far w is from a gradient field (of u1's shape, or ValueError)."""
+    _check_pair(w, u1)
     return float(pixel_norms(w - forward_diff(u1)).max())
 
+
+def _check_pair(w: np.ndarray, u: np.ndarray) -> None:
+    """Raise ValueError, naming both shapes, unless w is a gradient field of u's shape."""
+    if np.shape(w) != np.shape(u) + (2,):
+        raise ValueError(f"gradient field has shape {np.shape(w)}, the image {np.shape(u)}")

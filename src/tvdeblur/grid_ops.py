@@ -65,6 +65,13 @@ def validate_image(u: np.ndarray, name: str = "image") -> np.ndarray:
     return u
 
 
+def check_field(g: np.ndarray) -> None:
+    """Raise ValueError, naming its shape, unless ``g`` is an (n, n, 2) gradient field; a shape check, not a pass."""
+    shape = np.shape(g)
+    if len(shape) != 3 or shape[2] != 2 or shape[0] != shape[1]:
+        raise ValueError(f"gradient field must have shape (n, n, 2), got {shape}")
+
+
 def forward_diff(u: np.ndarray) -> np.ndarray:
     """Forward differences with periodic wrap.
 
@@ -108,7 +115,10 @@ def divergence_adjoint(g: np.ndarray) -> np.ndarray:
     u, g (this is the negative discrete divergence of the field):
 
         (gx(i, j-1) - gx(i, j)) + (gy(i-1, j) - gy(i, j)), indices mod n.
+
+    Raises ValueError unless g is an (n, n, 2) field (``check_field``).
     """
+    check_field(g)
     gx_flat = g[..., DX].reshape(-1)  # a view for both field layouts
     out = np.empty(g.shape[:2], dtype=np.float64)
     ydiff = np.empty_like(out)

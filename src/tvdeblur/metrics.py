@@ -19,7 +19,8 @@ def snr_scorer(reference: np.ndarray, name: str = "reference") -> Callable[[np.n
     centred reference and its energy are formed here, not per record.
     The reference must pass ``validate_image``, which names it ``name`` in
     its ValueError, and must not be constant (ValueError otherwise); a
-    complex image to score raises ValueError as well.
+    complex image to score, or one of another shape, raises ValueError as
+    well.
     """
     reference = validate_image(reference, name)
     signal = reference - reference.mean()
@@ -29,6 +30,8 @@ def snr_scorer(reference: np.ndarray, name: str = "reference") -> Callable[[np.n
 
     def score(u: np.ndarray) -> float:
         check_real(u, "scored image")
+        if np.shape(u) != reference.shape:  # it would broadcast against the reference and score a mean
+            raise ValueError(f"scored image has shape {np.shape(u)}, the {name} {reference.shape}")
         err = np.asarray(u, dtype=np.float64) - reference
         err_energy = float(np.einsum("ij,ij->", err, err))  # summed in a fixed order, as in rel_change
         if err_energy == 0.0:
@@ -53,10 +56,13 @@ def rel_change(u_new: np.ndarray, u_old: np.ndarray) -> float:
     The squares are summed by ``einsum`` in a fixed order, not by BLAS,
     whose threaded dot product would make the value depend on the BLAS
     thread count.  NaN when ||u_old|| overflows: the ratio would read 0 and
-    mean nothing.  A complex argument raises ValueError naming it.
+    mean nothing.  A complex argument, or two of different shapes, raises
+    ValueError naming them.
     """
     check_real(u_new, "u_new")
     check_real(u_old, "u_old")
+    if np.shape(u_new) != np.shape(u_old):
+        raise ValueError(f"u_new has shape {np.shape(u_new)}, u_old {np.shape(u_old)}")
     diff = u_new - u_old
     num = math.sqrt(np.einsum("ij,ij->", diff, diff))
     den = max(math.sqrt(np.einsum("ij,ij->", u_old, u_old)), 1e-12)

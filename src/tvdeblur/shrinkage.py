@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import halves
-from .grid_ops import is_number
+from .grid_ops import check_field, is_number
 
 
 def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
@@ -46,10 +46,12 @@ def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> tuple[np.ndarray
     becomes +0.0).  Returns (out, s): for 'iso', s = sum_i ||out_i|| =
     sum_i max(||v_i|| - t, 0), summed before that buffer becomes the radial
     factor; for 'aniso', whose prox forms no norm, s is None.  Raises
-    ValueError unless t is a finite real number > 0.
+    ValueError unless t is a finite real number > 0 and v an (n, n, 2)
+    field (``check_field``).
     """
     if not is_number(t) or not 0 < t < math.inf:  # an infinite t makes the iso prox inf - inf, NaN
         raise ValueError(f"shrinkage threshold must be > 0 and finite, got {t!r}")
+    check_field(v)
     n = v.shape[0]
     if tv_variant == "iso":  # scale and denom are the parts of the radial factor; each half forms its rows
         scale = np.empty(v.shape[:2])

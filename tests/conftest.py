@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tvdeblur import (
     KernelSpec,
@@ -12,6 +13,10 @@ from tvdeblur import (
 from tvdeblur import spectral
 
 from oracle import reference_tv_solve
+
+# Every property test draws 60 derandomized examples, so each run checks the same cases.
+settings.register_profile("tvdeblur", max_examples=60, deadline=None, derandomize=True, database=None)
+settings.load_profile("tvdeblur")
 
 
 def piecewise_constant_phantom(n):

@@ -7,8 +7,6 @@ against them.
 
 from __future__ import annotations
 
-import numpy as np
-
 from tvdeblur import apply_kernel, forward_diff
 from tvdeblur.shrinkage import pixel_norms
 
@@ -27,9 +25,3 @@ def eval_penalty_objective(u, w, f, cache, mu, beta, tv_variant="iso"):
     value += 0.5 * beta * float((diff * diff).sum())
     res = apply_kernel(cache, u) - f
     return value + 0.5 * mu * float((res * res).sum())
-
-
-def tikhonov_energy(u2):
-    """sum_i ||D_i u2||_2^2; zero exactly for constant images."""
-    g = forward_diff(u2)
-    return float((g * g).sum())

@@ -28,9 +28,6 @@ from hypothesis import strategies as st
 from tvdeblur import cli, make_phantom, write_pgm
 from tvdeblur.harness import TRACE_HEADER
 
-CONTRACT_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
 def run_cli(argv):
     """``cli.main(argv)`` with its exit code, stdout, stderr and every warning it raised."""
     out, err = io.StringIO(), io.StringIO()
@@ -94,7 +91,7 @@ def snapshot(directory):
     return {p.relative_to(directory): p.read_bytes() for p in sorted(directory.rglob("*"))}
 
 
-@CONTRACT_SETTINGS
+@settings(max_examples=100)  # more than the profile's 60; the rest comes from the profile in conftest.py
 @given(
     n=st.integers(2, 16),
     image_seed=st.integers(0, 3),

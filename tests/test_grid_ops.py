@@ -8,11 +8,8 @@ import pytest
 from tvdeblur import (
     KernelSpec,
     SolverConfig,
-    apply_kernel,
     build_cache,
     degrade,
-    divergence_adjoint,
-    forward_diff,
     grid_ops,
     make_kernel,
     make_phantom,
@@ -20,97 +17,6 @@ from tvdeblur import (
     shrink,
     validate_image,
 )
-
-from conftest import stack_field
-from oracle import convolve_periodic, dense_operator
-
-
-def naive_convolve(u, k):
-    """O(n^2 m^2) double-loop circular true convolution."""
-    n, m = u.shape[0], k.shape[0]
-    c = (m - 1) // 2
-    out = np.zeros_like(u)
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0
-            for a in range(-c, c + 1):
-                for b in range(-c, c + 1):
-                    acc += k[c + a, c + b] * u[(i - a) % n, (j - b) % n]
-            out[i, j] = acc
-    return out
-
-
-def test_gradient_of_constant_is_zero():
-    for n in (2, 5, 8):
-        g = forward_diff(np.full((n, n), 0.5))
-        assert np.all(g == 0.0)
-
-
-def test_forward_diff_2x2_values():
-    u = np.array([[0.0, 1.0], [0.0, 1.0]])
-    g = forward_diff(u)
-    assert np.array_equal(g[..., 0], [[1.0, -1.0], [1.0, -1.0]])
-    assert np.array_equal(g[..., 1], [[0.0, 0.0], [0.0, 0.0]])
-
-
-def test_forward_diff_matches_dense_matrix():
-    rng = np.random.default_rng(11)
-    u = rng.standard_normal((8, 8))
-    ref = dense_operator("D", 8) @ u.ravel()
-    assert np.abs(stack_field(forward_diff(u)) - ref).max() < 1e-12
-
-
-def test_adjoint_of_zero_field():
-    assert np.all(divergence_adjoint(np.zeros((6, 6, 2))) == 0.0)
-
-
-def test_adjointness_identity():
-    rng = np.random.default_rng(12)
-    u = rng.standard_normal((8, 8))
-    g = rng.standard_normal((8, 8, 2))
-    lhs = float(np.sum(forward_diff(u) * g))
-    rhs = float(np.sum(u * divergence_adjoint(g)))
-    assert abs(lhs - rhs) < 1e-12 * abs(lhs)
-
-
-def test_divergence_adjoint_matches_dense_transpose():
-    rng = np.random.default_rng(13)
-    g = rng.standard_normal((8, 8, 2))
-    ref = dense_operator("Dt", 8) @ stack_field(g)
-    assert np.abs(divergence_adjoint(g).ravel() - ref).max() < 1e-12
-
-
-def test_identity_kernel_leaves_image_unchanged():
-    rng = np.random.default_rng(14)
-    u = rng.standard_normal((7, 7))
-    assert np.array_equal(convolve_periodic(u, make_kernel(KernelSpec("delta"))), u)
-
-
-def test_flux_one_kernels_preserve_constants():
-    rng = np.random.default_rng(15)
-    taps = rng.random((5, 5))
-    taps /= taps.sum()
-    out = apply_kernel(build_cache(taps, 9), np.full((9, 9), 0.37))
-    assert np.allclose(out, 0.37, atol=1e-12)
-
-
-def test_convolve_matches_naive_double_loop():
-    rng = np.random.default_rng(16)
-    u = rng.standard_normal((8, 8))
-    k = rng.standard_normal((3, 3))
-    assert np.abs(convolve_periodic(u, k) - naive_convolve(u, k)).max() < 1e-12
-
-
-def test_operators_commute_with_cyclic_shifts():
-    rng = np.random.default_rng(17)
-    u = rng.standard_normal((12, 12))
-    cache = build_cache(make_kernel(KernelSpec("gaussian", 5, 1.0)), 12)
-    for shift in ((1, 0), (0, 3), (5, 7)):
-        shifted = np.roll(u, shift, axis=(0, 1))
-        assert np.abs(forward_diff(shifted) - np.roll(forward_diff(u), shift, axis=(0, 1))).max() <= 1e-12
-        assert np.abs(
-            apply_kernel(cache, shifted) - np.roll(apply_kernel(cache, u), shift, axis=(0, 1))
-        ).max() <= 1e-12
 
 
 def test_make_kernel_average_9():

@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 
 import tvdeblur
-from tvdeblur import IterateRecord, IterateTrace, best_iterate, make_phantom, rel_change, snr_db, write_pgm
+from tvdeblur import (
+    IterateRecord,
+    IterateTrace,
+    best_iterate,
+    gradient_residual,
+    make_phantom,
+    rel_change,
+    snr_db,
+    write_pgm,
+)
+from tvdeblur.metrics import snr_scorer
 
 
 def test_equal_images_hit_the_cap():
@@ -165,3 +175,20 @@ def test_complex_arrays_are_refused_by_name(tmp_path, call, name):
     with pytest.raises(ValueError, match=f"{name} must be real"):
         call(make_phantom(8), tmp_path)
     assert not (tmp_path / "c.pgm").exists()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda r: snr_db(r[:1], r), r"scored image has shape \(1, 8\), the reference \(8, 8\)"),
+        (lambda r: snr_scorer(r, "ground truth")(r[:, :1]), r"scored image has shape \(8, 1\), the ground truth \(8, 8\)"),
+        (lambda r: rel_change(r[:1], r), r"u_new has shape \(1, 8\), u_old \(8, 8\)"),
+        (lambda r: rel_change(r, r[:1]), r"u_new has shape \(8, 8\), u_old \(1, 8\)"),
+        (lambda r: gradient_residual(np.zeros((8, 8, 2)), r[:1]), r"gradient field has shape \(8, 8, 2\), the image \(1, 8\)"),
+    ],
+    ids=["snr_db", "snr_scorer", "rel_change_new", "rel_change_old", "gradient_residual"],
+)
+def test_mismatched_shapes_are_refused_by_name(call, message):
+    # without the check, numpy broadcasts the pair and each returns a number
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(make_phantom(8))

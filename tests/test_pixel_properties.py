@@ -3,22 +3,22 @@
 Sizes run from 2 to 17, odd sides included, so the wrap column and row of
 ``forward_diff`` and ``divergence_adjoint`` are checked at every shape.  The
 reference formulas are the ``np.roll``, ``np.hypot`` and masked-division
-definitions the fast kernels replace.  Examples are derandomized so that
-every run checks the same cases.
+definitions the fast kernels replace.  With c01, c02 and c04 in
+``tests/test_acceptance.py`` this file is the layer's one test home.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tvdeblur import divergence_adjoint, forward_diff, shrink
+from tvdeblur import build_cache, divergence_adjoint, forward_diff, prepare_u, shrink, solve_u
 from tvdeblur.shrinkage import pixel_norms
-
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 sizes = st.integers(2, 17)
 seeds = st.integers(0, 2**32 - 1)
 thresholds = st.floats(1e-3, 10.0)
+images = st.builds(lambda n, seed: np.random.default_rng(seed).standard_normal((n, n)), sizes, seeds)
 
 
 def random_field(n, seed, zero_frac=0.2):
@@ -45,17 +45,23 @@ def masked_shrink_iso(v, t):
     return v * scale[..., None]
 
 
-@PROPERTY_SETTINGS
-@given(sizes, seeds)
-def test_differences_equal_the_roll_definitions(n, seed):
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((n, n))
-    g = rng.standard_normal((n, n, 2))
+@given(images, seeds)
+@example(np.array([[0.0, 1.0], [0.0, 1.0]]), 0)  # dx wraps to [[1, -1], [1, -1]], dy is 0
+def test_differences_equal_the_roll_definitions(u, seed):
+    g = np.random.default_rng(seed).standard_normal(u.shape + (2,))
     assert np.array_equal(forward_diff(u), roll_forward_diff(u))
     assert np.array_equal(divergence_adjoint(g), roll_divergence_adjoint(g))
 
 
-@PROPERTY_SETTINGS
+@given(sizes, st.floats(-10.0, 10.0), thresholds)
+def test_constants_and_zero_fields_give_exact_zeros(n, c, t):
+    assert np.all(forward_diff(np.full((n, n), c)) == 0.0)
+    zero = np.zeros((n, n, 2))
+    assert np.all(divergence_adjoint(zero) == 0.0)
+    assert np.all(shrink(zero, t, "iso")[0] == 0.0)
+    assert np.all(shrink(zero, t, "aniso")[0] == 0.0)
+
+
 @given(sizes, seeds)
 def test_divergence_adjoint_is_the_adjoint(n, seed):
     rng = np.random.default_rng(seed)
@@ -66,7 +72,6 @@ def test_divergence_adjoint_is_the_adjoint(n, seed):
     assert abs(lhs - rhs) <= 1e-12 * max(np.abs(forward_diff(u) * g).sum(), 1e-300)
 
 
-@PROPERTY_SETTINGS
 @given(sizes, seeds)
 def test_iso_pixel_norms_match_hypot(n, seed):
     g = random_field(n, seed)
@@ -77,28 +82,25 @@ def test_iso_pixel_norms_match_hypot(n, seed):
     assert np.all(norms[zero] == 0.0)
 
 
-@PROPERTY_SETTINGS
 @given(sizes, seeds, thresholds)
 def test_shrink_iso_equals_the_masked_formula(n, seed, t):
     v = random_field(n, seed)
-    # the reference on the same norms: the shrink itself is exact, only the norm changed
+    # the reference on the same norms: the shrink itself is exact, only the norm changed; iso is the default
     mag = pixel_norms(v, "iso")
     scale = np.zeros_like(mag)
     np.divide(np.maximum(mag - t, 0.0), mag, out=scale, where=mag > 0)
-    assert np.array_equal(shrink(v, t, "iso")[0], v * scale[..., None])
+    assert np.array_equal(shrink(v, t)[0], v * scale[..., None])
     # against hypot norms: an ulp in ||v|| moves the result by about an ulp of ||v||
     # (near ||v|| = t the cancellation in ||v|| - t rules out a relative bound)
     assert np.abs(shrink(v, t, "iso")[0] - masked_shrink_iso(v, t)).max() <= 1e-14 * np.abs(v).max()
 
 
-@PROPERTY_SETTINGS
 @given(sizes, seeds, thresholds)
 def test_shrink_aniso_equals_sign_max(n, seed, t):
     v = random_field(n, seed)
     assert np.array_equal(shrink(v, t, "aniso")[0], np.sign(v) * np.maximum(np.abs(v) - t, 0.0))
 
 
-@PROPERTY_SETTINGS
 @given(sizes, seeds, thresholds)
 def test_shrinks_satisfy_prox_optimality(n, seed, t):
     # w = prox_{t||.||}(v) iff (v - w) / t is a subgradient of the pixel norm at w:
@@ -120,8 +122,6 @@ def test_shrinks_satisfy_prox_optimality(n, seed, t):
     assert np.all(np.abs(r[~on]) <= t)
 
 
-
-@PROPERTY_SETTINGS
 @given(sizes, seeds, thresholds)
 def test_shrink_hands_out_the_sum_of_its_norms(n, seed, t):
     v = random_field(n, seed)
@@ -133,3 +133,39 @@ def test_shrink_hands_out_the_sum_of_its_norms(n, seed, t):
     assert shrink(inside, t, "iso")[1] == 0.0
     # the anisotropic prox forms no norm and hands out none
     assert shrink(v, t, "aniso")[1] is None
+
+
+def solve_u_8x8(g):
+    return solve_u(prepare_u(np.zeros((8, 8)), 1.0, 1.0, build_cache(np.ones((1, 1)), 8)), g)
+
+
+FIELD = r"gradient field must have shape \(n, n, 2\), got "
+
+# The layer's refusals: (call, the ValueError's text).  An infinite threshold would make the iso prox
+# inf - inf, NaN, where it is 0; a third component would come back as uninitialized memory.
+REFUSALS = {
+    **{
+        f"shrink-{variant}-t={t}": (
+            lambda t=t, variant=variant: shrink(np.zeros((3, 3, 2)), t, variant),
+            f"shrinkage threshold must be > 0 and finite, got {t}",
+        )
+        for t in (0.0, -1.0, np.inf)
+        for variant in ("iso", "aniso")
+    },
+    "shrink-variant": (lambda: shrink(np.zeros((3, 3, 2)), 0.3, "huber"), "unknown tv_variant 'huber'"),
+    "pixel_norms-variant": (lambda: pixel_norms(np.zeros((3, 3, 2)), "huber"), "unknown tv_variant 'huber'"),
+    "shrink-iso-three_components": (lambda: shrink(np.zeros((64, 64, 3)), 1.0, "iso"), FIELD + r"\(64, 64, 3\)"),
+    "shrink-aniso-three_components": (lambda: shrink(np.zeros((64, 64, 3)), 1.0, "aniso"), FIELD + r"\(64, 64, 3\)"),
+    "shrink-image": (lambda: shrink(np.zeros((8, 8)), 1.0), FIELD + r"\(8, 8\)"),
+    "divergence_adjoint-three_components": (lambda: divergence_adjoint(np.zeros((8, 8, 3))), FIELD + r"\(8, 8, 3\)"),
+    "divergence_adjoint-image": (lambda: divergence_adjoint(np.zeros((8, 8))), FIELD + r"\(8, 8\)"),
+    "divergence_adjoint-not_square": (lambda: divergence_adjoint(np.zeros((8, 9, 2))), FIELD + r"\(8, 9, 2\)"),
+    "solve_u-three_components": (lambda: solve_u_8x8(np.zeros((8, 8, 3))), FIELD + r"\(8, 8, 3\)"),
+}
+
+
+@pytest.mark.parametrize("entry", REFUSALS)
+def test_bad_input_is_refused_by_name(entry):
+    call, message = REFUSALS[entry]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
