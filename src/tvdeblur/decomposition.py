@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid_ops import divergence_adjoint, forward_diff
+from .grid_ops import check_real, divergence_adjoint, forward_diff
 from .shrinkage import pixel_norms
 from .spectral import SpectralCache, _irfft2, _rfft2
 
@@ -24,7 +24,8 @@ def decompose(u: np.ndarray, w: np.ndarray, cache: SpectralCache) -> tuple[np.nd
     sum_i ||D_i x - w_i||^2 over zero-mean images, obtained per frequency
     as FFT(D^T w) / eigDtD with the zero frequency pinned to 0.
     u2 = u - u1 carries all of mean(u).  Raises ValueError unless ``cache``
-    was built for u's size and w is a gradient field of it.
+    was built for u's size and u and w are a real image and a real gradient
+    field of it.
     """
     cache.check_grid(u)
     _check_pair(w, u)
@@ -45,6 +46,8 @@ def gradient_residual(w: np.ndarray, u1: np.ndarray) -> float:
 
 
 def _check_pair(w: np.ndarray, u: np.ndarray) -> None:
-    """Raise ValueError, naming both shapes, unless w is a gradient field of u's shape."""
+    """Raise ValueError naming a complex input, or naming both shapes unless w is a gradient field of u's shape."""
+    check_real(w, "gradient field")
+    check_real(u, "image")
     if np.shape(w) != np.shape(u) + (2,):
         raise ValueError(f"gradient field has shape {np.shape(w)}, the image {np.shape(u)}")

@@ -54,10 +54,8 @@ def validate_image(u: np.ndarray, name: str = "image") -> np.ndarray:
 
     Raises ValueError, calling the input ``name``, on complex or non-finite entries, non-square shapes, or n < 2.
     """
-    check_real(u, name)
+    check_square(u, name)
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"{name} must be square 2-D, got shape {u.shape}")
     if u.shape[0] < 2:
         raise ValueError(f"{name} side must be at least 2 pixels")
     if not np.isfinite(u).all():
@@ -65,8 +63,17 @@ def validate_image(u: np.ndarray, name: str = "image") -> np.ndarray:
     return u
 
 
+def check_square(u: np.ndarray, name: str = "image") -> None:
+    """Raise ValueError, calling the input ``name``, unless ``u`` is real and square 2-D; not a pass over the data."""
+    check_real(u, name)
+    shape = np.shape(u)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"{name} must be square 2-D, got shape {shape}")
+
+
 def check_field(g: np.ndarray) -> None:
-    """Raise ValueError, naming its shape, unless ``g`` is an (n, n, 2) gradient field; a shape check, not a pass."""
+    """Raise ValueError, naming its shape, unless ``g`` is a real (n, n, 2) gradient field; not a pass over the data."""
+    check_real(g, "gradient field")
     shape = np.shape(g)
     if len(shape) != 3 or shape[2] != 2 or shape[0] != shape[1]:
         raise ValueError(f"gradient field must have shape (n, n, 2), got {shape}")
@@ -81,8 +88,10 @@ def forward_diff(u: np.ndarray) -> np.ndarray:
     Returns an (n, n, 2) gradient field; [..., 0] is dx, [..., 1] is dy.
     This is the one place that decides the storage order: the field is
     plane-major, each component a C-contiguous plane.  Each plane is written
-    in place, on row halves (``halves.run``).
+    in place, on row halves (``halves.run``).  Raises ValueError unless u is
+    a real square image (``check_square``).
     """
+    check_square(u)
     u = np.ascontiguousarray(u)
     g = np.empty((2,) + u.shape, dtype=np.float64).transpose(1, 2, 0)
     halves.run(lambda lo, hi: _diff_rows(u, g, lo, hi), u.shape[0], u.size)
@@ -116,7 +125,7 @@ def divergence_adjoint(g: np.ndarray) -> np.ndarray:
 
         (gx(i, j-1) - gx(i, j)) + (gy(i-1, j) - gy(i, j)), indices mod n.
 
-    Raises ValueError unless g is an (n, n, 2) field (``check_field``).
+    Raises ValueError unless g is a real (n, n, 2) field (``check_field``).
     """
     check_field(g)
     gx_flat = g[..., DX].reshape(-1)  # a view for both field layouts

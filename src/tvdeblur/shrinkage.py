@@ -24,8 +24,10 @@ def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
 
     The 2-norm is sqrt(dx*dx + dy*dy), the root of one einsum plane.  It
     agrees with np.hypot to about one ulp and is several times cheaper, but
-    overflows to inf once a pixel's norm passes about 1.3e154.
+    overflows to inf once a pixel's norm passes about 1.3e154.  Raises
+    ValueError unless g is a real (n, n, 2) field (``check_field``).
     """
+    check_field(g)
     if tv_variant == "iso":
         out = np.einsum("ijk,ijk->ij", g, g)
         return np.sqrt(out, out=out)
@@ -46,7 +48,7 @@ def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> tuple[np.ndarray
     becomes +0.0).  Returns (out, s): for 'iso', s = sum_i ||out_i|| =
     sum_i max(||v_i|| - t, 0), summed before that buffer becomes the radial
     factor; for 'aniso', whose prox forms no norm, s is None.  Raises
-    ValueError unless t is a finite real number > 0 and v an (n, n, 2)
+    ValueError unless t is a finite real number > 0 and v a real (n, n, 2)
     field (``check_field``).
     """
     if not is_number(t) or not 0 < t < math.inf:  # an infinite t makes the iso prox inf - inf, NaN

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import halves
-from .grid_ops import check_kernel_side, divergence_adjoint, is_number
+from .grid_ops import check_field, check_kernel_side, check_real, divergence_adjoint, is_number
 
 SINGULAR_FLOOR = 1e-14
 
@@ -56,7 +56,8 @@ class SpectralCache:
     eig_dtd: np.ndarray
 
     def check_grid(self, image: np.ndarray) -> None:
-        """Raise ValueError, naming both sizes, unless ``image`` is n x n for the cache's n."""
+        """Raise ValueError, naming both sizes, unless ``image`` is real and n x n for the cache's n."""
+        check_real(image, "image")
         n = self.eig_dtd.shape[0]
         if np.shape(image) != (n, n):
             raise ValueError(f"spectral cache was built for n={n}, the image is {'x'.join(map(str, np.shape(image)))}")
@@ -145,7 +146,12 @@ def solve_u(system: USystem, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     penalty solver passes g = w, the multiplier solver g = w - lambda/beta; as
     ``prepare_u`` divided the system by beta, no pass scales g.  Returns
     (u, u^): the caller may hand u^ to ``residual_sq``, which overwrites it.
+    Raises ValueError unless g is a real (n, n, 2) field for the system's n.
     """
+    check_field(g)
+    n = system.denom.shape[0]
+    if g.shape[0] != n:  # the per-frequency update would fail with numpy's broadcast message
+        raise ValueError(f"u-system was built for n={n}, the gradient field is {'x'.join(map(str, g.shape))}")
     u_hat = _rfft2(divergence_adjoint(g))
     halves.run(lambda lo, hi: _update_rows(system, u_hat, lo, hi), g.shape[0], g.shape[0] * g.shape[1])
     return _irfft2(u_hat), u_hat

@@ -10,14 +10,23 @@ import tvdeblur
 from tvdeblur import (
     IterateRecord,
     IterateTrace,
+    KernelSpec,
     best_iterate,
+    build_cache,
+    decompose,
+    forward_diff,
     gradient_residual,
+    make_kernel,
     make_phantom,
     rel_change,
     snr_db,
     write_pgm,
 )
 from tvdeblur.metrics import snr_scorer
+
+
+def delta_cache(n):
+    return build_cache(make_kernel(KernelSpec("delta")), n)
 
 
 def test_equal_images_hit_the_cap():
@@ -167,11 +176,19 @@ def test_best_iterate_missing_scores():
         (lambda u, tmp: snr_db(u + 1j, u), "scored image"),
         (lambda u, tmp: rel_change(u + 1j, u), "u_new"),
         (lambda u, tmp: rel_change(u, u + 1j), "u_old"),
+        (lambda u, tmp: decompose(u + 1j, forward_diff(u), delta_cache(8)), "image"),
+        (lambda u, tmp: decompose(u, forward_diff(u) + 1j, delta_cache(8)), "gradient field"),
+        (lambda u, tmp: gradient_residual(forward_diff(u), u + 1j), "image"),
+        (lambda u, tmp: gradient_residual(forward_diff(u) + 1j, u), "gradient field"),
     ],
-    ids=["write_pgm", "snr_db", "rel_change_new", "rel_change_old"],
+    ids=[
+        "write_pgm", "snr_db", "rel_change_new", "rel_change_old",
+        "decompose_image", "decompose_field", "gradient_residual_image", "gradient_residual_field",
+    ],
 )
 def test_complex_arrays_are_refused_by_name(tmp_path, call, name):
-    # without the check, the float64 cast drops the imaginary part with only a ComplexWarning
+    # without the check, the float64 cast drops the imaginary part with only a ComplexWarning, or a
+    # decomposition returns a complex u2
     with pytest.raises(ValueError, match=f"{name} must be real"):
         call(make_phantom(8), tmp_path)
     assert not (tmp_path / "c.pgm").exists()

@@ -161,6 +161,24 @@ REFUSALS = {
     "divergence_adjoint-image": (lambda: divergence_adjoint(np.zeros((8, 8))), FIELD + r"\(8, 8\)"),
     "divergence_adjoint-not_square": (lambda: divergence_adjoint(np.zeros((8, 9, 2))), FIELD + r"\(8, 9, 2\)"),
     "solve_u-three_components": (lambda: solve_u_8x8(np.zeros((8, 8, 3))), FIELD + r"\(8, 8, 3\)"),
+    "shrink-complex": (lambda: shrink(np.zeros((8, 8, 2)) + 1j, 1.0), "gradient field must be real, got complex values"),
+    "divergence_adjoint-complex": (
+        lambda: divergence_adjoint(np.zeros((8, 8, 2)) + 1j), "gradient field must be real, got complex values",
+    ),
+    # iso would sum all three squares and aniso read two of three components; on an image, aniso returned a row
+    **{
+        f"pixel_norms-{variant}-three_components": (
+            lambda variant=variant: pixel_norms(np.ones((8, 8, 3)), variant), FIELD + r"\(8, 8, 3\)",
+        )
+        for variant in ("iso", "aniso")
+    },
+    "pixel_norms-image": (lambda: pixel_norms(np.ones((8, 8)), "aniso"), FIELD + r"\(8, 8\)"),
+    "pixel_norms-complex": (lambda: pixel_norms(np.zeros((8, 8, 2)) + 1j), "gradient field must be real, got complex values"),
+    # D takes what D^T's field rule implies: a non-square image gave a field that D^T refuses
+    "forward_diff-vector": (lambda: forward_diff(np.zeros(8)), r"image must be square 2-D, got shape \(8,\)"),
+    "forward_diff-not_square": (lambda: forward_diff(np.zeros((8, 9))), r"image must be square 2-D, got shape \(8, 9\)"),
+    "forward_diff-field": (lambda: forward_diff(np.zeros((8, 8, 2))), r"image must be square 2-D, got shape \(8, 8, 2\)"),
+    "forward_diff-complex": (lambda: forward_diff(np.zeros((8, 8)) + 1j), "image must be real, got complex values"),
 }
 
 

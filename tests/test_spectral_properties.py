@@ -159,6 +159,14 @@ REFUSALS = {
     "prepare_u-negative_beta": (
         lambda: prepare_u(np.zeros((32, 32)), 1.0, -2.0, cache_32()), "beta must be a positive real number, got -2.0",
     ),
+    "apply_kernel-complex": (lambda: apply_kernel(cache_32(), np.zeros((32, 32)) + 1j), "image must be real, got complex values"),
+    "prepare_u-complex": (
+        lambda: prepare_u(np.zeros((32, 32)) + 1j, 1.0, 1.0, cache_32()), "image must be real, got complex values",
+    ),
+    "solve_u-grid_size": (
+        lambda: solve_u(prepare_u(np.zeros((32, 32)), 1.0, 1.0, cache_32()), np.zeros((16, 16, 2))),
+        "u-system was built for n=32, the gradient field is 16x16x2",
+    ),
 }
 
 
