@@ -12,6 +12,17 @@ from .grid_ops import check_real, validate_image
 SNR_CAP_DB = 300.0
 
 
+def plane_sum(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """Sum a, or a * b, over an (n, n) plane: the one summation rule of every score.
+
+    Per-row partials, ``a.sum(axis=1)`` or ``einsum("ij,ij->i", a, b)`` (not a threaded BLAS dot), are added in
+    one order fixed by n.  A row's partial depends on that row alone, so a plane whose rows were formed whole, on
+    ``halves.run``'s halves or on strips sums to the same bits, whatever the BLAS thread count.
+    """
+    rows = a.sum(axis=1) if b is None else np.einsum("ij,ij->i", a, b)
+    return float(rows.sum())
+
+
 def snr_scorer(reference: np.ndarray, name: str = "reference") -> Callable[[np.ndarray], float]:
     """Return ``u -> snr_db(u, reference)`` with the reference's energy computed once.
 
@@ -23,8 +34,8 @@ def snr_scorer(reference: np.ndarray, name: str = "reference") -> Callable[[np.n
     well.
     """
     reference = validate_image(reference, name)
-    signal = reference - reference.mean()
-    signal_energy = float((signal * signal).sum())
+    signal = reference - plane_sum(reference) / reference.size
+    signal_energy = plane_sum(signal, signal)
     if signal_energy == 0.0:
         raise ValueError("reference image is constant")
 
@@ -33,7 +44,7 @@ def snr_scorer(reference: np.ndarray, name: str = "reference") -> Callable[[np.n
         if np.shape(u) != reference.shape:  # it would broadcast against the reference and score a mean
             raise ValueError(f"scored image has shape {np.shape(u)}, the {name} {reference.shape}")
         err = np.asarray(u, dtype=np.float64) - reference
-        err_energy = float(np.einsum("ij,ij->", err, err))  # summed in a fixed order, as in rel_change
+        err_energy = plane_sum(err, err)
         if err_energy == 0.0:
             return SNR_CAP_DB
         return min(10.0 * np.log10(signal_energy / err_energy), SNR_CAP_DB)
@@ -53,19 +64,17 @@ def snr_db(u: np.ndarray, reference: np.ndarray) -> float:
 def rel_change(u_new: np.ndarray, u_old: np.ndarray) -> float:
     """||u_new - u_old||_2 / max(||u_old||_2, 1e-12).
 
-    The squares are summed by ``einsum`` in a fixed order, not by BLAS,
-    whose threaded dot product would make the value depend on the BLAS
-    thread count.  NaN when ||u_old|| overflows: the ratio would read 0 and
-    mean nothing.  A complex argument, or two of different shapes, raises
-    ValueError naming them.
+    NaN when ||u_old|| overflows: the ratio would read 0 and mean nothing.
+    A complex argument, or two of different shapes, raises ValueError
+    naming them.
     """
     check_real(u_new, "u_new")
     check_real(u_old, "u_old")
     if np.shape(u_new) != np.shape(u_old):
         raise ValueError(f"u_new has shape {np.shape(u_new)}, u_old {np.shape(u_old)}")
     diff = u_new - u_old
-    num = math.sqrt(np.einsum("ij,ij->", diff, diff))
-    den = max(math.sqrt(np.einsum("ij,ij->", u_old, u_old)), 1e-12)
+    num = math.sqrt(plane_sum(diff, diff))
+    den = max(math.sqrt(plane_sum(u_old, u_old)), 1e-12)
     if not math.isfinite(den):
         return math.nan
     return num / den

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import halves
 from .grid_ops import check_field, is_number
+from .metrics import plane_sum
 
 
 def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
@@ -28,6 +29,7 @@ def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
     ValueError unless g is a real (n, n, 2) field (``check_field``).
     """
     check_field(g)
+    g = np.asarray(g, dtype=np.float64)  # an integer field as its float64 values, in its own layout
     if tv_variant == "iso":
         out = np.einsum("ijk,ijk->ij", g, g)
         return np.sqrt(out, out=out)
@@ -54,12 +56,13 @@ def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> tuple[np.ndarray
     if not is_number(t) or not 0 < t < math.inf:  # an infinite t makes the iso prox inf - inf, NaN
         raise ValueError(f"shrinkage threshold must be > 0 and finite, got {t!r}")
     check_field(v)
+    v = np.asarray(v, dtype=np.float64)  # as in pixel_norms
     n = v.shape[0]
     if tv_variant == "iso":  # scale and denom are the parts of the radial factor; each half forms its rows
         scale = np.empty(v.shape[:2])
         denom = np.empty_like(scale)
         halves.run(lambda lo, hi: _iso_parts(v, t, scale, denom, lo, hi), n, scale.size)
-        norm_sum = float(scale.sum())
+        norm_sum = plane_sum(scale)
         halves.run(lambda lo, hi: np.divide(scale[lo:hi], denom[lo:hi], out=scale[lo:hi]), n, scale.size)
         del denom  # out is allocated after denom's release, as scale * v needs no denom
         out = np.empty_like(v)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import spectral
 from .grid_ops import forward_diff, is_number, validate_image
-from .metrics import best_index, rel_change, snr_scorer
+from .metrics import best_index, plane_sum, rel_change, snr_scorer
 from .shrinkage import pixel_norms, shrink
 
 DEFAULT_BETA_SCHEDULE = tuple(2.0**k for k in range(11))
@@ -237,12 +237,12 @@ def solve(
             lam = np.subtract(lam, gap, out=gap)  # in gap's buffer, not the old lam's: the best record may hold that
         del gap
         constraint = math.sqrt(gap_sq.max())  # the largest iso norm, as sqrt is monotone: no per-pixel root
-        gap_term = 0.5 * beta * float(gap_sq.sum())
+        gap_term = 0.5 * beta * plane_sum(gap_sq)
         del gap_sq
-        w_tv = float(pixel_norms(w, cfg.tv_variant).sum()) if w_norm_sum is None else w_norm_sum
+        w_tv = plane_sum(pixel_norms(w, cfg.tv_variant)) if w_norm_sum is None else w_norm_sum
         scores = {
             "snr_db": snr_db,
-            "objective_tv": float(pixel_norms(du, cfg.tv_variant).sum()) + fidelity,
+            "objective_tv": plane_sum(pixel_norms(du, cfg.tv_variant)) + fidelity,
             "penalty_objective": (w_tv + gap_term) + fidelity,
             "constraint_residual": constraint,
             "rel_change": stage_rc,

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import halves
 from .grid_ops import check_field, check_kernel_side, check_real, divergence_adjoint, is_number
+from .metrics import plane_sum
 
 SINGULAR_FLOOR = 1e-14
 
@@ -117,13 +118,13 @@ class USystem:
 def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> USystem:
     """Set up the u-subproblem (mu K^T K + beta D^T D) u = mu K^T f + beta D^T g.
 
-    Raises ValueError unless mu and beta are positive real numbers and ``f`` fits the cache, and FloatingPointError if
-    the per-frequency denominator mu |K^|^2 + beta |D^|^2 falls below 1e-14
-    anywhere (a tiny mu or a zero-flux kernel).
+    Raises ValueError unless mu and beta are positive finite real numbers and ``f`` fits the cache, and
+    FloatingPointError if the per-frequency denominator mu |K^|^2 + beta |D^|^2 falls below 1e-14
+    anywhere (a tiny mu or a zero-flux kernel) or mu/beta overflows.
     """
-    if not is_number(mu) or not mu > 0:
+    if not is_number(mu) or not 0 < mu < np.inf:
         raise ValueError(f"mu must be a positive real number, got {mu!r}")
-    if not is_number(beta) or not beta > 0:
+    if not is_number(beta) or not 0 < beta < np.inf:
         raise ValueError(f"beta must be a positive real number, got {beta!r}")
     cache.check_grid(f)
     denom = mu * np.abs(cache.eig_k) ** 2 + beta * cache.eig_dtd
@@ -132,6 +133,8 @@ def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> US
             f"frequency-domain denominator mu |K^|^2 + beta |D^|^2 reaches {denom.min():.3e} "
             f"at mu {mu!r}, beta {beta!r}: mu is too small or the kernel has (near-)zero flux"
         )
+    if not np.isfinite(float(mu) / float(beta)):  # both terms of the system are scaled by it
+        raise FloatingPointError(f"mu/beta overflows at mu {mu!r}, beta {beta!r}")
     denom /= beta
     f_hat = _rfft2(f)
     data_hat = mu / beta * np.conj(cache.eig_k) * f_hat
@@ -175,7 +178,7 @@ def residual_sq(system: USystem, u_hat: np.ndarray) -> float:
     squares of its real and imaginary parts.  Over the full spectrum
     ||r||^2 = sum |r^|^2 / n^2.  The half spectrum stands for every column
     twice (itself and its conjugate mirror) except column 0 and, for even
-    n, column n/2, which are their own mirrors and count once.
+    n, column n/2, their own mirrors, whose squares are halved to count once.
     """
     r = u_hat
     r *= system.eig_k
@@ -183,7 +186,7 @@ def residual_sq(system: USystem, u_hat: np.ndarray) -> float:
     n = r.shape[0]
     sq = r.view(np.float64)  # (re, im) pairs: column c of r is sq[:, 2c : 2c + 2]
     np.multiply(sq, sq, out=sq)
-    total = 2.0 * float(sq.sum()) - float(sq[:, :2].sum())
+    sq[:, :2] *= 0.5
     if n % 2 == 0:
-        total -= float(sq[:, n : n + 2].sum())
-    return total / (n * n)
+        sq[:, n : n + 2] *= 0.5
+    return 2.0 * plane_sum(sq) / (n * n)

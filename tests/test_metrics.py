@@ -1,3 +1,5 @@
+import ast
+import math
 import os
 import subprocess
 import sys
@@ -5,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import tvdeblur
 from tvdeblur import (
@@ -22,7 +26,7 @@ from tvdeblur import (
     snr_db,
     write_pgm,
 )
-from tvdeblur.metrics import snr_scorer
+from tvdeblur.metrics import plane_sum, snr_scorer
 
 
 def delta_cache(n):
@@ -123,6 +127,65 @@ def test_rel_change_is_nan_when_the_norm_overflows():
     big = np.full((4, 4), 1e160)
     with np.errstate(over="ignore"):
         assert np.isnan(rel_change(1.5 * big, big))
+
+
+@given(st.integers(1, 150), st.integers(0, 2**32 - 1), st.booleans())
+@example(9, 0, False)
+@example(8, 0, True)
+def test_plane_sum_is_the_sum_of_row_partials_wherever_the_rows_are_cut(n, seed, with_b):
+    # the rule that lets a pass on row halves or strips form a score sum with the bits of a whole-plane one
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    b = rng.standard_normal((n, n)) if with_b else None
+
+    def partials(rows):
+        return a[rows].sum(axis=1) if b is None else np.einsum("ij,ij->i", a[rows], b[rows])
+
+    total = plane_sum(a, b)
+    for k in range(n + 1):
+        assert float(np.concatenate([partials(slice(0, k)), partials(slice(k, n))]).sum()) == total
+    terms = (a if b is None else a * b).ravel()
+    assert abs(total - math.fsum(terms)) <= n * np.finfo(float).eps * math.fsum(np.abs(terms))
+
+
+def whole_array_reductions(path):
+    """(function, source) of each call in a module that reduces a whole array to one number.
+
+    That is einsum to a scalar, .sum() or .mean() without an axis, and any dot product or norm.
+    """
+    source = path.read_text(encoding="utf-8")
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                name, args = child.func.attr, child.args
+                axis = any(k.arg == "axis" for k in child.keywords) or len(args) > (
+                    isinstance(child.func.value, ast.Name) and child.func.value.id == "np"
+                )
+                if (
+                    name in ("sum", "mean") and not axis
+                    or name == "einsum" and isinstance(args[0], ast.Constant) and args[0].value.endswith("->")
+                    or name in ("dot", "vdot", "inner", "norm")
+                ):
+                    found.append((scope, ast.get_source_segment(source, child)))
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
+                found.append((scope, ast.get_source_segment(source, child)))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_every_score_sum_goes_through_plane_sum():
+    # a whole-plane reduction elsewhere would fix its own summation order, so no pass on row halves could form it;
+    # make_kernel's taps.sum() normalises a kernel, not a plane
+    package = Path(tvdeblur.__file__).parent
+    found = {path.name: whole_array_reductions(path) for path in sorted(package.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {
+        "grid_ops.py": [("make_kernel", "taps.sum()")],
+        "metrics.py": [("plane_sum", "rows.sum()")],
+    }
 
 
 def _fake_trace(snrs):

@@ -135,6 +135,23 @@ def test_shrink_hands_out_the_sum_of_its_norms(n, seed, t):
     assert shrink(v, t, "aniso")[1] is None
 
 
+@given(sizes, seeds, thresholds)
+def test_an_integer_field_gives_the_bits_of_its_float64_cast(n, seed, t):
+    rng = np.random.default_rng(seed)
+    g = np.moveaxis(rng.integers(-50, 50, size=(2, n, n)), 0, -1)  # plane-major, as forward_diff lays a field out
+    exact = g.astype(np.float64)
+    system = prepare_u(np.zeros((n, n)), 1.0, 1.0, build_cache(np.ones((1, 1)), n))
+    pairs = [(divergence_adjoint(g), divergence_adjoint(exact)), (solve_u(system, g)[0], solve_u(system, exact)[0])]
+    pairs += [(forward_diff(g[..., 0]), forward_diff(exact[..., 0]))]
+    for variant in ("iso", "aniso"):
+        pairs += [(pixel_norms(g, variant), pixel_norms(exact, variant))]
+        (w, s), (w_exact, s_exact) = shrink(g, t, variant), shrink(exact, t, variant)
+        assert s == s_exact
+        pairs += [(w, w_exact)]
+    for got, expected in pairs:
+        assert got.dtype == np.float64 and got.strides == expected.strides and np.array_equal(got, expected)
+
+
 def solve_u_8x8(g):
     return solve_u(prepare_u(np.zeros((8, 8)), 1.0, 1.0, build_cache(np.ones((1, 1)), 8)), g)
 

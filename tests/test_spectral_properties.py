@@ -145,7 +145,7 @@ def cache_32():
     return build_cache(make_kernel(KernelSpec("average", 3)), 32)
 
 
-# The layer's refusals: (call, the ValueError's text)
+# The layer's refusals: (call, the error's text), and the error's type where it is not ValueError
 REFUSALS = {
     "apply_kernel-cache_size": (
         lambda: apply_kernel(cache_32(), np.zeros((16, 16))), "spectral cache was built for n=32, the image is 16x16",
@@ -158,6 +158,18 @@ REFUSALS = {
     ),
     "prepare_u-negative_beta": (
         lambda: prepare_u(np.zeros((32, 32)), 1.0, -2.0, cache_32()), "beta must be a positive real number, got -2.0",
+    ),
+    # an infinite weight, or a mu/beta past the float64 range, gave a system whose u-step returned all NaN
+    "prepare_u-infinite_mu": (
+        lambda: prepare_u(np.zeros((32, 32)), np.inf, 1.0, cache_32()), "mu must be a positive real number, got inf",
+    ),
+    "prepare_u-infinite_beta": (
+        lambda: prepare_u(np.zeros((32, 32)), 1.0, np.inf, cache_32()), "beta must be a positive real number, got inf",
+    ),
+    "prepare_u-overflowing_ratio": (
+        lambda: prepare_u(np.zeros((32, 32)), 1e308, 1e-300, cache_32()),
+        r"mu/beta overflows at mu 1e\+308, beta 1e-300",
+        FloatingPointError,
     ),
     "apply_kernel-complex": (lambda: apply_kernel(cache_32(), np.zeros((32, 32)) + 1j), "image must be real, got complex values"),
     "prepare_u-complex": (
@@ -172,8 +184,8 @@ REFUSALS = {
 
 @pytest.mark.parametrize("entry", REFUSALS)
 def test_bad_input_is_refused_by_name(entry):
-    call, message = REFUSALS[entry]
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    call, message, *error = REFUSALS[entry]
+    with pytest.raises(*error or [ValueError], match=f"^{message}$"):
         call()
 
 
