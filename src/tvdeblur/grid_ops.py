@@ -117,37 +117,47 @@ def _diff_rows(u: np.ndarray, g: np.ndarray, lo: int, hi: int) -> None:
         np.subtract(u[0], u[-1], out=dy[-1])
 
 
-def divergence_adjoint(g: np.ndarray) -> np.ndarray:
-    """Exact adjoint D^T of ``forward_diff``, on row halves (``halves.run``).
+def divergence_adjoint(g: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
+    """Exact adjoint D^T of ``forward_diff``, of g or, with a field ``lam``, of g - lam, on row halves (``halves.run``).
 
     Satisfies <forward_diff(u), g> == <u, divergence_adjoint(g)> for all
     u, g (this is the negative discrete divergence of the field):
 
         (gx(i, j-1) - gx(i, j)) + (gy(i-1, j) - gy(i, j)), indices mod n.
 
-    Raises ValueError unless g is a real (n, n, 2) field (``check_field``).
+    With ``lam`` each half forms g - lam on its own rows, one component at a
+    time, and the result has the bits of ``divergence_adjoint(g - lam)``
+    without a field for the difference.  Raises ValueError unless g (and
+    lam) is a real (n, n, 2) field (``check_field``).
     """
     check_field(g)
-    gx_flat = g[..., DX].reshape(-1)  # a view for both field layouts
+    if lam is not None:
+        check_field(lam)
+        if np.shape(lam) != np.shape(g):
+            raise ValueError(f"multiplier field has shape {np.shape(lam)}, the gradient field {np.shape(g)}")
     out = np.empty(g.shape[:2], dtype=np.float64)
     ydiff = np.empty_like(out)
-    halves.run(lambda lo, hi: _adjoint_rows(g, gx_flat, out, ydiff, lo, hi), out.shape[0], out.size)
+    part = None if lam is None else np.empty_like(out)
+    halves.run(lambda lo, hi: _adjoint_rows(g, lam, out, ydiff, part, lo, hi), out.shape[0], out.size)
     return out
 
 
-def _adjoint_rows(g: np.ndarray, gx_flat: np.ndarray, out: np.ndarray, ydiff: np.ndarray, lo: int, hi: int) -> None:
-    """Rows [lo, hi) of ``divergence_adjoint(g)`` into out, through ydiff; gy reads row lo - 1 (mod n) as its halo."""
-    gx = g[..., DX]
-    gy = g[..., DY]
-    first, stop = lo * out.shape[1], hi * out.shape[1]
-    # gx(i, j-1) - gx(i, j) along the flat rows; each row's first entry is then overwritten by its wrap
-    np.subtract(gx_flat[first : stop - 1], gx_flat[first + 1 : stop], out=out.reshape(-1)[first + 1 : stop])
-    np.subtract(gx[lo:hi, -1], gx[lo:hi, 0], out=out[lo:hi, 0])
-    top = max(lo, 1)
-    np.subtract(gy[top - 1 : hi - 1], gy[top:hi], out=ydiff[top:hi])
-    if top > lo:
-        np.subtract(gy[-1], gy[0], out=ydiff[0])
-    out[lo:hi] += ydiff[lo:hi]
+def _adjoint_rows(g, lam, out, ydiff, part, lo, hi) -> None:
+    """Rows [lo, hi) of ``divergence_adjoint(g, lam)`` into out, through ydiff; gy reads row lo - 1 (mod n) as its halo.
+
+    With lam, each component of g - lam is formed in part's rows in turn, and the halo row of gy - lam in ydiff's.
+    """
+    hx = g[lo:hi, :, DX] if lam is None else np.subtract(g[lo:hi, :, DX], lam[lo:hi, :, DX], out=part[lo:hi])
+    hx_flat, rows = hx.reshape(-1), out[lo:hi]  # a view for both field layouts
+    # hx(i, j-1) - hx(i, j) along the flat rows; each row's first entry is then overwritten by its wrap
+    np.subtract(hx_flat[:-1], hx_flat[1:], out=rows.reshape(-1)[1:])
+    np.subtract(hx[:, -1], hx[:, 0], out=rows[:, 0])
+    hy = g[lo:hi, :, DY] if lam is None else np.subtract(g[lo:hi, :, DY], lam[lo:hi, :, DY], out=part[lo:hi])
+    np.subtract(hy[:-1], hy[1:], out=ydiff[lo + 1 : hi])
+    above = (lo - 1) % out.shape[0]
+    halo = g[above, :, DY] if lam is None else np.subtract(g[above, :, DY], lam[above, :, DY], out=ydiff[lo])
+    np.subtract(halo, hy[0], out=ydiff[lo])
+    rows += ydiff[lo:hi]
 
 
 @dataclass(frozen=True)

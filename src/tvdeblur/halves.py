@@ -1,11 +1,15 @@
 """Two halves of a full-plane pass, one on the caller's thread and one on a worker thread.
 
 A large FTVd alternation is a handful of full-plane passes: the u-step's FFT
-pair, D^T, the shrink and D.  Each is independent across rows (the column
-FFTs across columns), so ``run`` hands the upper half of the range to one
-worker thread and runs the lower half itself.  Each half writes only its own
-part of buffers the caller allocated; every sum is formed by the caller
-after ``run`` returns, so results are bit-identical to a one-thread run.
+pair, D^T, the shrink and D, and at each stage end the scores and the
+multiplier update.  Each is independent across rows (the column FFTs across
+columns), so ``run`` hands the upper half of the range to one worker thread
+and runs the lower half itself.  Each half writes only its own part of
+buffers the caller allocated.  A sum over the plane is formed as row
+partials: each half writes the partial of each of its rows, as
+``metrics.plane_sum`` forms it, and the caller adds the n partials with
+``metrics.add_rows`` after ``run`` returns.  A row's partial depends on
+that row alone, so results are bit-identical to a one-thread run.
 
 The split runs only on a plane of at least SPLIT_MIN_PIXELS pixels, in a
 process whose CPU affinity lists two or more CPUs, and while no other

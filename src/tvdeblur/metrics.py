@@ -7,6 +7,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from . import halves
 from .grid_ops import check_real, validate_image
 
 SNR_CAP_DB = 300.0
@@ -15,12 +16,40 @@ SNR_CAP_DB = 300.0
 def plane_sum(a: np.ndarray, b: np.ndarray | None = None) -> float:
     """Sum a, or a * b, over an (n, n) plane: the one summation rule of every score.
 
-    Per-row partials, ``a.sum(axis=1)`` or ``einsum("ij,ij->i", a, b)`` (not a threaded BLAS dot), are added in
-    one order fixed by n.  A row's partial depends on that row alone, so a plane whose rows were formed whole, on
+    Per-row partials, ``a.sum(axis=1)`` or ``einsum("ij,ij->i", a, b)`` (not a threaded BLAS dot), are added by
+    ``add_rows``.  A row's partial depends on that row alone, so a plane whose rows were formed whole, on
     ``halves.run``'s halves or on strips sums to the same bits, whatever the BLAS thread count.
     """
-    rows = a.sum(axis=1) if b is None else np.einsum("ij,ij->i", a, b)
+    return add_rows(a.sum(axis=1) if b is None else np.einsum("ij,ij->i", a, b))
+
+
+def add_rows(rows: np.ndarray) -> float:
+    """Add a plane's n per-row partials in the one order fixed by n: ``plane_sum``'s last step.
+
+    A row kernel that forms its rows' partials (``rows[lo:hi]``, as ``plane_sum`` forms them) hands the vector
+    here, so a sum formed on ``halves.run``'s halves has the bits of ``plane_sum`` of the whole plane.
+    """
     return float(rows.sum())
+
+
+def _diff_energy(a: np.ndarray, b: np.ndarray, b_energy: bool = False) -> tuple[float, float | None]:
+    """(plane_sum(a - b, a - b), plane_sum(b, b) if ``b_energy`` else None), on row halves.
+
+    ``a`` and ``b`` are float64 arrays of one 2-D shape.
+    """
+    diff = np.empty(a.shape)
+    rows = np.empty(a.shape[0])
+    b_rows = np.empty_like(rows) if b_energy else None
+    halves.run(lambda lo, hi: _diff_energy_rows(a, b, diff, rows, b_rows, lo, hi), a.shape[0], a.size)
+    return add_rows(rows), None if b_rows is None else add_rows(b_rows)
+
+
+def _diff_energy_rows(a, b, diff, rows, b_rows, lo, hi) -> None:
+    """Rows [lo, hi) of ``_diff_energy``: the difference in diff, then each row's partials."""
+    d = np.subtract(a[lo:hi], b[lo:hi], out=diff[lo:hi])
+    np.einsum("ij,ij->i", d, d, out=rows[lo:hi])
+    if b_rows is not None:
+        np.einsum("ij,ij->i", b[lo:hi], b[lo:hi], out=b_rows[lo:hi])
 
 
 def snr_scorer(reference: np.ndarray, name: str = "reference") -> Callable[[np.ndarray], float]:
@@ -43,8 +72,7 @@ def snr_scorer(reference: np.ndarray, name: str = "reference") -> Callable[[np.n
         check_real(u, "scored image")
         if np.shape(u) != reference.shape:  # it would broadcast against the reference and score a mean
             raise ValueError(f"scored image has shape {np.shape(u)}, the {name} {reference.shape}")
-        err = np.asarray(u, dtype=np.float64) - reference
-        err_energy = plane_sum(err, err)
+        err_energy = _diff_energy(np.asarray(u, dtype=np.float64), reference)[0]
         if err_energy == 0.0:
             return SNR_CAP_DB
         return min(10.0 * np.log10(signal_energy / err_energy), SNR_CAP_DB)
@@ -72,9 +100,9 @@ def rel_change(u_new: np.ndarray, u_old: np.ndarray) -> float:
     check_real(u_old, "u_old")
     if np.shape(u_new) != np.shape(u_old):
         raise ValueError(f"u_new has shape {np.shape(u_new)}, u_old {np.shape(u_old)}")
-    diff = u_new - u_old
-    num = math.sqrt(plane_sum(diff, diff))
-    den = max(math.sqrt(plane_sum(u_old, u_old)), 1e-12)
+    num_sq, den_sq = _diff_energy(np.asarray(u_new, dtype=np.float64), np.asarray(u_old, dtype=np.float64), True)
+    num = math.sqrt(num_sq)
+    den = max(math.sqrt(den_sq), 1e-12)
     if not math.isfinite(den):
         return math.nan
     return num / den

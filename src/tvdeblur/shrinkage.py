@@ -17,7 +17,7 @@ import numpy as np
 
 from . import halves
 from .grid_ops import check_field, is_number
-from .metrics import plane_sum
+from .metrics import add_rows
 
 
 def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
@@ -30,68 +30,92 @@ def pixel_norms(g: np.ndarray, tv_variant: str = "iso") -> np.ndarray:
     """
     check_field(g)
     g = np.asarray(g, dtype=np.float64)  # an integer field as its float64 values, in its own layout
-    if tv_variant == "iso":
-        out = np.einsum("ijk,ijk->ij", g, g)
-        return np.sqrt(out, out=out)
-    if tv_variant == "aniso":
-        return np.abs(g[..., 0]) + np.abs(g[..., 1])
-    raise ValueError(f"unknown tv_variant {tv_variant!r}")
+    if tv_variant not in ("iso", "aniso"):
+        raise ValueError(f"unknown tv_variant {tv_variant!r}")
+    out = np.empty(g.shape[:2])
+    _norms_into(g, tv_variant, out, np.empty_like(out) if tv_variant == "aniso" else None)
+    return out
 
 
-def shrink(v: np.ndarray, t: float, tv_variant: str = "iso") -> tuple[np.ndarray, float | None]:
+def shrink(v: np.ndarray, t: float, tv_variant: str = "iso", lam: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """The w-step: the per-pixel prox of ``pixel_norms`` at a finite threshold t > 0, and the sum of its norms.
 
-    'iso' is radial 2-vector shrinkage, out_i = v_i * max(||v_i|| - t, 0) /
-    max(||v_i||, t): the usual radial factor where ||v_i|| > t, and exactly
-    0 where ||v_i|| <= t (t > 0, so the 0/0 tie never arises); a NaN pixel
-    stays NaN.  'aniso' is the componentwise soft threshold
-    sign(c) * max(|c| - t, 0) on dx and dy, computed as c - clip(c, -t, t),
-    which has the same values (a component at or below the threshold
-    becomes +0.0).  Returns (out, s): for 'iso', s = sum_i ||out_i|| =
-    sum_i max(||v_i|| - t, 0), summed before that buffer becomes the radial
-    factor; for 'aniso', whose prox forms no norm, s is None.  Raises
-    ValueError unless t is a finite real number > 0 and v a real (n, n, 2)
-    field (``check_field``).
+    The prox is taken at v, or with the multiplier field ``lam`` at lam + v,
+    which each row half forms in the output's buffer (no field holds the
+    sum).  'iso' is radial 2-vector shrinkage, out_i = v_i * max(||v_i|| - t,
+    0) / max(||v_i||, t): the usual radial factor where ||v_i|| > t, and
+    exactly 0 where ||v_i|| <= t (t > 0, so the 0/0 tie never arises); a NaN
+    pixel stays NaN.  'aniso' is the componentwise soft threshold sign(c) *
+    max(|c| - t, 0) on dx and dy, computed as c - clip(c, -t, t), which has
+    the same values (a component at or below the threshold becomes +0.0).
+    Returns (out, s), where s is the sum of out's pixel norms by
+    ``plane_sum``'s rule: for 'iso' of max(||v_i|| - t, 0), before that
+    buffer becomes the radial factor, and for 'aniso' of
+    ``pixel_norms(out, "aniso")``, to the bit.  Raises ValueError unless t is a finite real number
+    > 0 and v (and lam) a real (n, n, 2) field (``check_field``).
     """
     if not is_number(t) or not 0 < t < math.inf:  # an infinite t makes the iso prox inf - inf, NaN
         raise ValueError(f"shrinkage threshold must be > 0 and finite, got {t!r}")
     check_field(v)
+    if tv_variant not in ("iso", "aniso"):
+        raise ValueError(f"unknown tv_variant {tv_variant!r}")
     v = np.asarray(v, dtype=np.float64)  # as in pixel_norms
+    if lam is not None:
+        check_field(lam)
+        if np.shape(lam) != v.shape:
+            raise ValueError(f"multiplier field has shape {np.shape(lam)}, the shrink's input {v.shape}")
+        lam = np.asarray(lam, dtype=np.float64)
     n = v.shape[0]
-    if tv_variant == "iso":  # scale and denom are the parts of the radial factor; each half forms its rows
-        scale = np.empty(v.shape[:2])
-        denom = np.empty_like(scale)
-        halves.run(lambda lo, hi: _iso_parts(v, t, scale, denom, lo, hi), n, scale.size)
-        norm_sum = plane_sum(scale)
-        halves.run(lambda lo, hi: np.divide(scale[lo:hi], denom[lo:hi], out=scale[lo:hi]), n, scale.size)
-        del denom  # out is allocated after denom's release, as scale * v needs no denom
-        out = np.empty_like(v)
-        halves.run(lambda lo, hi: _scale_rows(v, scale, out, lo, hi), n, scale.size)
-        return out, norm_sum
-    if tv_variant == "aniso":  # in out's buffer: a fresh one adds 1.9 MB of tracemalloc peak (ftvd3-aniso, 512²)
-        out = np.empty_like(v)
-        halves.run(lambda lo, hi: _soft_rows(v, t, out, lo, hi), n, v[..., 0].size)
-        return out, None
-    raise ValueError(f"unknown tv_variant {tv_variant!r}")
+    out = np.empty_like(v)
+    norms = np.empty(v.shape[:2])
+    denom = np.empty_like(norms) if tv_variant == "iso" and lam is not None else None
+    rows = np.empty(n)
+    halves.run(lambda lo, hi: _prox_rows(v, lam, t, tv_variant, out, norms, denom, rows, lo, hi), n, norms.size)
+    return out, add_rows(rows)
 
 
-def _iso_parts(v: np.ndarray, t: float, scale: np.ndarray, denom: np.ndarray, lo: int, hi: int) -> None:
-    """Rows [lo, hi): denom = max(||v_i||, t) and scale = denom - t, which is max(||v_i|| - t, 0) bit for bit."""
-    s = scale[lo:hi]
-    np.einsum("ijk,ijk->ij", v[lo:hi], v[lo:hi], out=s)  # as in pixel_norms
-    np.sqrt(s, out=s)
-    np.maximum(s, t, out=denom[lo:hi])
-    np.subtract(denom[lo:hi], t, out=s)
+# The row kernels below pass numpy only 1-D runs or whole-row blocks (see grid_ops).
 
 
-def _scale_rows(v: np.ndarray, scale: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
-    """Rows [lo, hi) of the iso prox, out = v * scale, one component plane at a time."""
-    for k in range(2):  # a plane is contiguous; the (rows, n, 2) block with a broadcast scale would be buffered
-        np.multiply(v[lo:hi, :, k], scale[lo:hi], out=out[lo:hi, :, k])
+def _norms_into(g: np.ndarray, tv_variant: str, out: np.ndarray, scratch: np.ndarray | None) -> None:
+    """``pixel_norms(g, tv_variant)`` of a block of rows into out; 'aniso' forms |dy| in scratch, of out's shape."""
+    if tv_variant == "iso":
+        np.einsum("ijk,ijk->ij", g, g, out=out)
+        np.sqrt(out, out=out)
+    else:
+        np.abs(g[..., 0], out=out)
+        out += np.abs(g[..., 1], out=scratch)
 
 
-def _soft_rows(v: np.ndarray, t: float, out: np.ndarray, lo: int, hi: int) -> None:
-    """Rows [lo, hi) of the aniso prox, v - clip(v, -t, t), one component plane at a time."""
-    for k in range(2):
-        part = np.clip(v[lo:hi, :, k], -t, t, out=out[lo:hi, :, k])
-        np.subtract(v[lo:hi, :, k], part, out=part)
+def _prox_rows(v, lam, t, tv_variant, out, norms, denom, rows, lo, hi) -> None:
+    """Rows [lo, hi) of ``shrink``: the prox into out, and each row's partial of its norm sum into rows.
+
+    Beside out, the kernel writes one plane, norms; the iso prox of lam + v, which fills out, a second, denom.
+    """
+    s = norms[lo:hi]
+    if tv_variant == "iso":  # d = max(||v_i||, t) and s = d - t, which is max(||v_i|| - t, 0) bit for bit
+        if lam is None:
+            src, d = v, out[lo:hi, :, 0]  # dx's rows of out hold d until the prox overwrites them
+        else:
+            src, d = out, denom[lo:hi]
+            for k in range(2):
+                np.add(lam[lo:hi, :, k], v[lo:hi, :, k], out=out[lo:hi, :, k])
+        _norms_into(src[lo:hi], "iso", s, None)
+        np.maximum(s, t, out=d)
+        np.subtract(d, t, out=s)
+        np.sum(s, axis=1, out=rows[lo:hi])
+        np.divide(s, d, out=s)
+        for k in range(2):  # a plane is contiguous; the (rows, n, 2) block with a broadcast scale would be buffered
+            np.multiply(src[lo:hi, :, k], s, out=out[lo:hi, :, k])
+        return
+    w0, w1 = out[lo:hi, :, 0], out[lo:hi, :, 1]
+    for k, w in enumerate((w0, w1)):  # v - clip(v, -t, t), with lam + v formed in norms' rows
+        src = v[lo:hi, :, k] if lam is None else np.add(lam[lo:hi, :, k], v[lo:hi, :, k], out=s)
+        np.subtract(src, np.clip(src, -t, t, out=w), out=w)
+    # |w0| + |w1| as pixel_norms forms it, with dy's rows of out as the scratch.  w1 is then made again from |w1|:
+    # v1 - clip(v1) is |w1| with v1's sign where nonzero, and +0.0 where v1 is clipped whole (+ 0.0 turns -0.0 to +0.0)
+    _norms_into(out[lo:hi], "aniso", s, w1)
+    np.sum(s, axis=1, out=rows[lo:hi])
+    src = v[lo:hi, :, 1] if lam is None else np.add(lam[lo:hi, :, 1], v[lo:hi, :, 1], out=s)
+    np.copysign(w1, src, out=w1)
+    w1 += 0.0

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
+from . import halves, spectral
 from .grid_ops import forward_diff, is_number, validate_image
-from .metrics import best_index, plane_sum, rel_change, snr_scorer
-from .shrinkage import pixel_norms, shrink
+from .metrics import add_rows, best_index, rel_change, snr_scorer
+from .shrinkage import _norms_into, shrink
 
 DEFAULT_BETA_SCHEDULE = tuple(2.0**k for k in range(11))
 
@@ -193,7 +193,7 @@ def solve(
     records: list[IterateRecord] = []
     best = None  # the best record so far by SNR, earliest on ties; none without ground truth
     u, du = f, forward_diff(f)
-    lam = 0.0 if multipliers else None  # lambda/beta; the first multiplier update makes it a field
+    lam = np.zeros_like(du) if multipliers else None  # lambda/beta, renewed in the gap's buffer at each stage end
     system = None
     converged = True
     # Liveness: every array is unbound (del) at its last read, so each step allocates while only what
@@ -208,9 +208,9 @@ def solve(
             system = spectral.prepare_u(f, cfg.mu, beta, cache)
         stage_start = u
         for it in range(1, max_inner + 1):
-            w, w_norm_sum = shrink(du if lam is None else lam + du, 1.0 / beta, cfg.tv_variant)
+            w, w_tv = shrink(du, 1.0 / beta, cfg.tv_variant, lam)
             del du
-            u_new, u_hat = spectral.solve_u(system, w if lam is None else w - lam)
+            u_new, u_hat = spectral.solve_u(system, w, lam)
             rc = rel_change(u_new, u)
             if not math.isfinite(rc):
                 raise FloatingPointError(
@@ -225,26 +225,20 @@ def solve(
         converged = stage_converged and (converged or multipliers)
         fidelity = 0.5 * cfg.mu * spectral.residual_sq(system, u_hat)  # mu/2 ||K u - f||^2, in u^'s buffer
         del u_hat
+        if not multipliers:  # each ftvd3 stage has its own beta, so its system is read for the last time here
+            system = None
         stage_rc = rc if it == 1 else rel_change(u, stage_start)  # after one alternation they are equal
         del stage_start
         snr_db = None if snr is None else snr(u)
         if best is not None and best_index((best.snr_db, snr_db)) == 1:
             best.u = best.w = best.lam = None
             best = None
-        gap = w - du
-        gap_sq = np.einsum("ijk,ijk->ij", gap, gap)  # ||w_i - D_i u||^2 per pixel, in one pass
-        if multipliers:
-            lam = np.subtract(lam, gap, out=gap)  # in gap's buffer, not the old lam's: the best record may hold that
-        del gap
-        constraint = math.sqrt(gap_sq.max())  # the largest iso norm, as sqrt is monotone: no per-pixel root
-        gap_term = 0.5 * beta * plane_sum(gap_sq)
-        del gap_sq
-        w_tv = plane_sum(pixel_norms(w, cfg.tv_variant)) if w_norm_sum is None else w_norm_sum
+        lam, gap_sq_sum, gap_sq_max, du_tv = _stage_end(w, du, lam, cfg.tv_variant)
         scores = {
             "snr_db": snr_db,
-            "objective_tv": plane_sum(pixel_norms(du, cfg.tv_variant)) + fidelity,
-            "penalty_objective": (w_tv + gap_term) + fidelity,
-            "constraint_residual": constraint,
+            "objective_tv": du_tv + fidelity,
+            "penalty_objective": (w_tv + 0.5 * beta * gap_sq_sum) + fidelity,
+            "constraint_residual": math.sqrt(gap_sq_max),  # the largest iso norm, as sqrt is monotone
             "rel_change": stage_rc,
         }
         bad = [f"{name} {value}" for name, value in scores.items() if value is not None and not math.isfinite(value)]
@@ -263,6 +257,37 @@ def solve(
         if multipliers and stage_converged:
             break
     return IterateTrace(records=records, converged=converged)
+
+
+def _stage_end(w, du, lam, tv_variant):
+    """A stage's constraint terms, on row halves: (new lam, sum and max of ||w_i - D_i u||_2^2, TV of u).
+
+    The new lam, lam - (w - D u), is None without lam.  It is written into the gap's buffer, not the old lam's:
+    the best record may hold that.  The sum and the TV, sum(pixel_norms(D u)), have ``plane_sum``'s bits.
+    """
+    n = du.shape[0]
+    gap = np.empty_like(du)
+    sq = np.empty(du.shape[:2])
+    gap_rows, gap_max, tv_rows = np.empty((3, n))
+    halves.run(
+        lambda lo, hi: _stage_end_rows(w, du, lam, tv_variant, gap, sq, gap_rows, gap_max, tv_rows, lo, hi), n, sq.size
+    )
+    return (None if lam is None else gap), add_rows(gap_rows), gap_max.max(), add_rows(tv_rows)
+
+
+def _stage_end_rows(w, du, lam, tv_variant, gap, sq, gap_rows, gap_max, tv_rows, lo, hi) -> None:
+    """Rows [lo, hi) of ``_stage_end``: D u's norms (with gap's dx rows as scratch), then the gap and lam - gap."""
+    part = sq[lo:hi]
+    _norms_into(du[lo:hi], tv_variant, part, gap[lo:hi, :, 0])
+    np.sum(part, axis=1, out=tv_rows[lo:hi])
+    for k in range(2):
+        np.subtract(w[lo:hi, :, k], du[lo:hi, :, k], out=gap[lo:hi, :, k])
+    np.einsum("ijk,ijk->ij", gap[lo:hi], gap[lo:hi], out=part)  # ||w_i - D_i u||^2 per pixel, in one pass
+    np.sum(part, axis=1, out=gap_rows[lo:hi])
+    np.max(part, axis=1, out=gap_max[lo:hi])
+    if lam is not None:
+        for k in range(2):
+            np.subtract(lam[lo:hi, :, k], gap[lo:hi, :, k], out=gap[lo:hi, :, k])
 
 
 # The old per-method entries, kept only because bench/worker.py looks them up by name; ROADMAP item 2 deletes them.

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import halves
 from .grid_ops import check_field, check_kernel_side, check_real, divergence_adjoint, is_number
-from .metrics import plane_sum
+from .metrics import add_rows
 
 SINGULAR_FLOOR = 1e-14
 
@@ -120,18 +120,23 @@ def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> US
 
     Raises ValueError unless mu and beta are positive finite real numbers and ``f`` fits the cache, and
     FloatingPointError if the per-frequency denominator mu |K^|^2 + beta |D^|^2 falls below 1e-14
-    anywhere (a tiny mu or a zero-flux kernel) or mu/beta overflows.
+    anywhere (a tiny mu or a zero-flux kernel) or overflows (a huge beta), or mu/beta overflows.
     """
     if not is_number(mu) or not 0 < mu < np.inf:
         raise ValueError(f"mu must be a positive real number, got {mu!r}")
     if not is_number(beta) or not 0 < beta < np.inf:
         raise ValueError(f"beta must be a positive real number, got {beta!r}")
     cache.check_grid(f)
-    denom = mu * np.abs(cache.eig_k) ** 2 + beta * cache.eig_dtd
+    with np.errstate(over="ignore"):  # an overflow is refused below, by name
+        denom = mu * np.abs(cache.eig_k) ** 2 + beta * cache.eig_dtd
     if denom.min() < SINGULAR_FLOOR:
         raise FloatingPointError(
             f"frequency-domain denominator mu |K^|^2 + beta |D^|^2 reaches {denom.min():.3e} "
             f"at mu {mu!r}, beta {beta!r}: mu is too small or the kernel has (near-)zero flux"
+        )
+    if not np.isfinite(denom.max()):  # inf there would set those frequencies of u to 0, whatever g is
+        raise FloatingPointError(
+            f"frequency-domain denominator mu |K^|^2 + beta |D^|^2 overflows at mu {mu!r}, beta {beta!r}"
         )
     if not np.isfinite(float(mu) / float(beta)):  # both terms of the system are scaled by it
         raise FloatingPointError(f"mu/beta overflows at mu {mu!r}, beta {beta!r}")
@@ -141,22 +146,24 @@ def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> US
     return USystem(beta=beta, eig_k=cache.eig_k, f_hat=f_hat, data_hat=data_hat, denom=denom)
 
 
-def solve_u(system: USystem, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def solve_u(system: USystem, w: np.ndarray, lam: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimizer of the quadratic u-subproblem, and its half spectrum.
 
-    Solves (mu K^T K + beta D^T D) u = mu K^T f + beta D^T g for a gradient
-    field g by per-frequency division, with D^T applied in space.  The
-    penalty solver passes g = w, the multiplier solver g = w - lambda/beta; as
+    Solves (mu K^T K + beta D^T D) u = mu K^T f + beta D^T g for the
+    gradient field g = w, or g = w - lam with the multiplier solver's field
+    lam = lambda/beta, by per-frequency division, with D^T applied in space
+    (``divergence_adjoint(w, lam)``, which forms w - lam row by row).  As
     ``prepare_u`` divided the system by beta, no pass scales g.  Returns
     (u, u^): the caller may hand u^ to ``residual_sq``, which overwrites it.
-    Raises ValueError unless g is a real (n, n, 2) field for the system's n.
+    Raises ValueError unless w (and lam) is a real (n, n, 2) field for the
+    system's n.
     """
-    check_field(g)
+    check_field(w)
     n = system.denom.shape[0]
-    if g.shape[0] != n:  # the per-frequency update would fail with numpy's broadcast message
-        raise ValueError(f"u-system was built for n={n}, the gradient field is {'x'.join(map(str, g.shape))}")
-    u_hat = _rfft2(divergence_adjoint(g))
-    halves.run(lambda lo, hi: _update_rows(system, u_hat, lo, hi), g.shape[0], g.shape[0] * g.shape[1])
+    if w.shape[0] != n:  # the per-frequency update would fail with numpy's broadcast message
+        raise ValueError(f"u-system was built for n={n}, the gradient field is {'x'.join(map(str, w.shape))}")
+    u_hat = _rfft2(divergence_adjoint(w, lam))
+    halves.run(lambda lo, hi: _update_rows(system, u_hat, lo, hi), n, n * n)
     return _irfft2(u_hat), u_hat
 
 
@@ -172,21 +179,30 @@ def _update_rows(system: USystem, u_hat: np.ndarray, lo: int, hi: int) -> None:
 
 
 def residual_sq(system: USystem, u_hat: np.ndarray) -> float:
-    """||K u - f||^2 from the half spectrum u^ = rfft2(u), by Parseval.
+    """||K u - f||^2 from the half spectrum u^ = rfft2(u), by Parseval, on row halves.
 
     Works in u^'s buffer, which it overwrites: r^ = K^ u^ - f^, then the
     squares of its real and imaginary parts.  Over the full spectrum
     ||r||^2 = sum |r^|^2 / n^2.  The half spectrum stands for every column
     twice (itself and its conjugate mirror) except column 0 and, for even
     n, column n/2, their own mirrors, whose squares are halved to count once.
+    The squares are summed by ``plane_sum``'s rule.
     """
-    r = u_hat
-    r *= system.eig_k
-    r -= system.f_hat
+    n = u_hat.shape[0]
+    rows = np.empty(n)
+    halves.run(lambda lo, hi: _residual_rows(system, u_hat, rows, lo, hi), n, n * n)
+    return 2.0 * add_rows(rows) / (n * n)
+
+
+def _residual_rows(system: USystem, r: np.ndarray, rows: np.ndarray, lo: int, hi: int) -> None:
+    """Rows [lo, hi) of ``residual_sq``: r^ and its halved squares in r's rows, and each row's partial."""
+    part = r[lo:hi]
+    part *= system.eig_k[lo:hi]
+    part -= system.f_hat[lo:hi]
     n = r.shape[0]
-    sq = r.view(np.float64)  # (re, im) pairs: column c of r is sq[:, 2c : 2c + 2]
+    sq = part.view(np.float64)  # (re, im) pairs: column c of r is sq[:, 2c : 2c + 2]
     np.multiply(sq, sq, out=sq)
     sq[:, :2] *= 0.5
     if n % 2 == 0:
         sq[:, n : n + 2] *= 0.5
-    return 2.0 * plane_sum(sq) / (n * n)
+    np.sum(sq, axis=1, out=rows[lo:hi])

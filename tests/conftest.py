@@ -39,14 +39,15 @@ def alternations(monkeypatch):
 
     Each alternation makes exactly one u-step, so wrapping ``spectral.solve_u``
     sees them all: g is the field it is handed and u the iterate it returns.
-    For ftvd3, g is the shrunk field w; for ftvd4 it would be w - lam.
+    For ftvd3, g is the shrunk field w; for ftvd4 it is w - lam, which the
+    u-step forms row by row and which is formed here again.
     """
     seen = []
     original = spectral.solve_u
 
-    def recording(system, g):
-        u, u_hat = original(system, g)
-        seen.append((u, g))
+    def recording(system, w, lam=None):
+        u, u_hat = original(system, w, lam)
+        seen.append((u, w if lam is None else w - lam))
         return u, u_hat
 
     monkeypatch.setattr(spectral, "solve_u", recording)

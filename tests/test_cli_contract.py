@@ -216,6 +216,9 @@ REFUSALS = [
      "numerical failure: the solve diverged at stage 0 (beta 1.0), inner iteration 1: relative change nan"),
     (DEBLUR + " --mu 1e308", 2,
      "numerical failure: the solve diverged at stage 0 (beta 1.0), inner iteration 1: relative change nan"),
+    # beta_fixed is ftvd4's; beta |D^|^2 passes the float64 range
+    (DEBLUR + " --solver ftvd4 --beta-fixed 1e308", 2,
+     "numerical failure: frequency-domain denominator mu |K^|^2 + beta |D^|^2 overflows at mu 500.0, beta 1e+308"),
     ("degrade --input {d}/nope.pgm --out {d}/o", 1, "error: [Errno 2] No such file or directory: '{d}/nope.pgm'"),
     ("degrade --input {d}/nope.png --out {d}/o", 1, "error: [Errno 2] No such file or directory: '{d}/nope.png'"),
     (DEGRADE + " --kernel box:3", 1, "error: argument --kernel: unknown kernel spec 'box:3'"),

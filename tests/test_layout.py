@@ -23,7 +23,7 @@ from tvdeblur import (
     make_phantom,
     solve,
 )
-from tvdeblur import spectral
+from tvdeblur import solvers, spectral
 from tvdeblur.shrinkage import pixel_norms, shrink
 
 
@@ -59,15 +59,15 @@ def test_a_mixed_layout_op_falls_back_to_interleaved():
 @pytest.mark.parametrize("method", ["ftvd3", "ftvd4"])
 @pytest.mark.parametrize("tv_variant", ["iso", "aniso"])
 def test_solver_fields_stay_plane_major(method, tv_variant):
-    # the fields live in solve's own locals, each only up to its last read, so a line tracer on
-    # solve's frame looks at every one of them on every line it is bound
+    # the fields live in the locals of solve and of its stage end, each only up to its last read, so a
+    # line tracer on those frames looks at every one of them on every line it is bound
     layouts = {}
-    code = inspect.unwrap(solve).__code__
+    codes = (inspect.unwrap(solve).__code__, solvers._stage_end.__code__)
 
     def check_locals(frame, event, arg):
         for name in ("du", "w", "gap", "lam"):
             field = frame.f_locals.get(name)
-            if isinstance(field, np.ndarray):  # lam starts as the scalar 0.0
+            if isinstance(field, np.ndarray):  # lam is None for ftvd3
                 layouts.setdefault(name, set()).add(plane_major(field))
         return check_locals
 
@@ -80,7 +80,7 @@ def test_solver_fields_stay_plane_major(method, tv_variant):
         recorded.append(plane_major(r.w) and (r.lam is None or plane_major(r.lam)))
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: check_locals if frame.f_code is code else None)
+    sys.settrace(lambda frame, event, arg: check_locals if frame.f_code in codes else None)
     try:
         solve(method, degrade(u0, kernel, 0.01, seed=0), kernel, cfg, ground_truth=u0, on_record=on_record)
     finally:

@@ -42,14 +42,14 @@ except (AttributeError, ValueError, OSError):  # no confstr (Windows), or no suc
     GLIBC = False
 
 PINNED_PEAKS = {
-    ("ftvd3", "iso", 128): 2_054_185,
-    ("ftvd3", "aniso", 128): 2_047_816,
-    ("ftvd4", "iso", 128): 2_588_768,
-    ("ftvd4", "aniso", 128): 2_597_032,
-    ("ftvd3", "iso", 256): 7_887_444,
-    ("ftvd3", "aniso", 256): 7_887_492,
-    ("ftvd4", "iso", 256): 8_435_912,
-    ("ftvd4", "aniso", 256): 10_018_136,
+    ("ftvd3", "iso", 128): 1_863_539,
+    ("ftvd3", "aniso", 128): 1_858_128,
+    ("ftvd4", "iso", 128): 2_527_316,
+    ("ftvd4", "aniso", 128): 2_535_572,
+    ("ftvd3", "iso", 256): 7_378_264,
+    ("ftvd3", "aniso", 256): 7_378_248,
+    ("ftvd4", "iso", 256): 7_918_704,
+    ("ftvd4", "aniso", 256): 10_017_868,
 }
 
 

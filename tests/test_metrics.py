@@ -184,7 +184,7 @@ def test_every_score_sum_goes_through_plane_sum():
     found = {path.name: whole_array_reductions(path) for path in sorted(package.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {
         "grid_ops.py": [("make_kernel", "taps.sum()")],
-        "metrics.py": [("plane_sum", "rows.sum()")],
+        "metrics.py": [("add_rows", "rows.sum()")],
     }
 
 

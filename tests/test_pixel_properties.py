@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tvdeblur import build_cache, divergence_adjoint, forward_diff, prepare_u, shrink, solve_u
+from tvdeblur import build_cache, divergence_adjoint, forward_diff, halves, prepare_u, shrink, solve_u, solvers
+from tvdeblur.metrics import plane_sum
 from tvdeblur.shrinkage import pixel_norms
 
 sizes = st.integers(2, 17)
@@ -131,8 +132,57 @@ def test_shrink_hands_out_the_sum_of_its_norms(n, seed, t):
     # every ||v_i|| <= t: each pixel shrinks to 0, and so does the sum, exactly
     inside = v * (0.5 * t / max(float(pixel_norms(v).max()), t))
     assert shrink(inside, t, "iso")[1] == 0.0
-    # the anisotropic prox forms no norm and hands out none
-    assert shrink(v, t, "aniso")[1] is None
+    # the anisotropic sum is the plane_sum of its output's 1-norms, to the bit
+    w, norm_sum = shrink(v, t, "aniso")
+    assert norm_sum == plane_sum(pixel_norms(w, "aniso"))
+
+
+def cut_at(k):
+    """A stand-in for ``halves.run`` that runs a pass as the two row ranges [0, k) and [k, stop)."""
+
+    def run(fn, stop, pixels):
+        fn(0, k)
+        fn(k, stop)
+
+    return run
+
+
+def bits(a):
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()  # -0.0 and 0.0 differ here, as in a trace's arrays
+
+
+@given(st.integers(2, 13), seeds, thresholds)
+@example(2, 0, 1.0)
+@example(9, 1, 0.5)
+def test_the_stage_end_kernel_matches_the_unfused_formulas_at_every_row_cut(n, seed, t):
+    w = shrink(random_field(n, seed), t, "iso")[0]  # with exact zeros, as a shrunk field has them
+    du = random_field(n, seed + 1)
+    lam = random_field(n, seed + 2)
+    gap = w - du
+    gap_sq = np.einsum("ijk,ijk->ij", gap, gap)
+    for variant in ("iso", "aniso"):
+        expected = (bits(lam - gap), plane_sum(gap_sq), gap_sq.max(), plane_sum(pixel_norms(du, variant)))
+        for k in range(1, n):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(halves, "run", cut_at(k))
+                new_lam, gap_sum, gap_max, tv = solvers._stage_end(w, du, lam, variant)
+                assert solvers._stage_end(w, du, None, variant)[0] is None
+            assert (bits(new_lam), gap_sum, gap_max, tv) == expected, (variant, k)
+
+
+@given(st.integers(2, 13), seeds, thresholds)
+def test_the_multiplier_fused_passes_match_the_unfused_ones_at_every_row_cut(n, seed, t):
+    # shrink at lam + v and D^T (w - lam), each formed row by row, give the bits of the passes on the formed field
+    v, lam, w = (random_field(n, seed + i) for i in range(3))
+    for variant in ("iso", "aniso"):
+        w_expected, s_expected = shrink(lam + v, t, variant)
+        for k in range(1, n):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(halves, "run", cut_at(k))
+                got, s = shrink(v, t, variant, lam)
+                assert bits(got) == bits(w_expected) and s == s_expected, (variant, k)
+                assert bits(divergence_adjoint(w, lam)) == bits(divergence_adjoint(w - lam)), k
+    assert bits(shrink(v, t, "aniso")[0]) == bits(v - np.clip(v, -t, t))
 
 
 @given(sizes, seeds, thresholds)

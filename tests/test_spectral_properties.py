@@ -171,6 +171,12 @@ REFUSALS = {
         r"mu/beta overflows at mu 1e\+308, beta 1e-300",
         FloatingPointError,
     ),
+    # beta |D^|^2 overflows: the denominator would hold inf and set those frequencies of u to 0, whatever g is
+    "prepare_u-overflowing_denominator": (
+        lambda: prepare_u(np.zeros((32, 32)), 1.0, 1e308, cache_32()),
+        r"frequency-domain denominator mu \|K\^\|\^2 \+ beta \|D\^\|\^2 overflows at mu 1\.0, beta 1e\+308",
+        FloatingPointError,
+    ),
     "apply_kernel-complex": (lambda: apply_kernel(cache_32(), np.zeros((32, 32)) + 1j), "image must be real, got complex values"),
     "prepare_u-complex": (
         lambda: prepare_u(np.zeros((32, 32)) + 1j, 1.0, 1.0, cache_32()), "image must be real, got complex values",
