@@ -13,6 +13,10 @@ Conventions used throughout the package:
 - a kernel is an (m, m) float64 array with odd m, anchored at its centre tap;
   blurring with it (``spectral.apply_kernel``) is true convolution (kernel
   flipped) with circular wrap-around.
+- a pass split on row halves (``halves.run``) nests its row work, ``rows(lo,
+  hi)``, over its own buffers, and passes numpy only 1-D runs or whole-row
+  blocks: a strided 2-D operand makes numpy allocate ~0.2 MB of iteration
+  buffers per call, which both halves would hold at once.
 
 All functions are pure and never mutate their inputs.
 """
@@ -93,28 +97,22 @@ def forward_diff(u: np.ndarray) -> np.ndarray:
     """
     check_square(u)
     u = np.ascontiguousarray(u)
+    n = u.shape[0]
     g = np.empty((2,) + u.shape, dtype=np.float64).transpose(1, 2, 0)
-    halves.run(lambda lo, hi: _diff_rows(u, g, lo, hi), u.shape[0], u.size)
+    dx, dy, flat = g[..., DX], g[..., DY], u.reshape(-1)
+
+    def rows(lo, hi):  # dy reads row hi (mod n) as its halo
+        first, stop = lo * n, hi * n
+        # u(i, j+1) - u(i, j) along the flat rows; each row's last entry is then overwritten by its wrap
+        np.subtract(flat[first + 1 : stop], flat[first : stop - 1], out=dx.reshape(-1)[first : stop - 1])
+        np.subtract(u[lo:hi, 0], u[lo:hi, -1], out=dx[lo:hi, -1])
+        last = min(hi, n - 1)
+        np.subtract(u[lo + 1 : last + 1], u[lo:last], out=dy[lo:last])
+        if last < hi:
+            np.subtract(u[0], u[-1], out=dy[-1])
+
+    halves.run(rows, n, u.size)
     return g
-
-
-# The row kernels below pass numpy only 1-D runs or whole-row blocks: a strided 2-D operand makes
-# numpy allocate ~0.2 MB of iteration buffers per call, which both halves would hold at once.
-
-
-def _diff_rows(u: np.ndarray, g: np.ndarray, lo: int, hi: int) -> None:
-    """Rows [lo, hi) of ``forward_diff(u)`` into g; dy reads row hi (mod n) as its halo."""
-    dx = g[..., DX]
-    dy = g[..., DY]
-    first, stop = lo * u.shape[1], hi * u.shape[1]
-    flat = u.reshape(-1)
-    # u(i, j+1) - u(i, j) along the flat rows; each row's last entry is then overwritten by its wrap
-    np.subtract(flat[first + 1 : stop], flat[first : stop - 1], out=dx.reshape(-1)[first : stop - 1])
-    np.subtract(u[lo:hi, 0], u[lo:hi, -1], out=dx[lo:hi, -1])
-    last = min(hi, u.shape[0] - 1)
-    np.subtract(u[lo + 1 : last + 1], u[lo:last], out=dy[lo:last])
-    if last < hi:
-        np.subtract(u[0], u[-1], out=dy[-1])
 
 
 def divergence_adjoint(g: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
@@ -138,26 +136,23 @@ def divergence_adjoint(g: np.ndarray, lam: np.ndarray | None = None) -> np.ndarr
     out = np.empty(g.shape[:2], dtype=np.float64)
     ydiff = np.empty_like(out)
     part = None if lam is None else np.empty_like(out)
-    halves.run(lambda lo, hi: _adjoint_rows(g, lam, out, ydiff, part, lo, hi), out.shape[0], out.size)
+
+    # gy reads row lo - 1 (mod n) as its halo.  g - lam is formed a component at a time in part, its halo in ydiff
+    def rows(lo, hi):
+        hx = g[lo:hi, :, DX] if lam is None else np.subtract(g[lo:hi, :, DX], lam[lo:hi, :, DX], out=part[lo:hi])
+        hx_flat, block = hx.reshape(-1), out[lo:hi]  # a view for both field layouts
+        # hx(i, j-1) - hx(i, j) along the flat rows; each row's first entry is then overwritten by its wrap
+        np.subtract(hx_flat[:-1], hx_flat[1:], out=block.reshape(-1)[1:])
+        np.subtract(hx[:, -1], hx[:, 0], out=block[:, 0])
+        hy = g[lo:hi, :, DY] if lam is None else np.subtract(g[lo:hi, :, DY], lam[lo:hi, :, DY], out=part[lo:hi])
+        np.subtract(hy[:-1], hy[1:], out=ydiff[lo + 1 : hi])
+        above = (lo - 1) % out.shape[0]
+        halo = g[above, :, DY] if lam is None else np.subtract(g[above, :, DY], lam[above, :, DY], out=ydiff[lo])
+        np.subtract(halo, hy[0], out=ydiff[lo])
+        block += ydiff[lo:hi]
+
+    halves.run(rows, out.shape[0], out.size)
     return out
-
-
-def _adjoint_rows(g, lam, out, ydiff, part, lo, hi) -> None:
-    """Rows [lo, hi) of ``divergence_adjoint(g, lam)`` into out, through ydiff; gy reads row lo - 1 (mod n) as its halo.
-
-    With lam, each component of g - lam is formed in part's rows in turn, and the halo row of gy - lam in ydiff's.
-    """
-    hx = g[lo:hi, :, DX] if lam is None else np.subtract(g[lo:hi, :, DX], lam[lo:hi, :, DX], out=part[lo:hi])
-    hx_flat, rows = hx.reshape(-1), out[lo:hi]  # a view for both field layouts
-    # hx(i, j-1) - hx(i, j) along the flat rows; each row's first entry is then overwritten by its wrap
-    np.subtract(hx_flat[:-1], hx_flat[1:], out=rows.reshape(-1)[1:])
-    np.subtract(hx[:, -1], hx[:, 0], out=rows[:, 0])
-    hy = g[lo:hi, :, DY] if lam is None else np.subtract(g[lo:hi, :, DY], lam[lo:hi, :, DY], out=part[lo:hi])
-    np.subtract(hy[:-1], hy[1:], out=ydiff[lo + 1 : hi])
-    above = (lo - 1) % out.shape[0]
-    halo = g[above, :, DY] if lam is None else np.subtract(g[above, :, DY], lam[above, :, DY], out=ydiff[lo])
-    np.subtract(halo, hy[0], out=ydiff[lo])
-    rows += ydiff[lo:hi]
 
 
 @dataclass(frozen=True)

@@ -38,18 +38,17 @@ def _diff_energy(a: np.ndarray, b: np.ndarray, b_energy: bool = False) -> tuple[
     ``a`` and ``b`` are float64 arrays of one 2-D shape.
     """
     diff = np.empty(a.shape)
-    rows = np.empty(a.shape[0])
-    b_rows = np.empty_like(rows) if b_energy else None
-    halves.run(lambda lo, hi: _diff_energy_rows(a, b, diff, rows, b_rows, lo, hi), a.shape[0], a.size)
-    return add_rows(rows), None if b_rows is None else add_rows(b_rows)
+    partials = np.empty(a.shape[0])
+    b_partials = np.empty_like(partials) if b_energy else None
 
+    def rows(lo, hi):  # the difference in diff's rows, then each row's partials
+        d = np.subtract(a[lo:hi], b[lo:hi], out=diff[lo:hi])
+        np.einsum("ij,ij->i", d, d, out=partials[lo:hi])
+        if b_partials is not None:
+            np.einsum("ij,ij->i", b[lo:hi], b[lo:hi], out=b_partials[lo:hi])
 
-def _diff_energy_rows(a, b, diff, rows, b_rows, lo, hi) -> None:
-    """Rows [lo, hi) of ``_diff_energy``: the difference in diff, then each row's partials."""
-    d = np.subtract(a[lo:hi], b[lo:hi], out=diff[lo:hi])
-    np.einsum("ij,ij->i", d, d, out=rows[lo:hi])
-    if b_rows is not None:
-        np.einsum("ij,ij->i", b[lo:hi], b[lo:hi], out=b_rows[lo:hi])
+    halves.run(rows, a.shape[0], a.size)
+    return add_rows(partials), None if b_partials is None else add_rows(b_partials)
 
 
 def snr_scorer(reference: np.ndarray, name: str = "reference") -> Callable[[np.ndarray], float]:

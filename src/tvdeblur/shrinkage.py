@@ -69,12 +69,40 @@ def shrink(v: np.ndarray, t: float, tv_variant: str = "iso", lam: np.ndarray | N
     out = np.empty_like(v)
     norms = np.empty(v.shape[:2])
     denom = np.empty_like(norms) if tv_variant == "iso" and lam is not None else None
-    rows = np.empty(n)
-    halves.run(lambda lo, hi: _prox_rows(v, lam, t, tv_variant, out, norms, denom, rows, lo, hi), n, norms.size)
-    return out, add_rows(rows)
+    partials = np.empty(n)
 
+    # Beside out, a half writes its rows of norms, and of denom for the iso prox of lam + v; its row sums go to partials
+    def rows(lo, hi):
+        s = norms[lo:hi]
+        if tv_variant == "iso":  # d = max(||v_i||, t) and s = d - t, which is max(||v_i|| - t, 0) bit for bit
+            if lam is None:
+                src, d = v, out[lo:hi, :, 0]  # dx's rows of out hold d until the prox overwrites them
+            else:
+                src, d = out, denom[lo:hi]
+                for k in range(2):
+                    np.add(lam[lo:hi, :, k], v[lo:hi, :, k], out=out[lo:hi, :, k])
+            _norms_into(src[lo:hi], "iso", s, None)
+            np.maximum(s, t, out=d)
+            np.subtract(d, t, out=s)
+            np.sum(s, axis=1, out=partials[lo:hi])
+            np.divide(s, d, out=s)
+            for k in range(2):  # a plane is contiguous; the (rows, n, 2) block with a broadcast scale would be buffered
+                np.multiply(src[lo:hi, :, k], s, out=out[lo:hi, :, k])
+            return
+        w0, w1 = out[lo:hi, :, 0], out[lo:hi, :, 1]
+        for k, w in enumerate((w0, w1)):  # v - clip(v, -t, t), with lam + v formed in norms' rows
+            src = v[lo:hi, :, k] if lam is None else np.add(lam[lo:hi, :, k], v[lo:hi, :, k], out=s)
+            np.subtract(src, np.clip(src, -t, t, out=w), out=w)
+        # |w0| + |w1| as pixel_norms forms it, with dy's rows of out as the scratch.  w1 is then made again from |w1|:
+        # v1 - clip(v1) is |w1| with v1's sign where nonzero, and +0.0 where v1 is clipped whole (+ 0.0 clears -0.0)
+        _norms_into(out[lo:hi], "aniso", s, w1)
+        np.sum(s, axis=1, out=partials[lo:hi])
+        src = v[lo:hi, :, 1] if lam is None else np.add(lam[lo:hi, :, 1], v[lo:hi, :, 1], out=s)
+        np.copysign(w1, src, out=w1)
+        w1 += 0.0
 
-# The row kernels below pass numpy only 1-D runs or whole-row blocks (see grid_ops).
+    halves.run(rows, n, norms.size)
+    return out, add_rows(partials)
 
 
 def _norms_into(g: np.ndarray, tv_variant: str, out: np.ndarray, scratch: np.ndarray | None) -> None:
@@ -85,37 +113,3 @@ def _norms_into(g: np.ndarray, tv_variant: str, out: np.ndarray, scratch: np.nda
     else:
         np.abs(g[..., 0], out=out)
         out += np.abs(g[..., 1], out=scratch)
-
-
-def _prox_rows(v, lam, t, tv_variant, out, norms, denom, rows, lo, hi) -> None:
-    """Rows [lo, hi) of ``shrink``: the prox into out, and each row's partial of its norm sum into rows.
-
-    Beside out, the kernel writes one plane, norms; the iso prox of lam + v, which fills out, a second, denom.
-    """
-    s = norms[lo:hi]
-    if tv_variant == "iso":  # d = max(||v_i||, t) and s = d - t, which is max(||v_i|| - t, 0) bit for bit
-        if lam is None:
-            src, d = v, out[lo:hi, :, 0]  # dx's rows of out hold d until the prox overwrites them
-        else:
-            src, d = out, denom[lo:hi]
-            for k in range(2):
-                np.add(lam[lo:hi, :, k], v[lo:hi, :, k], out=out[lo:hi, :, k])
-        _norms_into(src[lo:hi], "iso", s, None)
-        np.maximum(s, t, out=d)
-        np.subtract(d, t, out=s)
-        np.sum(s, axis=1, out=rows[lo:hi])
-        np.divide(s, d, out=s)
-        for k in range(2):  # a plane is contiguous; the (rows, n, 2) block with a broadcast scale would be buffered
-            np.multiply(src[lo:hi, :, k], s, out=out[lo:hi, :, k])
-        return
-    w0, w1 = out[lo:hi, :, 0], out[lo:hi, :, 1]
-    for k, w in enumerate((w0, w1)):  # v - clip(v, -t, t), with lam + v formed in norms' rows
-        src = v[lo:hi, :, k] if lam is None else np.add(lam[lo:hi, :, k], v[lo:hi, :, k], out=s)
-        np.subtract(src, np.clip(src, -t, t, out=w), out=w)
-    # |w0| + |w1| as pixel_norms forms it, with dy's rows of out as the scratch.  w1 is then made again from |w1|:
-    # v1 - clip(v1) is |w1| with v1's sign where nonzero, and +0.0 where v1 is clipped whole (+ 0.0 turns -0.0 to +0.0)
-    _norms_into(out[lo:hi], "aniso", s, w1)
-    np.sum(s, axis=1, out=rows[lo:hi])
-    src = v[lo:hi, :, 1] if lam is None else np.add(lam[lo:hi, :, 1], v[lo:hi, :, 1], out=s)
-    np.copysign(w1, src, out=w1)
-    w1 += 0.0

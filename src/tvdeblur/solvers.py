@@ -166,7 +166,7 @@ def solve(
       carried as lam = lambda/beta: lam <- lam - (w - D u).  It stops at
       the first stage below cfg.tol or after cfg.max_multiplier_updates.
 
-    The u-subproblem is prepared once per distinct beta.  Each stage record
+    The u-subproblem is prepared once per ftvd3 stage and once per ftvd4 solve.  Each stage record
     goes to ``on_record`` as soon as it is scored, when it and the best
     record so far are the only ones holding arrays (``IterateRecord``
     defines the scores and states the retention rule).  ``ground_truth``
@@ -204,7 +204,7 @@ def solve(
     for stage, beta in enumerate(betas):
         if records and records[-1] is not best:  # the retention rule, in two parts: this one and the new best's below
             records[-1].u = records[-1].w = records[-1].lam = None
-        if system is None or system.beta != beta:
+        if system is None:  # ftvd3 drops its system at every stage end; ftvd4's beta never changes
             system = spectral.prepare_u(f, cfg.mu, beta, cache)
         stage_start = u
         for it in range(1, max_inner + 1):
@@ -269,25 +269,22 @@ def _stage_end(w, du, lam, tv_variant):
     gap = np.empty_like(du)
     sq = np.empty(du.shape[:2])
     gap_rows, gap_max, tv_rows = np.empty((3, n))
-    halves.run(
-        lambda lo, hi: _stage_end_rows(w, du, lam, tv_variant, gap, sq, gap_rows, gap_max, tv_rows, lo, hi), n, sq.size
-    )
-    return (None if lam is None else gap), add_rows(gap_rows), gap_max.max(), add_rows(tv_rows)
 
-
-def _stage_end_rows(w, du, lam, tv_variant, gap, sq, gap_rows, gap_max, tv_rows, lo, hi) -> None:
-    """Rows [lo, hi) of ``_stage_end``: D u's norms (with gap's dx rows as scratch), then the gap and lam - gap."""
-    part = sq[lo:hi]
-    _norms_into(du[lo:hi], tv_variant, part, gap[lo:hi, :, 0])
-    np.sum(part, axis=1, out=tv_rows[lo:hi])
-    for k in range(2):
-        np.subtract(w[lo:hi, :, k], du[lo:hi, :, k], out=gap[lo:hi, :, k])
-    np.einsum("ijk,ijk->ij", gap[lo:hi], gap[lo:hi], out=part)  # ||w_i - D_i u||^2 per pixel, in one pass
-    np.sum(part, axis=1, out=gap_rows[lo:hi])
-    np.max(part, axis=1, out=gap_max[lo:hi])
-    if lam is not None:
+    def rows(lo, hi):  # D u's norms (with gap's dx rows as scratch), then the gap and lam - gap
+        part = sq[lo:hi]
+        _norms_into(du[lo:hi], tv_variant, part, gap[lo:hi, :, 0])
+        np.sum(part, axis=1, out=tv_rows[lo:hi])
         for k in range(2):
-            np.subtract(lam[lo:hi, :, k], gap[lo:hi, :, k], out=gap[lo:hi, :, k])
+            np.subtract(w[lo:hi, :, k], du[lo:hi, :, k], out=gap[lo:hi, :, k])
+        np.einsum("ijk,ijk->ij", gap[lo:hi], gap[lo:hi], out=part)  # ||w_i - D_i u||^2 per pixel, in one pass
+        np.sum(part, axis=1, out=gap_rows[lo:hi])
+        np.max(part, axis=1, out=gap_max[lo:hi])
+        if lam is not None:
+            for k in range(2):
+                np.subtract(lam[lo:hi, :, k], gap[lo:hi, :, k], out=gap[lo:hi, :, k])
+
+    halves.run(rows, n, sq.size)
+    return (None if lam is None else gap), add_rows(gap_rows), gap_max.max(), add_rows(tv_rows)
 
 
 # The old per-method entries, kept only because bench/worker.py looks them up by name; ROADMAP item 2 deletes them.

@@ -108,7 +108,6 @@ class USystem:
     and f^ themselves for ``residual_sq``.  Build it with ``prepare_u``.
     """
 
-    beta: float
     eig_k: np.ndarray
     f_hat: np.ndarray
     data_hat: np.ndarray
@@ -143,7 +142,7 @@ def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> US
     denom /= beta
     f_hat = _rfft2(f)
     data_hat = mu / beta * np.conj(cache.eig_k) * f_hat
-    return USystem(beta=beta, eig_k=cache.eig_k, f_hat=f_hat, data_hat=data_hat, denom=denom)
+    return USystem(eig_k=cache.eig_k, f_hat=f_hat, data_hat=data_hat, denom=denom)
 
 
 def solve_u(system: USystem, w: np.ndarray, lam: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -163,19 +162,16 @@ def solve_u(system: USystem, w: np.ndarray, lam: np.ndarray | None = None) -> tu
     if w.shape[0] != n:  # the per-frequency update would fail with numpy's broadcast message
         raise ValueError(f"u-system was built for n={n}, the gradient field is {'x'.join(map(str, w.shape))}")
     u_hat = _rfft2(divergence_adjoint(w, lam))
-    halves.run(lambda lo, hi: _update_rows(system, u_hat, lo, hi), n, n * n)
+
+    # u^ <- (u^ + data^) / denom on rows, not columns: a column slice is strided, and numpy would buffer each
+    # half's complex and float operands, adding 0.4 MB of peak at 512².
+    def rows(lo, hi):
+        part = u_hat[lo:hi]
+        part += system.data_hat[lo:hi]
+        part /= system.denom[lo:hi]
+
+    halves.run(rows, n, n * n)
     return _irfft2(u_hat), u_hat
-
-
-def _update_rows(system: USystem, u_hat: np.ndarray, lo: int, hi: int) -> None:
-    """Rows [lo, hi) of the u-step's per-frequency solve, u^ <- (u^ + data^) / denom.
-
-    On rows, not columns: a column slice is strided, and numpy would buffer
-    each half's complex and float operands, adding 0.4 MB of peak at 512².
-    """
-    part = u_hat[lo:hi]
-    part += system.data_hat[lo:hi]
-    part /= system.denom[lo:hi]
 
 
 def residual_sq(system: USystem, u_hat: np.ndarray) -> float:
@@ -189,20 +185,18 @@ def residual_sq(system: USystem, u_hat: np.ndarray) -> float:
     The squares are summed by ``plane_sum``'s rule.
     """
     n = u_hat.shape[0]
-    rows = np.empty(n)
-    halves.run(lambda lo, hi: _residual_rows(system, u_hat, rows, lo, hi), n, n * n)
-    return 2.0 * add_rows(rows) / (n * n)
+    partials = np.empty(n)
 
+    def rows(lo, hi):  # r^ and its halved squares in u^'s rows, and each row's partial
+        part = u_hat[lo:hi]
+        part *= system.eig_k[lo:hi]
+        part -= system.f_hat[lo:hi]
+        sq = part.view(np.float64)  # (re, im) pairs: column c of r^ is sq[:, 2c : 2c + 2]
+        np.multiply(sq, sq, out=sq)
+        sq[:, :2] *= 0.5
+        if n % 2 == 0:
+            sq[:, n : n + 2] *= 0.5
+        np.sum(sq, axis=1, out=partials[lo:hi])
 
-def _residual_rows(system: USystem, r: np.ndarray, rows: np.ndarray, lo: int, hi: int) -> None:
-    """Rows [lo, hi) of ``residual_sq``: r^ and its halved squares in r's rows, and each row's partial."""
-    part = r[lo:hi]
-    part *= system.eig_k[lo:hi]
-    part -= system.f_hat[lo:hi]
-    n = r.shape[0]
-    sq = part.view(np.float64)  # (re, im) pairs: column c of r is sq[:, 2c : 2c + 2]
-    np.multiply(sq, sq, out=sq)
-    sq[:, :2] *= 0.5
-    if n % 2 == 0:
-        sq[:, n : n + 2] *= 0.5
-    np.sum(sq, axis=1, out=rows[lo:hi])
+    halves.run(rows, n, n * n)
+    return 2.0 * add_rows(partials) / (n * n)
