@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_deblur.add_argument("--tv-variant", choices=("iso", "aniso"))
     p_deblur.add_argument("--save-intermediates", action="store_true")
     p_deblur.add_argument("--tol", type=float)
-    p_deblur.add_argument("--max-inner-iters", type=int)
-    p_deblur.add_argument("--max-multiplier-updates", type=int)
+    p_deblur.add_argument("--max-inner-iters", type=int, help="alternation cap per beta (ftvd3)")
+    p_deblur.add_argument("--max-multiplier-updates", type=int, help="multiplier update cap (ftvd4)")
 
     p_report = sub.add_parser("report", help="summarize an existing trace.csv")
     p_report.add_argument("--trace", required=True)
@@ -108,8 +108,17 @@ def _cmd_degrade(args) -> int:
     return 0
 
 
+# The deblur options one solver alone reads.  The library ignores the other solver's; the command line refuses them.
+_SOLVER_OF = {
+    "beta_schedule": "ftvd3", "max_inner_iters": "ftvd3", "beta_fixed": "ftvd4", "max_multiplier_updates": "ftvd4"
+}
+
+
 def _cmd_deblur(args) -> int:
     cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k != "command"})
+    foreign = [f"--{k.replace('_', '-')}" for k in vars(args) if _SOLVER_OF.get(k, cfg.solver) != cfg.solver]
+    if foreign:
+        raise ValueError(f"solver {cfg.solver} does not read {', '.join(foreign)}")
     run_experiment(cfg)
     print((Path(cfg.output_dir) / "summary.txt").read_text(), end="")
     return 0

@@ -56,16 +56,15 @@ def snr_scorer(reference: np.ndarray, name: str = "reference") -> Callable[[np.n
 
     A solve scores every record against the same ground truth, so the
     centred reference and its energy are formed here, not per record.
-    The reference must pass ``validate_image``, which names it ``name`` in
-    its ValueError, and must not be constant (ValueError otherwise); a
-    complex image to score, or one of another shape, raises ValueError as
-    well.
+    The reference must pass ``validate_image`` and must not be constant;
+    either ValueError names it ``name``.  A complex image to score, or one
+    of another shape, raises ValueError as well.
     """
     reference = validate_image(reference, name)
     signal = reference - plane_sum(reference) / reference.size
     signal_energy = plane_sum(signal, signal)
     if signal_energy == 0.0:
-        raise ValueError("reference image is constant")
+        raise ValueError(f"{name} is constant")
 
     def score(u: np.ndarray) -> float:
         check_real(u, "scored image")

@@ -38,7 +38,11 @@ def write_pgm(path, img: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM into a float64 image scaled to [0, 1]."""
+    """Read a binary PGM into a float64 image scaled to [0, 1]; ValueError, naming the file, for a malformed one.
+
+    A malformed file has another magic, a truncated header or raster, a maxval outside [1, 65535], or a sample
+    above its maxval.
+    """
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary (P5) PGM file")
@@ -56,6 +60,8 @@ def read_pgm(path) -> np.ndarray:
             f"{path}: truncated PGM raster: expected {expected} bytes for {w}x{h}, found {len(data) - offset}"
         )
     raster = np.frombuffer(data, dtype=dtype, count=w * h, offset=offset)
+    if maxval < np.iinfo(dtype).max and (top := raster.max(initial=0)) > maxval:  # it would load above 1
+        raise ValueError(f"{path}: largest PGM sample {top} exceeds maxval {maxval}")
     return raster.reshape(h, w).astype(np.float64) / maxval
 
 

@@ -122,7 +122,17 @@ def test_deblur_defaults_are_the_config_defaults(monkeypatch):
     assert seen == [ExperimentConfig(input_path="gt.pgm", output_dir="out")]
 
 
-def test_deblur_solver_flags_go_to_the_solver_config(monkeypatch):
+@pytest.mark.parametrize(
+    "solver, flags, fields",
+    [
+        ("ftvd3", ["--max-inner-iters", "7", "--beta-schedule", "1,8,64"],
+         {"max_inner_iters": 7, "beta_schedule": (1.0, 8.0, 64.0)}),
+        ("ftvd4", ["--beta-fixed", "5", "--max-multiplier-updates", "30"],
+         {"beta_fixed": 5.0, "max_multiplier_updates": 30}),
+    ],
+)
+def test_deblur_solver_flags_go_to_the_solver_config(monkeypatch, solver, flags, fields):
+    # each solver's own flags; the other solver's are refused (REFUSALS in test_cli_contract.py)
     seen = []
 
     def capture(cfg):
@@ -131,21 +141,12 @@ def test_deblur_solver_flags_go_to_the_solver_config(monkeypatch):
 
     monkeypatch.setattr(cli, "run_experiment", capture)
     argv = [
-        "deblur", "--input-path", "gt.pgm", "--output-dir", "out",
-        "--mu", "300", "--tv-variant", "aniso", "--tol", "1e-6", "--max-inner-iters", "7",
-        "--beta-schedule", "1,8,64", "--beta-fixed", "5", "--max-multiplier-updates", "30",
+        "deblur", "--input-path", "gt.pgm", "--output-dir", "out", "--solver", solver,
+        "--mu", "300", "--tv-variant", "aniso", "--tol", "1e-6", *flags,
     ]
     assert cli.main(argv) == 2
     assert seen == [ExperimentConfig(
-        input_path="gt.pgm",
-        output_dir="out",
-        mu=300.0,
-        tv_variant="aniso",
-        tol=1e-6,
-        max_inner_iters=7,
-        beta_schedule=(1.0, 8.0, 64.0),
-        beta_fixed=5.0,
-        max_multiplier_updates=30,
+        input_path="gt.pgm", output_dir="out", solver=solver, mu=300.0, tv_variant="aniso", tol=1e-6, **fields
     )]
 
 

@@ -68,22 +68,26 @@ EDGE_OPTIONS = [
     ("--seed", "-1"), ("--seed", str(2**128)), ("--seed", "1.5"), ("--seed", "x"), ("--solver", "ftvd5"), ("--kernel", "box:3"),
 ]
 
-# The caps are always set, so that no example runs the default 100 x 11 alternations, and the
-# kernel, so that the default average:9 does not reject every grid below 9 x 9
-options = st.fixed_dictionaries(
-    {
-        "--solver": maybe(st.sampled_from(["ftvd3", "ftvd4"])),
-        "--tv-variant": maybe(st.sampled_from(["iso", "aniso"])),
-        "--kernel": kernels,
-        "--sigma": maybe(decades()),
-        "--mu": maybe(st.one_of(st.just("auto"), decades())),
-        "--beta-schedule": maybe(schedules),
-        "--beta-fixed": maybe(decades()),
-        "--tol": maybe(decades(hi=-1)),
-        "--max-inner-iters": st.integers(1, 6).map(str),
-        "--max-multiplier-updates": st.integers(1, 6).map(str),
-        "--seed": maybe(st.integers(0, 2**128 - 1).map(str)),
-    }
+# Each example passes only its solver's own options (deblur refuses the other solver's).  The solver's
+# cap is always set, so that no example runs the default 100 x 11 alternations, and the kernel, so that
+# the default average:9 does not reject every grid below 9 x 9
+SOLVER_OPTIONS = {
+    "ftvd3": {"--beta-schedule": maybe(schedules), "--max-inner-iters": st.integers(1, 6).map(str)},
+    "ftvd4": {"--beta-fixed": maybe(decades()), "--max-multiplier-updates": st.integers(1, 6).map(str)},
+}
+options = st.sampled_from([None, "ftvd3", "ftvd4"]).flatmap(
+    lambda solver: st.fixed_dictionaries(
+        {
+            "--solver": st.just(solver),
+            "--tv-variant": maybe(st.sampled_from(["iso", "aniso"])),
+            "--kernel": kernels,
+            "--sigma": maybe(decades()),
+            "--mu": maybe(st.one_of(st.just("auto"), decades())),
+            "--tol": maybe(decades(hi=-1)),
+            "--seed": maybe(st.integers(0, 2**128 - 1).map(str)),
+            **SOLVER_OPTIONS[solver or "ftvd3"],
+        }
+    )
 )
 
 
@@ -135,6 +139,7 @@ def test_deblur_exits_cleanly_on_any_options(n, image_seed, opts, edge, save):
 
 DEBLUR = "deblur --input-path {d}/gt.pgm --output-dir {d}/o"
 BASE = DEBLUR + " --kernel average:3"
+FTVD4 = BASE + " --solver ftvd4"
 DEGRADE = "degrade --input {d}/gt.pgm --out {d}/o"
 # The traces the report rows read, by their snr_db cells, one per stage
 TRACES = {
@@ -181,22 +186,33 @@ REFUSALS = [
     (DEBLUR + " --beta-schedule 1e-320,1", 1,
      "error: beta_schedule entries must be positive and finite with 1/beta finite, got (1e-320, 1.0)"),
     (BASE + " --beta-fixed x", 1, "error: argument --beta-fixed: invalid float value: 'x'"),
-    (BASE + " --beta-fixed 0", 1, "error: beta_fixed must be positive and finite with 1/beta finite, got 0.0"),
-    (BASE + " --beta-fixed -1e2", 1, "error: beta_fixed must be positive and finite with 1/beta finite, got -100.0"),
-    (DEBLUR + " --beta-fixed inf", 1, "error: beta_fixed must be positive and finite with 1/beta finite, got inf"),
-    (DEBLUR + " --beta-fixed 1e-320", 1, "error: beta_fixed must be positive and finite with 1/beta finite, got 1e-320"),
+    (FTVD4 + " --beta-fixed 0", 1, "error: beta_fixed must be positive and finite with 1/beta finite, got 0.0"),
+    (FTVD4 + " --beta-fixed -1e2", 1, "error: beta_fixed must be positive and finite with 1/beta finite, got -100.0"),
+    (DEBLUR + " --solver ftvd4 --beta-fixed inf", 1,
+     "error: beta_fixed must be positive and finite with 1/beta finite, got inf"),
+    (DEBLUR + " --solver ftvd4 --beta-fixed 1e-320", 1,
+     "error: beta_fixed must be positive and finite with 1/beta finite, got 1e-320"),
     (BASE + " --tol x", 1, "error: argument --tol: invalid float value: 'x'"),
     (DEBLUR + " --tol 0", 1, "error: tol must lie in (0, 1), got 0.0"),
     (BASE + " --tol 1", 1, "error: tol must lie in (0, 1), got 1.0"),
     (BASE + " --max-inner-iters 1.5", 1, "error: argument --max-inner-iters: invalid int value: '1.5'"),
     (BASE + " --max-inner-iters 0", 1, "error: max_inner_iters must be an integer of at least 1, got 0"),
-    (BASE + " --max-multiplier-updates 0", 1, "error: max_multiplier_updates must be an integer of at least 1, got 0"),
+    (FTVD4 + " --max-multiplier-updates 0", 1, "error: max_multiplier_updates must be an integer of at least 1, got 0"),
+    # an option of the other solver is refused whatever its value: the solver would ignore it
+    (BASE + " --beta-fixed 1e308", 1, "error: solver ftvd3 does not read --beta-fixed"),
+    (BASE + " --solver ftvd3 --max-multiplier-updates 5", 1, "error: solver ftvd3 does not read --max-multiplier-updates"),
+    (FTVD4 + " --beta-schedule 1,2", 1, "error: solver ftvd4 does not read --beta-schedule"),
+    (FTVD4 + " --max-inner-iters 3 --beta-schedule 0", 1,
+     "error: solver ftvd4 does not read --max-inner-iters, --beta-schedule"),
     (BASE + " --seed x", 1, "error: argument --seed: invalid int value: 'x'"),
     (DEBLUR + " --seed -1", 1, "error: seed must lie in [0, 2**128), got -1"),
     (DEBLUR + f" --seed {2**128}", 1, f"error: seed must lie in [0, 2**128), got {2**128}"),
-    ("deblur --input-path {d}/flat.pgm --output-dir {d}/o", 1, "error: reference image is constant"),
+    ("deblur --input-path {d}/flat.pgm --output-dir {d}/o", 1, "error: ground truth is constant"),
     ("deblur --input-path {d}/truncated.pgm --output-dir {d}/o", 1,
      "error: {d}/truncated.pgm: truncated PGM raster: expected 512 bytes for 16x16, found 100"),
+    # an 8-bit sample of 255 under maxval 100 would load as 2.55
+    ("deblur --input-path {d}/over_maxval.pgm --output-dir {d}/o", 1,
+     "error: {d}/over_maxval.pgm: largest PGM sample 255 exceeds maxval 100"),
     ("deblur --input-path {d}/ --output-dir {d}/o", 1, "error: {d}: is a directory, not an image file"),
     # a PGM by content, but no suffix tells the format
     ("deblur --input-path {d}/gt --output-dir {d}/o", 1,
@@ -245,6 +261,7 @@ def test_refused_input_exits_with_one_line_and_writes_nothing(tmp_path, argv, co
     write_pgm(tmp_path / "gt", make_phantom(16))
     write_pgm(tmp_path / "flat.pgm", np.full((16, 16), 0.5))
     (tmp_path / "truncated.pgm").write_bytes(b"P5\n16 16\n65535\n" + bytes(100))
+    (tmp_path / "over_maxval.pgm").write_bytes(b"P5 2 2 100\n" + bytes([0, 100, 255, 7]))
     (tmp_path / "empty.png").write_bytes(b"")
     for name, snrs in TRACES.items():
         rows = [f"{i},1,1.0,{snr},1.0,1.0,0.0,0.1" for i, snr in enumerate(snrs)]

@@ -60,7 +60,7 @@ def test_doubling_the_error_costs_six_db():
 
 
 def test_constant_reference_is_degenerate():
-    with pytest.raises(ValueError, match="reference image is constant"):
+    with pytest.raises(ValueError, match="reference is constant"):
         snr_db(np.zeros((4, 4)), np.full((4, 4), 0.3))
 
 

@@ -68,6 +68,12 @@ def test_eight_bit_pgm_is_scaled(tmp_path):
     assert abs(img[0, 1] - 128 / 255) < 1e-12
 
 
+def test_a_sample_at_maxval_loads_as_one(tmp_path):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5 2 1 100\n" + bytes([100, 50]))
+    assert np.array_equal(read_pgm(path), [[1.0, 0.5]])
+
+
 def test_raster_may_start_with_whitespace_bytes(tmp_path):
     # exactly one whitespace byte ends the header; the raster's 10 and 32 are pixels
     path = tmp_path / "ws.pgm"
@@ -99,8 +105,11 @@ MALFORMED = "truncated or malformed PGM header"
         (b"P5 2 x 255\n", MALFORMED),
         (b"P5\n2 2\n0\n" + bytes(4), "unsupported maxval 0"),
         (b"P5\n2 2\n65536\n" + bytes(8), "unsupported maxval 65536"),
+        # a sample above maxval would load above 1
+        (b"P5 2 2 100\n" + bytes([0, 100, 255, 7]), "largest PGM sample 255 exceeds maxval 100"),
+        (b"P5 2 1 1000\n" + bytes([3, 232, 3, 233]), "largest PGM sample 1001 exceeds maxval 1000"),
     ],
-    ids=["truncated", "non_numeric", "maxval_0", "maxval_65536"],
+    ids=["truncated", "non_numeric", "maxval_0", "maxval_65536", "sample_above_maxval", "16_bit_sample_above_maxval"],
 )
 def test_malformed_header_names_file(tmp_path, capsys, header, reason):
     path = tmp_path / "bad.pgm"

@@ -1,9 +1,11 @@
-"""README's library example and command-line block run as written, so they cannot drift from the code."""
+"""README's library example and command-line block run as written, and its module list names every module,
+so they cannot drift from the code."""
 
 import re
 import shlex
 from pathlib import Path
 
+import tvdeblur
 from tvdeblur import cli, make_phantom, read_pgm, write_pgm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,3 +34,10 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
     for line in commands:
         assert cli.main(shlex.split(line)[1:]) == 0, line
     assert "best record: stage " in capsys.readouterr().out
+
+
+def test_readme_names_every_module_in_its_module_paragraph():
+    text = README.read_text(encoding="utf-8")
+    paragraph = re.search(r"^Core pieces, one module each:.*?\n\n", text, re.DOTALL | re.MULTILINE).group(0)
+    modules = sorted(p.stem for p in Path(tvdeblur.__file__).parent.glob("*.py") if p.stem != "__init__")
+    assert modules and [m for m in modules if f"`{m}`" not in paragraph] == []

@@ -273,6 +273,24 @@ def test_config_validation():
         SolverConfig(mu=1.0, beta_schedule=schedule).validate()
 
 
+@pytest.mark.parametrize("method", ["ftvd3", "ftvd4"])
+def test_the_u_system_is_prepared_once_per_ftvd3_stage_and_once_per_ftvd4_solve(pc16, monkeypatch, method):
+    # ftvd3 drops its system at every stage end and prepares the next stage's at its beta; ftvd4's beta never moves
+    prepared, prepare_u = [], spectral.prepare_u
+
+    def counted(f, mu, beta, cache):
+        prepared.append(beta)
+        return prepare_u(f, mu, beta, cache)
+
+    monkeypatch.setattr(spectral, "prepare_u", counted)
+    cfg = SolverConfig(mu=500.0, beta_schedule=(1.0, 4.0, 16.0), max_inner_iters=3, max_multiplier_updates=4)
+    trace = solve(method, pc16["f"], pc16["kernel"], cfg)
+    if method == "ftvd3":
+        assert prepared == [1.0, 4.0, 16.0] == [r.beta for r in trace.records]
+    else:
+        assert prepared == [10.0] and len(trace.records) == 4
+
+
 def test_ftvd4_cycle_cap_is_not_materialized():
     # a cap no machine could hold as a list of stages: the solve still returns after its
     # first cycle, which converges at once on a constant image
@@ -360,7 +378,7 @@ def test_non_finite_snr_raises_floating_point_error(pc16, method):
         (lambda u0, k, f: (f, k, np.where(u0 == u0.max(), np.nan, u0)), "ground truth contains NaN or Inf"),
         (lambda u0, k, f: (f, k, u0[0]), r"ground truth has shape \(32,\)"),
         (lambda u0, k, f: (f, k, make_phantom(u0.shape[0] + 1)), r"ground truth has shape \(33, 33\)"),
-        (lambda u0, k, f: (f, k, np.full_like(u0, 0.5)), "reference image is constant"),  # its SNR has no signal energy
+        (lambda u0, k, f: (f, k, np.full_like(u0, 0.5)), "ground truth is constant"),  # its SNR has no signal energy
         (lambda u0, k, f: (f[:16, :16], build_cache(k, 32), None), "spectral cache was built for n=32, the image is 16x16"),
         (lambda u0, k, f: (f[:17, :17], build_cache(k, 16), None), "spectral cache was built for n=16, the image is 17x17"),
     ],
