@@ -26,8 +26,8 @@ def plane_sum(a: np.ndarray, b: np.ndarray | None = None) -> float:
 def add_rows(rows: np.ndarray) -> float:
     """Add a plane's n per-row partials in the one order fixed by n: ``plane_sum``'s last step.
 
-    A row kernel that forms its rows' partials (``rows[lo:hi]``, as ``plane_sum`` forms them) hands the vector
-    here, so a sum formed on ``halves.run``'s halves has the bits of ``plane_sum`` of the whole plane.
+    A split pass whose row work forms its rows' partials (``partials[lo:hi]``, as ``plane_sum`` forms them) hands
+    the vector here, so a sum formed on ``halves.run``'s halves has the bits of ``plane_sum`` of the whole plane.
     """
     return float(rows.sum())
 

@@ -166,14 +166,14 @@ def solve(
       carried as lam = lambda/beta: lam <- lam - (w - D u).  It stops at
       the first stage below cfg.tol or after cfg.max_multiplier_updates.
 
-    The u-subproblem is prepared once per ftvd3 stage and once per ftvd4 solve.  Each stage record
-    goes to ``on_record`` as soon as it is scored, when it and the best
-    record so far are the only ones holding arrays (``IterateRecord``
-    defines the scores and states the retention rule).  ``ground_truth``
-    must be a finite image of ``f``'s shape.  An invalid ``f`` or ``cfg``,
-    an unknown ``method``, a bad ground truth, bad taps or a cache of
-    another size (``prepare_u`` checks it) raises ValueError before the
-    first alternation; taps become a cache only once the rest has passed.
+    The u-subproblem is prepared once per ftvd3 stage and once per ftvd4
+    solve.  Each stage record goes to ``on_record`` as soon as it is scored,
+    when it and the best record so far are the only ones holding arrays
+    (``IterateRecord`` defines the scores and states the retention rule).
+    ``ground_truth`` must be a finite image of ``f``'s shape.  An invalid
+    ``f`` or ``cfg``, an unknown ``method``, a bad ground truth, bad taps or a
+    cache of another size (``prepare_u`` checks it) raises ValueError before
+    the first alternation; taps become a cache only once the rest has passed.
     Raises FloatingPointError when the relative change or a score is not
     finite (the iteration diverged), so numpy's overflow and invalid-value
     warnings are off for the whole solve, ``on_record`` included.
