@@ -30,7 +30,7 @@ def decompose(u: np.ndarray, w: np.ndarray, cache: SpectralCache) -> tuple[np.nd
     cache.check_grid(u)
     _check_pair(w, u)
     numer = _rfft2(divergence_adjoint(w))
-    denom = cache.eig_dtd.copy()
+    denom = cache.eig_dtd
     denom[0, 0] = 1.0  # zero frequency handled by convention below
     x_hat = numer / denom
     x_hat[0, 0] = 0.0

@@ -108,11 +108,11 @@ class IterateRecord:
     ``u``, ``w`` and ``lam`` (None for ftvd3) are set when the record is
     passed to ``on_record``.  ``lam`` is the scaled multiplier lambda/beta:
     the paper's lambda is ``beta * lam``.  ``solve`` drops them by one rule:
-    when a stage starts, the last record gives them up unless it is the
-    best so far by SNR (earliest on ties; there is none without ground
-    truth), and as soon as a stage's SNR beats the best, the old best gives
-    them up.  A returned trace thus keeps them on its best and last records
-    only.
+    when a stage starts, the last record gives up ``lam``, and ``u`` and
+    ``w`` too unless it is the best so far by SNR (earliest on ties; there is
+    none without ground truth), and as soon as a stage's SNR beats the best,
+    the old best gives up ``u`` and ``w``.  A returned trace thus keeps ``u``
+    and ``w`` on its best and last records only, and ``lam`` on its last.
     """
 
     stage_index: int
@@ -167,8 +167,7 @@ def solve(
       the first stage below cfg.tol or after cfg.max_multiplier_updates.
 
     The u-subproblem is prepared once per ftvd3 stage and once per ftvd4
-    solve.  Each stage record goes to ``on_record`` as soon as it is scored,
-    when it and the best record so far are the only ones holding arrays
+    solve.  Each stage record goes to ``on_record`` as soon as it is scored
     (``IterateRecord`` defines the scores and states the retention rule).
     ``ground_truth`` must be a finite image of ``f``'s shape.  An invalid
     ``f`` or ``cfg``, an unknown ``method``, a bad ground truth, bad taps or a
@@ -194,21 +193,25 @@ def solve(
     best = None  # the best record so far by SNR, earliest on ties; none without ground truth
     u, du = f, forward_diff(f)
     lam = np.zeros_like(du) if multipliers else None  # lambda/beta, renewed in the gap's buffer at each stage end
+    if multipliers:  # ftvd4 shrinks lam + D u, which each stage end leaves in du; 0.0 + D f turns -0.0 into 0.0
+        du += lam
     system = None
     converged = True
     # Liveness: every array is unbound (del) at its last read, so each step allocates while only what
     # a later step reads is live, and a read past that point raises instead of holding memory.  The
     # old best record's arrays go as soon as the stage's SNR beats it, before the gap field is formed.
-    # Without these releases the tracemalloc peak at 512² (phantom, average:9, seed 7) is 17.0 planes
-    # rather than 13.1 (ftvd3-iso) and 22.0 rather than 19.0 (ftvd4-iso); tests/test_memory.py pins it.
+    # Without the dels the tracemalloc peak at 512² (phantom, average:9, seed 7) is 15.5 planes rather
+    # than 12.5 (ftvd3-iso) and 18.5 rather than 16.5 (ftvd4-iso); tests/test_memory.py pins it.
     for stage, beta in enumerate(betas):
-        if records and records[-1] is not best:  # the retention rule, in two parts: this one and the new best's below
-            records[-1].u = records[-1].w = records[-1].lam = None
+        if records:  # the retention rule, in two parts: this one and the new best's below
+            records[-1].lam = None
+            if records[-1] is not best:
+                records[-1].u = records[-1].w = None
         if system is None:  # ftvd3 drops its system at every stage end; ftvd4's beta never changes
             system = spectral.prepare_u(f, cfg.mu, beta, cache)
         stage_start = u
         for it in range(1, max_inner + 1):
-            w, w_tv = shrink(du, 1.0 / beta, cfg.tv_variant, lam)
+            w, w_tv = shrink(du, 1.0 / beta, cfg.tv_variant)
             del du
             u_new, u_hat = spectral.solve_u(system, w, lam)
             rc = rel_change(u_new, u)
@@ -231,7 +234,7 @@ def solve(
         del stage_start
         snr_db = None if snr is None else snr(u)
         if best is not None and best_index((best.snr_db, snr_db)) == 1:
-            best.u = best.w = best.lam = None
+            best.u = best.w = None  # an earlier record's, so its lam has gone
             best = None
         lam, gap_sq_sum, gap_sq_max, du_tv = _stage_end(w, du, lam, cfg.tv_variant)
         scores = {
@@ -262,15 +265,16 @@ def solve(
 def _stage_end(w, du, lam, tv_variant):
     """A stage's constraint terms, on row halves: (new lam, sum and max of ||w_i - D_i u||_2^2, TV of u).
 
-    The new lam, lam - (w - D u), is None without lam.  It is written into the gap's buffer, not the old lam's:
-    the best record may hold that.  The sum and the TV, sum(pixel_norms(D u)), have ``plane_sum``'s bits.
+    The sum and the TV, sum(pixel_norms(D u)), have ``plane_sum``'s bits.  The new lam, lam - (w - D u), is
+    None without lam.  It goes into the gap's buffer, not the old lam's, which ``on_record`` has been handed,
+    and the next shrink's input, new lam + D u, into du's, which no record holds.
     """
     n = du.shape[0]
     gap = np.empty_like(du)
     sq = np.empty(du.shape[:2])
     gap_rows, gap_max, tv_rows = np.empty((3, n))
 
-    def rows(lo, hi):  # D u's norms (with gap's dx rows as scratch), then the gap and lam - gap
+    def rows(lo, hi):  # D u's norms (with gap's dx rows as scratch), then the gap, lam - gap and lam - gap + D u
         part = sq[lo:hi]
         _norms_into(du[lo:hi], tv_variant, part, gap[lo:hi, :, 0])
         np.sum(part, axis=1, out=tv_rows[lo:hi])
@@ -282,6 +286,7 @@ def _stage_end(w, du, lam, tv_variant):
         if lam is not None:
             for k in range(2):
                 np.subtract(lam[lo:hi, :, k], gap[lo:hi, :, k], out=gap[lo:hi, :, k])
+                np.add(gap[lo:hi, :, k], du[lo:hi, :, k], out=du[lo:hi, :, k])
 
     halves.run(rows, n, sq.size)
     return (None if lam is None else gap), add_rows(gap_rows), gap_max.max(), add_rows(tv_rows)

@@ -48,18 +48,24 @@ def _irfft2(spec: np.ndarray) -> np.ndarray:
 class SpectralCache:
     """Half-spectrum eigenvalues of K and of D^T D on an n x n periodic grid.
 
-    ``eig_k`` and ``eig_dtd`` have shape (n, n//2 + 1).  Valid only for the
-    (n, kernel) pair it was built from.  Arrays are never written after
-    construction; the cache may be shared across threads.
+    ``eig_k`` and ``eig_dtd`` have shape (n, n//2 + 1); D^T D's eigenvalue at (p, q) is dtd_rows[p] + dtd_cols[q].
+    Valid only for the (n, kernel) pair it was built from.  Arrays are never written after construction; the
+    cache may be shared across threads.
     """
 
     eig_k: np.ndarray
-    eig_dtd: np.ndarray
+    dtd_rows: np.ndarray
+    dtd_cols: np.ndarray
+
+    @property
+    def eig_dtd(self) -> np.ndarray:
+        """D^T D's half-spectrum eigenvalues, formed anew at each read: the caller owns the plane."""
+        return self.dtd_rows[:, None] + self.dtd_cols[None, :]
 
     def check_grid(self, image: np.ndarray) -> None:
         """Raise ValueError, naming both sizes, unless ``image`` is real and n x n for the cache's n."""
         check_real(image, "image")
-        n = self.eig_dtd.shape[0]
+        n = self.eig_k.shape[0]
         if np.shape(image) != (n, n):
             raise ValueError(f"spectral cache was built for n={n}, the image is {'x'.join(map(str, np.shape(image)))}")
 
@@ -89,7 +95,7 @@ def build_cache(kernel: np.ndarray, n: int) -> SpectralCache:
     pad[np.ix_(offsets, offsets)] = kernel
     rows = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
     cols = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
-    return SpectralCache(eig_k=_rfft2(pad), eig_dtd=rows[:, None] + cols[None, :])
+    return SpectralCache(eig_k=_rfft2(pad), dtd_rows=rows, dtd_cols=cols)
 
 
 def apply_kernel(cache: SpectralCache, u: np.ndarray) -> np.ndarray:
@@ -126,8 +132,10 @@ def prepare_u(f: np.ndarray, mu: float, beta: float, cache: SpectralCache) -> US
     if not is_number(beta) or not 0 < beta < np.inf:
         raise ValueError(f"beta must be a positive real number, got {beta!r}")
     cache.check_grid(f)
+    denom = cache.eig_dtd
     with np.errstate(over="ignore"):  # an overflow is refused below, by name
-        denom = mu * np.abs(cache.eig_k) ** 2 + beta * cache.eig_dtd
+        denom *= beta
+        denom += mu * np.abs(cache.eig_k) ** 2
     if denom.min() < SINGULAR_FLOOR:
         raise FloatingPointError(
             f"frequency-domain denominator mu |K^|^2 + beta |D^|^2 reaches {denom.min():.3e} "

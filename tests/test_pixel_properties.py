@@ -155,6 +155,7 @@ def bits(a):
 @example(2, 0, 1.0)
 @example(9, 1, 0.5)
 def test_the_stage_end_kernel_matches_the_unfused_formulas_at_every_row_cut(n, seed, t):
+    # with lam it also leaves the next shrink's input, new lam + D u, in D u's buffer; without, D u as it was
     w = shrink(random_field(n, seed), t, "iso")[0]  # with exact zeros, as a shrunk field has them
     du = random_field(n, seed + 1)
     lam = random_field(n, seed + 2)
@@ -165,21 +166,23 @@ def test_the_stage_end_kernel_matches_the_unfused_formulas_at_every_row_cut(n, s
         for k in range(1, n):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(halves, "run", cut_at(k))
-                new_lam, gap_sum, gap_max, tv = solvers._stage_end(w, du, lam, variant)
-                assert solvers._stage_end(w, du, None, variant)[0] is None
+                du_with, du_without = du.copy(), du.copy()
+                new_lam, gap_sum, gap_max, tv = solvers._stage_end(w, du_with, lam, variant)
+                assert solvers._stage_end(w, du_without, None, variant)[0] is None
             assert (bits(new_lam), gap_sum, gap_max, tv) == expected, (variant, k)
+            assert bits(du_with) == bits((lam - gap) + du) and bits(du_without) == bits(du), (variant, k)
 
 
 @given(st.integers(2, 13), seeds, thresholds)
 def test_the_multiplier_fused_passes_match_the_unfused_ones_at_every_row_cut(n, seed, t):
-    # shrink at lam + v and D^T (w - lam), each formed row by row, give the bits of the passes on the formed field
+    # D^T (w - lam), formed row by row, gives the bits of D^T on the formed field; the shrink has its uncut bits
     v, lam, w = (random_field(n, seed + i) for i in range(3))
     for variant in ("iso", "aniso"):
-        w_expected, s_expected = shrink(lam + v, t, variant)
+        w_expected, s_expected = shrink(v, t, variant)
         for k in range(1, n):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(halves, "run", cut_at(k))
-                got, s = shrink(v, t, variant, lam)
+                got, s = shrink(v, t, variant)
                 assert bits(got) == bits(w_expected) and s == s_expected, (variant, k)
                 assert bits(divergence_adjoint(w, lam)) == bits(divergence_adjoint(w - lam)), k
     assert bits(shrink(v, t, "aniso")[0]) == bits(v - np.clip(v, -t, t))

@@ -125,6 +125,22 @@ def test_ftvd4_records_carry_the_scaled_multiplier(pc16):
         lam_prev = lam
 
 
+@pytest.mark.parametrize("tv_variant", ["iso", "aniso"])
+def test_each_ftvd4_cycle_shrinks_the_last_multiplier_plus_the_last_differences(tv_variant):
+    # w is the prox at lam + D u of the cycle before (u = f and lam = 0 at the first), to the bit.  f holds
+    # -0.0 beside 0.0, so D f has -0.0 components, which 0.0 + D f turns into 0.0 (the iso prox keeps a sign)
+    _, kernel, f = phantom32_average3()
+    f[:8, :8] = np.where(np.add.outer(np.arange(8), np.arange(8)) % 2, -0.0, 0.0)
+    cfg = SolverConfig(mu=500.0, tv_variant=tv_variant, max_multiplier_updates=6)
+    seen = []
+    solve("ftvd4", f, kernel, cfg, on_record=lambda r: seen.append((r.u, r.w, r.lam)))
+    u_prev, lam_prev = f, np.zeros(f.shape + (2,))
+    for u, w, lam in seen:
+        expected = shrink(lam_prev + forward_diff(u_prev), 1.0 / cfg.beta_fixed, tv_variant)[0]
+        assert np.ascontiguousarray(w).tobytes() == np.ascontiguousarray(expected).tobytes()
+        u_prev, lam_prev = u, lam
+
+
 def test_trace_completeness(pc16):
     cfg3 = SolverConfig(mu=500.0)
     tr3 = solve("ftvd3", pc16["f"], pc16["kernel"], cfg3)
@@ -456,10 +472,14 @@ def test_trace_keeps_arrays_on_best_and_final_only(request, monkeypatch, name):
         trace = request.getfixturevalue(name)
         best = best_iterate(trace)
         assert best < len(trace.records) - 1
+    last = len(trace.records) - 1
     for i, r in enumerate(trace.records):
-        kept = i in (best, len(trace.records) - 1)
+        kept = i in (best, last)
         assert (r.u is not None, r.w is not None) == (kept, kept)
-        assert (r.lam is not None) == (kept and name.startswith("ftvd4"))
+        assert (r.lam is not None) == (i == last and name.startswith("ftvd4"))
+    if best < last:  # a best record that is not the last one holds u and w, and no lam
+        held = trace.records[best]
+        assert held.u is not None and held.w is not None and held.lam is None
 
 
 @pytest.mark.parametrize("with_truth", [True, False], ids=["ground_truth", "no_ground_truth"])
@@ -475,7 +495,7 @@ def test_on_record_sees_arrays_on_the_best_so_far_and_the_current_record_only(me
         expected = {best, len(seen) - 1} - {None}
         for i, s in enumerate(seen):
             assert (s.u is not None, s.w is not None) == (i in expected, i in expected), (i, expected)
-            assert (s.lam is not None) == (i in expected and method == "ftvd4")
+            assert (s.lam is not None) == (i == len(seen) - 1 and method == "ftvd4")
         holders.append(expected)
 
     solve(method, f, kernel, SolverConfig(mu=500.0, tv_variant=variant), ground_truth=u0 if with_truth else None,
